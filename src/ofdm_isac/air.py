@@ -60,7 +60,7 @@ def air_estimate(c: ShapedConstellation, cfg: AirConfig) -> float:
     remaining = cfg.mc_samples
     while remaining > 0:
         size = min(_CHUNK, remaining)
-        x = draw_symbols(c, rng, size)
+        x = c.points[draw_symbols(c, rng, size)]
         y = h * x + complex_normal(rng, var, size)
         sq_dist = np.abs(y[:, None] - centers[None, :]) ** 2
         lse_total += float(logsumexp(log_p[None, :] - sq_dist / var, axis=1).sum())

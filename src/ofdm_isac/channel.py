@@ -113,9 +113,12 @@ class ComplexFrame:
 
 
 def complex_normal(rng: np.random.Generator, var: float, shape) -> np.ndarray:
-    """Circularly symmetric complex Gaussian CN(0, var): two real N(0, var/2) parts."""
-    s = math.sqrt(var / 2.0)
-    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Circularly symmetric complex Gaussian CN(0, var): real parts drawn first, then imaginary."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= math.sqrt(var / 2.0)
+    return out
 
 
 def steering_vectors(dims: FrameDims, target: Target) -> tuple[np.ndarray, np.ndarray]:

@@ -338,11 +338,11 @@ def _cmd_pcs(args) -> int:
         sol.trace_rows,
     )
     print(
-        f"solved: air={sol.air_bits:.4f} bits, mse={sol.sensing_mse:.6g} "
-        f"(budget {sol.c0_effective:.6g}), iters={sol.outer_iters}"
+        f"{'solved' if sol.converged else 'not converged'}: air={sol.air_bits:.4f} bits, "
+        f"mse={sol.sensing_mse:.6g} (budget {sol.c0_effective:.6g}), iters={sol.outer_iters}"
     )
     print(f"wrote {codebook_path} and {trace_path}")
-    return 0
+    return 0 if sol.converged else 3  # artifacts written; solver hit max_outer_iters
 
 
 def _cmd_tradeoff(args) -> int:

@@ -146,17 +146,29 @@ def chi_stats(c: ShapedConstellation, f: FilterKind) -> ChiStats:
 
 
 def draw_symbols(c: ShapedConstellation, rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF draw over the fixed point ordering (shared by all samplers)."""
-    cdf = np.cumsum(c.probs)
-    idx = np.searchsorted(cdf, rng.random(shape), side="right")
-    return c.points[np.minimum(idx, c.order - 1)]
+    """Inverse-CDF draw of point indices: min(searchsorted(cumsum(p), u, 'right'), Q-1).
+
+    Exact guide-table search (Chen & Asau 1974): bucket floor(u K), K >= 8Q a
+    power of two, gives a start that never overshoots; passes step the rest.
+    """
+    cut = np.cumsum(c.probs)
+    cut[-1] = np.inf  # the clip to Q-1: the last point takes every u past the other cuts
+    k = 1 << (8 * c.order - 1).bit_length()
+    start = np.searchsorted(cut, np.arange(k) / k, side="right")
+    u = rng.random(shape).reshape(-1)
+    idx = start[(u * k).astype(np.intp)]
+    todo = np.flatnonzero(cut[idx] <= u)
+    while todo.size:
+        idx[todo] += 1
+        todo = todo[cut[idx[todo]] <= u[todo]]
+    return idx.reshape(shape)
 
 
 def sample_symbols(c: ShapedConstellation, count: int, seed: int) -> np.ndarray:
     """Deterministic i.i.d. symbol draws for a given seed."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return draw_symbols(c, np.random.default_rng(seed), count)
+    return c.points[draw_symbols(c, np.random.default_rng(seed), count)]
 
 
 def save_codebook(

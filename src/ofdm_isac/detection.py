@@ -17,6 +17,7 @@ from scipy.ndimage import uniform_filter1d
 from .channel import FrameDims, Scene, complex_normal, steering_vectors
 from .constellation import ShapedConstellation, draw_symbols
 from .filtering import FilterKind, dd_transform, point_gain
+from .metrics import _batch_plan
 
 DETECTION_BATCH = 128
 
@@ -101,12 +102,14 @@ def detection_probability(
     for t in scene.targets:
         b, cv = steering_vectors(dims, t)
         steering.append(np.outer(b, np.conj(cv)))
+    g_tab = point_gain(c.points, f)
 
     def work(job):
         index, size = job
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        x = draw_symbols(c, rng, (size, n, m))
-        g = point_gain(x, f)
+        idx = draw_symbols(c, rng, (size, n, m))
+        x = c.points[idx]
+        g = g_tab[idx]
         h = np.zeros((size, n, m), dtype=np.complex128)
         for t, s_q in zip(scene.targets, steering):
             alpha = complex_normal(rng, t.gain_var, (size,))
@@ -118,12 +121,7 @@ def detection_probability(
         thresholds = cfar_thresholds(profiles, cfg)
         return int(np.count_nonzero(profiles[:, weak_bin] > thresholds[:, weak_bin]))
 
-    plan = []
-    done = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        plan.append((len(plan), size))
-        done += size
+    plan = _batch_plan(trials, batch_size)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(work, plan))

@@ -179,108 +179,69 @@ def far_region_mask(dims: FrameDims, scene: Scene, distance: int) -> np.ndarray:
 
 
 def _batch_plan(trials: int, batch_size: int) -> list[tuple[int, int]]:
-    plan = []
-    done = 0
-    index = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        plan.append((index, size))
-        done += size
-        index += 1
-    return plan
+    if trials < 1 or batch_size < 1:
+        raise ValueError(f"trials and batch_size must be >= 1, got {trials} and {batch_size}")
+    return [(i, min(batch_size, trials - done)) for i, done in enumerate(range(0, trials, batch_size))]
+
+
+def _energy(a: np.ndarray) -> np.ndarray:
+    """Per-frame energy sum |a|^2 over the last two axes."""
+    return np.sum(np.abs(a) ** 2, axis=(1, 2))
 
 
 def _simulate_batch(
     index: int,
     size: int,
     c: ShapedConstellation,
-    f: FilterKind,
+    tables: list[tuple[np.ndarray, np.ndarray]],
     dims: FrameDims,
     scene: Scene,
     seed: int,
     steering: list[np.ndarray],
-    peak_bin: tuple[int, int],
-    far: np.ndarray,
-) -> dict:
+    reduce,
+) -> list[dict]:
+    """Draw one batch of symbols, gains and noise; ``reduce(h, g, chi, hhat)`` it per filter.
+
+    g and chi are gathered from each filter's per-point (gain, chi) table.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    n, m = dims.shape
-    nm = dims.size
-    x = draw_symbols(c, rng, (size, n, m))
-    g = point_gain(x, f)
-    chi = (x * g).real
-    h = np.zeros((size, n, m), dtype=np.complex128)
+    shape = (size, *dims.shape)
+    idx = draw_symbols(c, rng, shape)
+    h = np.zeros(shape, dtype=np.complex128)
     for t, s_q in zip(scene.targets, steering):
         alpha = complex_normal(rng, t.gain_var, (size,))
         h += alpha[:, None, None] * s_q[None, :, :]
-    z = complex_normal(rng, scene.noise_var, (size, n, m)) if scene.noise_var > 0 else 0.0
-    hhat = (h * x + z) * g
-    diff = hhat - h
-
-    r = dd_transform(chi)
-    r_energy = np.sum(np.abs(r) ** 2, axis=(1, 2))
-    chi_sum = chi.sum(axis=(1, 2))
-    chi_sq_sum = (chi**2).sum(axis=(1, 2))
-    r00 = chi_sum / math.sqrt(nm)
-    diff_energy = np.sum(np.abs(diff) ** 2, axis=(1, 2))
-    g_energy = np.sum(np.abs(g) ** 2, axis=(1, 2))
-
-    lam_power = np.abs(dd_transform(hhat)) ** 2
-    lam_diff = dd_transform(diff)
-    diff_dd_energy = np.sum(np.abs(lam_diff) ** 2, axis=(1, 2))
-
-    # per-realization identity residuals
-    ident_lhs = r_energy - r00**2
-    ident_rhs = ((chi - (r00 / math.sqrt(nm))[:, None, None]) ** 2).sum(axis=(1, 2))
-    islr_identity = np.abs(ident_lhs - ident_rhs) / r_energy
-    parseval = np.abs(r_energy - chi_sq_sum) / r_energy
-    dd_unitarity = np.abs(diff_energy - diff_dd_energy) / np.maximum(diff_energy, 1e-300)
-    mse_relation_lhs = r_energy - r00**2 + nm * (1.0 - r00 / math.sqrt(nm)) ** 2
-
-    return {
-        "mse": float(diff_energy.sum()),
-        "g_energy": float(g_energy.sum()),
-        "r00_sq": float((r00**2).sum()),
-        "r_energy": float(r_energy.sum()),
-        "mse_relation_lhs": float(mse_relation_lhs.sum()),
-        "chi_total": float(chi_sum.sum()),
-        "chi_sq_total": float(chi_sq_sum.sum()),
-        "peak": float(lam_power[:, peak_bin[0], peak_bin[1]].sum()),
-        "far": float(lam_power[:, far].mean(axis=1).sum()),
-        "islr_identity_max": float(islr_identity.max()),
-        "parseval_max": float(parseval.max()),
-        "dd_unitarity_max": float(dd_unitarity.max()),
-    }
+    x = c.points[idx]
+    y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
+    del x
+    if scene.noise_var > 0:
+        y += complex_normal(rng, scene.noise_var, shape)
+    parts = []
+    for g_tab, chi_tab in tables:
+        g = g_tab[idx]
+        parts.append(reduce(h, g, chi_tab[idx], y * g))
+    return parts
 
 
 def _run_batches(
     c: ShapedConstellation,
-    f: FilterKind,
+    filters: tuple[FilterKind, ...],
     dims: FrameDims,
     scene: Scene,
     trials: int,
     seed: int,
     batch_size: int,
     threads: int,
-) -> dict:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not scene.targets:
-        raise ValueError("scene must contain at least one target")
-    steering = []
-    for t in scene.targets:
-        b, cv = steering_vectors(dims, t)
-        steering.append(np.outer(b, np.conj(cv)))
-    strongest = max(scene.targets, key=lambda t: t.gain_var)
-    peak_bin = (
-        int(round(strongest.delay_bin)) % dims.n_subcarriers,
-        int(round(strongest.doppler_bin)) % dims.n_symbols,
-    )
-    far = far_region_mask(dims, scene, FAR_DISTANCE)
+    reduce,
+) -> list[dict]:
+    """One dict of partials per filter over one shared trial set: ``_max`` keys keep the maximum."""
     plan = _batch_plan(trials, batch_size)
+    steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
+    tables = [(g_tab, (c.points * g_tab).real) for g_tab in (point_gain(c.points, f) for f in filters)]
 
     def work(job):
         index, size = job
-        return _simulate_batch(index, size, c, f, dims, scene, seed, steering, peak_bin, far)
+        return _simulate_batch(index, size, c, tables, dims, scene, seed, steering, reduce)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -288,14 +249,15 @@ def _run_batches(
     else:
         partials = [work(job) for job in plan]
 
-    total: dict = {}
-    for part in partials:  # fixed reduction order keeps outputs bit-identical
-        for key, value in part.items():
-            if key.endswith("_max"):
-                total[key] = max(total.get(key, 0.0), value)
-            else:
-                total[key] = total.get(key, 0.0) + value
-    return total
+    totals: list[dict] = [{} for _ in filters]
+    for parts in partials:  # fixed reduction order keeps outputs bit-identical
+        for total, part in zip(totals, parts):
+            for key, value in part.items():
+                if key.endswith("_max"):
+                    total[key] = max(total.get(key, 0.0), value)
+                else:
+                    total[key] = total.get(key, 0.0) + value
+    return totals
 
 
 def empirical_metrics(
@@ -309,8 +271,30 @@ def empirical_metrics(
     threads: int = 1,
 ) -> MetricsReport:
     """Monte Carlo metrics over random symbols, target gains, and noise."""
-    sums = _run_batches(c, f, dims, scene, trials, seed, batch_size, threads)
+    if not scene.targets:
+        raise ValueError("scene must contain at least one target")
+    strongest = max(scene.targets, key=lambda t: t.gain_var)
+    peak_bin = (
+        int(round(strongest.delay_bin)) % dims.n_subcarriers,
+        int(round(strongest.doppler_bin)) % dims.n_symbols,
+    )
+    far = far_region_mask(dims, scene, FAR_DISTANCE)
     nm = dims.size
+
+    def reduce(h, g, chi, hhat):
+        chi_sum = chi.sum(axis=(1, 2))
+        lam_power = np.abs(dd_transform(hhat)) ** 2
+        return {
+            "mse": float(_energy(hhat - h).sum()),
+            "g_energy": float(_energy(g).sum()),
+            "r00_sq": float(((chi_sum / math.sqrt(nm)) ** 2).sum()),
+            "r_energy": float(_energy(dd_transform(chi)).sum()),
+            "chi_total": float(chi_sum.sum()),
+            "peak": float(lam_power[:, peak_bin[0], peak_bin[1]].sum()),
+            "far": float(lam_power[:, far].mean(axis=1).sum()),
+        }
+
+    (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
     mse = sums["mse"] / trials
     mean_r00_sq = sums["r00_sq"] / trials
     mean_g_energy = sums["g_energy"] / trials
@@ -333,65 +317,63 @@ def empirical_dd_profile(
     threads: int = 1,
 ) -> np.ndarray:
     """Mean DD power map E|Lambda|^2 estimated over random frames."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    steering = []
-    for t in scene.targets:
-        b, cv = steering_vectors(dims, t)
-        steering.append(np.outer(b, np.conj(cv)))
-    n, m = dims.shape
 
-    def work(job):
-        index, size = job
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        x = draw_symbols(c, rng, (size, n, m))
-        g = point_gain(x, f)
-        h = np.zeros((size, n, m), dtype=np.complex128)
-        for t, s_q in zip(scene.targets, steering):
-            alpha = complex_normal(rng, t.gain_var, (size,))
-            h += alpha[:, None, None] * s_q[None, :, :]
-        z = complex_normal(rng, scene.noise_var, (size, n, m)) if scene.noise_var > 0 else 0.0
-        power = np.abs(dd_transform((h * x + z) * g)) ** 2
-        return power.sum(axis=0)
+    def reduce(h, g, chi, hhat):
+        return {"power": (np.abs(dd_transform(hhat)) ** 2).sum(axis=0)}
 
-    plan = _batch_plan(trials, batch_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, plan))
-    else:
-        partials = [work(job) for job in plan]
-    total = partials[0]
-    for part in partials[1:]:
-        total = total + part
-    return total / trials
+    (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
+    return sums["power"] / trials
+
+
+def _identity_sums(h, g, chi, hhat) -> dict:
+    """Per-batch partials of the identity residuals: the chi FFT and the error FFT."""
+    nm = chi[0].size
+    sqrt_nm = math.sqrt(nm)
+    diff = hhat - h
+    diff_energy = _energy(diff)
+    dd_unitarity = np.abs(diff_energy - _energy(dd_transform(diff))) / np.maximum(diff_energy, 1e-300)
+    del diff
+    r_energy = _energy(dd_transform(chi))
+    r00 = chi.sum(axis=(1, 2)) / sqrt_nm
+    ident_lhs = r_energy - r00**2
+    ident_rhs = ((chi - (r00 / sqrt_nm)[:, None, None]) ** 2).sum(axis=(1, 2))
+    parseval = np.abs(r_energy - (chi**2).sum(axis=(1, 2))) / r_energy
+    mse_relation_lhs = ident_lhs + nm * (1.0 - r00 / sqrt_nm) ** 2
+    return {
+        "mse": float(diff_energy.sum()),
+        "g_energy": float(_energy(g).sum()),
+        "mse_relation_lhs": float(mse_relation_lhs.sum()),
+        "islr_identity_max": float((np.abs(ident_lhs - ident_rhs) / r_energy).max()),
+        "parseval_max": float(parseval.max()),
+        "dd_unitarity_max": float(dd_unitarity.max()),
+    }
 
 
 def identity_checks(
     c: ShapedConstellation,
-    f: FilterKind,
+    f: FilterKind | tuple[FilterKind, ...],
     dims: FrameDims,
     scene: Scene,
     trials: int,
     seed: int,
     batch_size: int = DEFAULT_BATCH,
     threads: int = 1,
-) -> IdentityReport:
+) -> IdentityReport | tuple[IdentityReport, ...]:
     """Residuals of the ISLR reformulation, the MSE relation, and DD unitarity.
 
     The MSE-relation residual compares the response-side expansion
     gain_var * E{sum|r|^2 - r(0,0)^2 + NM (1 - r(0,0)/sqrt(NM))^2}
     + noise_var * E{sum|g|^2} against the directly simulated CSI MSE; both
-    sides are estimated from the same trial set.
+    sides are estimated from the same trial set. A tuple of filters shares
+    one trial set and gets a tuple of reports, each equal to a single call's.
     """
-    sums = _run_batches(c, f, dims, scene, trials, seed, batch_size, threads)
-    lhs = scene.total_gain_var * sums["mse_relation_lhs"] / trials + scene.noise_var * sums["g_energy"] / trials
-    rhs = sums["mse"] / trials
-    mse_relation = _ratio(abs(lhs - rhs), rhs)
-    return IdentityReport(
-        islr_identity_max_rel=sums["islr_identity_max"],
-        mse_relation_rel=mse_relation,
-        dd_unitarity_max_rel=sums["dd_unitarity_max"],
-        parseval_max_rel=sums["parseval_max"],
-        trials=trials,
-        seed=seed,
-    )
+    single = isinstance(f, FilterKind)
+    filters = (f,) if single else tuple(f)
+    reports = []
+    for sums in _run_batches(c, filters, dims, scene, trials, seed, batch_size, threads, _identity_sums):
+        lhs = scene.total_gain_var * sums["mse_relation_lhs"] / trials + scene.noise_var * sums["g_energy"] / trials
+        rhs = sums["mse"] / trials
+        mse_relation = _ratio(abs(lhs - rhs), rhs)
+        residuals = (sums["islr_identity_max"], mse_relation, sums["dd_unitarity_max"], sums["parseval_max"])
+        reports.append(IdentityReport(*residuals, trials, seed))
+    return reports[0] if single else tuple(reports)

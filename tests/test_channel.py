@@ -12,6 +12,7 @@ from ofdm_isac.channel import (
     Target,
     bins_from_physical,
     build_csi,
+    complex_normal,
     scene_from_dict,
     scene_to_dict,
     steering_vectors,
@@ -164,3 +165,17 @@ class TestSceneConfig:
         k, p = bins_from_physical(dims, 120e3, 8.9e-6, delay_s=1e-6, doppler_hz=2e3)
         assert k == pytest.approx(64 * 120e3 * 1e-6)
         assert p == pytest.approx(32 * 8.9e-6 * 2e3)
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (4, 16, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 99])
+    def test_matches_two_draw_expression(self, seed, shape):
+        """Same stream and bits as s * (N(0,1) + 1j N(0,1)), real parts drawn first."""
+        for var in (1.0, 0.398, 1e-3):
+            rng = np.random.default_rng(seed)
+            s = math.sqrt(var / 2.0)
+            want = s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            got = complex_normal(np.random.default_rng(seed), var, shape)
+            assert got.shape == np.shape(want)
+            assert np.array_equal(got, want)

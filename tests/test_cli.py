@@ -101,6 +101,29 @@ class TestPcsCommand:
         assert all(abs(v - 1.0) < 1e-6 for v in power)
 
 
+    def test_not_converged_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "pcs.json",
+            {
+                "order": 16,
+                "filter": "wf",
+                "comm": {"noise_var": 0.05, "mc_samples": 5000},
+                "bank_samples_per_point": 50,
+                "c0_fraction": 0.3,
+                "max_outer_iters": 1,
+            },
+        )
+        assert main(["pcs", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("not converged: ")
+        assert "solved" not in out
+        _, meta = load_codebook(tmp_path / "codebook.json")
+        assert "converged=False" in meta["provenance"]
+        _, _, rows = read_csv(tmp_path / "pcs_trace.csv")
+        assert len(rows) == 1
+
+
 class TestTradeoffCommand:
     def test_sweep_with_pd(self, tmp_path):
         cfg = write_cfg(

@@ -1,15 +1,19 @@
 """Constellation construction, moments, chi statistics, and sampling."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofdm_isac.constellation import (
     Family,
     ShapedConstellation,
     chi_stats,
+    draw_symbols,
     load_codebook,
     make_shaped,
     make_uniform,
@@ -193,3 +197,81 @@ class TestCodebookFile:
         data = json.loads(path.read_text())
         assert set(data) == {"family", "order", "probs", "snr_in", "filter", "c0", "provenance"}
         assert len(data["probs"]) == 8
+
+
+def circle(weights):
+    """Alphabet of len(weights) distinct unit-circle points carrying the weights."""
+    q = len(weights)
+    return ShapedConstellation(np.exp(2j * np.pi * np.arange(q) / q), np.asarray(weights, float), "psk", q)
+
+
+def searchsorted_draw(c, uniforms):
+    """Reference inverse-CDF index: the clipped searchsorted over cumsum(probs)."""
+    idx = np.searchsorted(np.cumsum(c.probs), uniforms, side="right")
+    return np.minimum(idx, c.order - 1)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns chosen uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, shape):
+        return self.values.reshape(shape)
+
+
+@st.composite
+def distributions(draw):
+    q = draw(st.integers(2, 256))
+    weight = st.one_of(st.just(0.0), st.floats(1e-12, 1e-9), st.floats(1e-12, 1.0))
+    weights = draw(st.lists(weight, min_size=q, max_size=q))
+    spike = draw(st.integers(0, q - 1))
+    weights[spike] = draw(st.floats(0.5, 1.0))  # positive mass; other points may be 1e-12 spikes
+    return weights
+
+
+class TestDrawSymbols:
+    @settings(max_examples=80, deadline=None)
+    @given(weights=distributions(), seed=st.integers(0, 2**32 - 1))
+    @example(weights=[1.0] * 10, seed=0)  # cumsum ends just below 1
+    @example(weights=[1.0] * 49, seed=0)  # cumsum ends just above 1
+    def test_equals_clipped_searchsorted(self, weights, seed):
+        c = circle(weights)
+        got = draw_symbols(c, np.random.default_rng(seed), (3, 257))
+        want = searchsorted_draw(c, np.random.default_rng(seed).random((3, 257)))
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=distributions())
+    @example(weights=[1.0] * 10)
+    @example(weights=[1.0] * 49)
+    def test_exact_at_cut_points(self, weights):
+        c = circle(weights)
+        cut = np.cumsum(c.probs)
+        below = np.nextafter(cut, -np.inf)
+        above = np.nextafter(cut, np.inf)
+        u = np.concatenate([cut, below, above, [0.0, 1.0 - 2.0**-53, 0.5]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = draw_symbols(c, FixedUniforms(u), u.shape)
+        np.testing.assert_array_equal(got, searchsorted_draw(c, u))
+
+    @pytest.mark.parametrize(
+        "shaped, seed, digest",
+        [
+            (False, 0, "85447ccc9c02b675509129f2f8751117b0b63a419c5eb50f3a451498d69b0daf"),
+            (False, 2026, "ddbdc4f86ce3fb3025a91d8c6479b3e40fa44238f3a94839317e8a758edbb732"),
+            (True, 0, "63f04b129e0ee72366c59f63abdc4928f3847c0240b859c415cc5f738515e8e3"),
+            (True, 2026, "dac1d5023ce6f5b8c8133a6e562ce5f70c63ed2f7e0dfd8b26139482984a3960"),
+        ],
+    )
+    def test_pinned_stream(self, shaped, seed, digest):
+        """Digests taken from the searchsorted draw; a change here changes every Monte Carlo result."""
+        if shaped:
+            weights = np.arange(64) % 7 + 1.0
+            weights[5] = 0.0
+            c = make_shaped("qam", 64, weights)
+        else:
+            c = make_uniform("qam", 64)
+        idx = draw_symbols(c, np.random.default_rng(seed), (16, 64, 32))
+        assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == digest

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ofdm_isac.channel import FrameDims, Scene, Target
-from ofdm_isac.constellation import chi_stats, make_uniform, moment_abs_pow
-from ofdm_isac.filtering import MF, RF, wiener
+from ofdm_isac import metrics
+from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors
+from ofdm_isac.constellation import chi_stats, draw_symbols, make_shaped, make_uniform, moment_abs_pow
+from ofdm_isac.filtering import MF, RF, point_gain, wiener
 from ofdm_isac.metrics import (
     closed_form_metrics,
     crossover_snr_in,
     dirichlet_kernel,
     dynamic_range,
+    empirical_dd_profile,
     empirical_metrics,
     expected_dd_power,
     identity_checks,
@@ -257,3 +259,51 @@ class TestIdentityChecks:
     def test_mse_relation_small_sample(self):
         rep = identity_checks(make_uniform("qam", 64), MF, DIMS, scene_at(SNR_4DB), 2000, seed=3)
         assert rep.mse_relation_rel < 0.05
+
+    def test_filter_tuple_shares_one_trial_set(self):
+        c = make_uniform("qam", 64)
+        filters = (MF, RF, wiener(SNR_4DB))
+        scene = scene_at(SNR_4DB)
+        together = identity_checks(c, filters, DIMS, scene, 300, seed=4)
+        alone = tuple(identity_checks(c, f, DIMS, scene, 300, seed=4) for f in filters)
+        assert isinstance(together, tuple) and len(together) == 3
+        for a, b in zip(together, alone):
+            assert a == b  # every field, exactly
+
+
+class TestEmpiricalProfile:
+    def test_thread_count_invariant(self):
+        scene = Scene((Target(1.0, 3.0, 2.0), Target(0.2, 9.0, 5.0)), 0.3)
+        args = (make_uniform("qam", 16), wiener(SNR_4DB), FrameDims(16, 16), scene, 600, 8)
+        one = empirical_dd_profile(*args, batch_size=128, threads=1)
+        two = empirical_dd_profile(*args, batch_size=128, threads=2)
+        assert one.shape == (16, 16)
+        assert np.array_equal(one, two)
+
+
+class TestFrameKernel:
+    def test_tables_match_per_entry_chain(self):
+        """The kernel's table gathers give the bits of the per-entry chain X -> G -> (H o X + Z) o G."""
+        c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
+        dims = FrameDims(16, 16)  # 512 KiB batches: big enough for numpy's temporary elision
+        scene = Scene((Target(1.0, 2.0, 1.0), Target(0.3, 6.0, 3.0)), 0.4)
+        filters = (MF, RF, wiener(2.5))
+        steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
+        tables = [(g, (c.points * g).real) for g in (point_gain(c.points, f) for f in filters)]
+        seen = []
+        metrics._simulate_batch(3, 128, c, tables, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
+
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(3,)))
+        x = c.points[draw_symbols(c, rng, (128, *dims.shape))]
+        h = np.zeros(x.shape, dtype=np.complex128)
+        for t, s_q in zip(scene.targets, steering):
+            alpha = complex_normal(rng, t.gain_var, (128,))
+            h += alpha[:, None, None] * s_q[None, :, :]
+        z = complex_normal(rng, scene.noise_var, x.shape)
+        assert len(seen) == len(filters)
+        for f, (h_k, g_k, chi_k, hhat_k) in zip(filters, seen):
+            g = point_gain(x, f)
+            assert np.array_equal(h_k, h)
+            assert np.array_equal(g_k, g)
+            assert np.array_equal(chi_k, (x * g).real)
+            assert np.array_equal(hhat_k, (h * x + z) * g)
