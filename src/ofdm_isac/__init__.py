@@ -1,7 +1,7 @@
 """OFDM ISAC signaling toolkit: sensing metrics under MF/RF/WF filtering and
 probabilistic constellation shaping of the sensing-communication trade-off."""
 
-from .air import AirConfig, air_estimate, frame_air_bits, noise_entropy
+from .air import AirConfig, air_estimate, air_quadrature, frame_air_bits, noise_entropy
 from .channel import (
     ComplexFrame,
     FrameDims,

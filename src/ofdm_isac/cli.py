@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .air import AirConfig
+from .air import GH_NODES, AirConfig
 from .channel import FrameDims, Scene, Target
 from .constellation import Family, make_shaped, make_uniform, save_codebook
 from .detection import CfarConfig, default_tradeoff_scene, detection_probability
@@ -264,15 +264,12 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
     snr = 10.0 ** (snr_db / 10.0)
     noise_var = gain_var / snr
     filt = _filter_kind(_cfg_get(cfg, "filter", "wf", str), snr)
-    seeds = _derived_seeds(_master_seed(cfg, args))
     comm = AirConfig(
         comm_noise_var=_cfg_get(cfg, "comm.noise_var", 0.1, float),
         channel_gain=complex(
             _cfg_get(cfg, "comm.channel_gain_re", 1.0, float),
             _cfg_get(cfg, "comm.channel_gain_im", 0.0, float),
         ),
-        mc_samples=_cfg_get(cfg, "comm.mc_samples", 200_000, int),
-        seed=seeds[2],
     )
     c_lo, c_hi = c0_bounds(order, filt, dims, gain_var, noise_var, family)
     c0 = _cfg_get(cfg, "c0", None, float)
@@ -291,15 +288,18 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
         tol=_cfg_get(cfg, "tol", 1e-5, float),
         max_outer_iters=_cfg_get(cfg, "max_outer_iters", 500, int),
         bank_samples_per_point=_cfg_get(cfg, "bank_samples_per_point", 200, int),
-        bank_seed=seeds[1],
+        bank_seed=_derived_seeds(_master_seed(cfg, args))[1],
     )
+
+
+_AIR_PROVENANCE = f"air=gauss-hermite {GH_NODES}x{GH_NODES}"
 
 
 def _trace_comments(cfg: PcsConfig) -> list[str]:
     return [
         "units: objective_nats in nats; mse linear power; power linear",
         f"provenance: solver trace; bank_samples_per_point={cfg.bank_samples_per_point} "
-        f"bank_seed={cfg.bank_seed} air_seed={cfg.comm.seed}",
+        f"bank_seed={cfg.bank_seed} {_AIR_PROVENANCE}",
         f"problem: {cfg.order}-{Family(cfg.family).value} filter={cfg.filt.kind.value} "
         f"snr_in={cfg.gain_var / cfg.noise_var:g} c0={cfg.c0:g}",
     ]
@@ -327,7 +327,7 @@ def _cmd_pcs(args) -> int:
         provenance=(
             f"mba_solve iters={sol.outer_iters} converged={sol.converged} "
             f"air_bits={sol.air_bits:.6f} sensing_mse={sol.sensing_mse:.6g} "
-            f"bank_seed={pcfg.bank_seed} air_seed={pcfg.comm.seed}"
+            f"bank_seed={pcfg.bank_seed} {_AIR_PROVENANCE}"
         ),
     )
     trace_path = _write_table(
@@ -354,7 +354,11 @@ def _cmd_tradeoff(args) -> int:
     grid = _cfg_get(cfg, "c0_grid", None)
     if grid is None:
         n_points = _cfg_get(cfg, "n_grid", 8, int)
+        if n_points < 1:
+            raise ConfigError(f"bad config field 'n_grid': must be >= 1, got {n_points}")
         grid = np.linspace(c_lo, c_hi, n_points).tolist()
+    elif not (isinstance(grid, list) and grid and all(isinstance(v, (int, float)) for v in grid)):
+        raise ConfigError("bad config field 'c0_grid': must be a non-empty list of budgets")
     cfar = CfarConfig(
         guard_cells=_cfg_get(cfg, "detection.cfar.guard", 2, int),
         train_cells=_cfg_get(cfg, "detection.cfar.train", 16, int),
@@ -369,15 +373,20 @@ def _cmd_tradeoff(args) -> int:
     det_seed = _derived_seeds(_master_seed(cfg, args))[3]
     points = tradeoff_sweep(pcfg, grid)
     rows = []
+    unconverged = 0
     for i, pt in enumerate(points):
         if pt.error is not None:
             rows.append((pt.c0, math.nan, math.nan, math.nan, pt.error))
             continue
+        status = ""
+        if not pt.converged:
+            unconverged += 1
+            status = f"not converged after {pt.outer_iters} iterations"
         shaped = make_shaped(pcfg.family, pcfg.order, pt.probs)
         pd = detection_probability(
             pcfg.dims, scene, shaped, pcfg.filt, cfar, det_trials, det_seed, threads=args.threads
         )
-        rows.append((pt.c0, pt.air_bits, pt.sensing_mse, pd, ""))
+        rows.append((pt.c0, pt.air_bits, pt.sensing_mse, pd, status))
         save_codebook(
             args.out / f"codebook_{i:02d}.json",
             shaped,
@@ -400,6 +409,9 @@ def _cmd_tradeoff(args) -> int:
         rows,
     )
     print(f"wrote {path}")
+    if unconverged:
+        print(f"not converged: {unconverged} of {len(points)} budgets (see the error column)")
+        return 3  # artifacts written; some solves hit max_outer_iters
     return 0
 
 

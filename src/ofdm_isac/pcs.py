@@ -10,8 +10,9 @@ where f(x) is the per-point sensing-MSE penalty of the active filter and the
 multipliers (l1, l2) are solved so the MSE budget and unit-power constraints
 hold: l2 by a safeguarded root of the monotone power map, l1 >= 0 by outer
 bisection with l1 = 0 accepted whenever the unconstrained update is feasible
-(complementary slackness). Common random numbers (fixed bank and AIR seeds)
-make sweep objectives quasi-deterministic and the surrogate non-decreasing.
+(complementary slackness). A fixed bank seed makes sweep objectives
+quasi-deterministic and the surrogate non-decreasing; the reported AIR of the
+final distribution is a deterministic Gauss-Hermite quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .air import AirConfig, air_estimate
+# air_estimate is unused here but stays importable: perfbench/tracing.py wraps pcs.air_estimate
+from .air import AirConfig, air_estimate, air_quadrature  # noqa: F401
 from .channel import FrameDims, complex_normal
 from .constellation import Family, make_shaped, make_uniform
 from .filtering import RF_MIN_MODULUS, FilterKind, FilterType
@@ -93,6 +95,8 @@ class TradeoffPoint:
     sensing_mse: float
     probs: np.ndarray | None
     error: str | None = None
+    converged: bool = False
+    outer_iters: int = 0
 
 
 def penalty_f(points, f: FilterKind, snr_in: float) -> np.ndarray:
@@ -322,7 +326,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
 
     sensing_mse = scale * float(p @ fpen)
     shaped = make_shaped(cfg.family, cfg.order, p)
-    air_bits = air_estimate(shaped, cfg.comm)
+    air_bits = air_quadrature(shaped, cfg.comm)
     return PcsSolution(
         probs=p,
         air_bits=air_bits,
@@ -339,12 +343,21 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
 
 
 def tradeoff_sweep(cfg: PcsConfig, c0_grid) -> list[TradeoffPoint]:
-    """One solve per budget, sharing the Monte Carlo banks; errors do not stop the sweep."""
+    """One independent solve per budget, in increasing order; errors do not stop the sweep.
+
+    Each solve redraws the same bank from ``cfg.bank_seed`` and recomputes the
+    budget bounds; nothing is carried from one budget to the next.
+    """
     points: list[TradeoffPoint] = []
     for c0 in sorted(float(v) for v in c0_grid):
         try:
             sol = mba_solve(dataclasses.replace(cfg, c0=c0))
-            points.append(TradeoffPoint(c0, sol.air_bits, sol.sensing_mse, sol.probs))
+            points.append(
+                TradeoffPoint(
+                    c0, sol.air_bits, sol.sensing_mse, sol.probs,
+                    converged=sol.converged, outer_iters=sol.outer_iters,
+                )
+            )
         except SolverError as exc:
             points.append(TradeoffPoint(c0, math.nan, math.nan, None, error=str(exc)))
     return points

@@ -146,6 +146,53 @@ class TestTradeoffCommand:
             assert 0.0 <= float(row[3]) <= 1.0
         assert (tmp_path / "codebook_00.json").exists()
 
+    def test_not_converged_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "t.json",
+            {
+                "order": 16,
+                "filter": "wf",
+                "comm": {"noise_var": 0.05},
+                "bank_samples_per_point": 50,
+                "n_grid": 2,
+                "max_outer_iters": 1,
+                "detection": {"trials": 40},
+            },
+        )
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path), "--seed", "2"]) == 3
+        assert "not converged: 2 of 2 budgets" in capsys.readouterr().out
+        _, _, rows = read_csv(tmp_path / "tradeoff.csv")
+        assert len(rows) == 2
+        for row in rows:
+            assert row[4] == "not converged after 1 iterations"
+            assert 0.0 < float(row[1]) and 0.0 <= float(row[3]) <= 1.0
+        assert (tmp_path / "codebook_01.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [({"n_grid": 0}, "n_grid"), ({"c0_grid": []}, "c0_grid"), ({"c0_grid": ["a"]}, "c0_grid")],
+    )
+    def test_bad_grid_rejected(self, tmp_path, capsys, payload, field):
+        cfg = write_cfg(tmp_path, "t.json", {"order": 16, **payload})
+        out = tmp_path / "out"
+        assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (out / "tradeoff.csv").exists()
+
+    def test_provenance_names_quadrature(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            "pcs.json",
+            {"order": 16, "filter": "rf", "comm": {"noise_var": 0.05}, "bank_samples_per_point": 50},
+        )
+        assert main(["pcs", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]) == 0
+        _, meta = load_codebook(tmp_path / "codebook.json")
+        assert "air=gauss-hermite 20x20" in meta["provenance"]
+        assert "air_seed" not in meta["provenance"]
+        comments, _, _ = read_csv(tmp_path / "pcs_trace.csv")
+        assert "air=gauss-hermite 20x20" in comments[1]
+
 
 class TestCodebookCommand:
     def test_uniform_default(self, tmp_path):

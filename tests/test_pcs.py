@@ -1,5 +1,6 @@
 """Shaping solver: penalties, budget bounds, constraint satisfaction, BA oracle."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from ofdm_isac.air import AirConfig
+from ofdm_isac.air import AirConfig, air_quadrature
 from ofdm_isac.channel import FrameDims, complex_normal
 from ofdm_isac.constellation import make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, wiener
@@ -200,6 +201,15 @@ class TestSolver:
         with pytest.warns(UserWarning, match="matched"):
             mba_solve(quick_cfg(f, hi, max_outer_iters=3))
 
+    def test_air_is_quadrature_of_solution(self):
+        f = RF
+        lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
+        cfg = quick_cfg(f, lo + 0.5 * (hi - lo))
+        sol = mba_solve(cfg)
+        assert sol.air_bits == air_quadrature(make_shaped("qam", 64, sol.probs), COMM)
+        other = dataclasses.replace(COMM, seed=COMM.seed + 1, mc_samples=1000)
+        assert mba_solve(dataclasses.replace(cfg, comm=other)).air_bits == sol.air_bits
+
     def test_trace_rows_schema(self):
         f = MF
         _, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
@@ -222,6 +232,15 @@ class TestSweep:
         assert all(b >= a - 5e-3 for a, b in zip(airs, airs[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(mses, mses[1:]))
         assert airs[0] <= airs[-1]
+
+    def test_points_carry_convergence(self):
+        f = RF
+        lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
+        grid = [lo + 0.5 * (hi - lo), hi]
+        done = tradeoff_sweep(quick_cfg(f, hi), grid)
+        assert all(pt.converged and pt.outer_iters > 1 for pt in done)
+        cut = tradeoff_sweep(quick_cfg(f, hi, max_outer_iters=1), grid)
+        assert all(not pt.converged and pt.outer_iters == 1 and pt.error is None for pt in cut)
 
     def test_output_sorted_by_budget(self):
         f = RF
