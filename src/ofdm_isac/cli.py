@@ -10,6 +10,7 @@ provenance (closed-form vs empirical), trials, and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -20,14 +21,10 @@ import numpy as np
 
 from .air import GH_NODES, AirConfig
 from .channel import FrameDims, Scene, Target
-from .constellation import Family, make_shaped, make_uniform, save_codebook
+from .constellation import Family, ShapedConstellation, make_shaped, make_uniform, save_codebook
 from .detection import CfarConfig, default_tradeoff_scene, detection_probability
 from .filtering import MF, RF, FilterKind, wiener
-from .metrics import (
-    closed_form_metrics,
-    empirical_dd_profile,
-    expected_dd_power,
-)
+from .metrics import closed_form_metrics, empirical_dd_profile, expected_dd_power
 from .pcs import PcsConfig, SolverError, c0_bounds, mba_solve, tradeoff_sweep
 from .verification import run_verification
 
@@ -54,6 +51,22 @@ def _cfg_get(cfg: dict, path: str, default=_MISSING, cast=None):
     return node
 
 
+@contextlib.contextmanager
+def _rejected_as(path: str):
+    """Report a value the library rejects while a config is built as a bad ``path`` field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad config field '{path}': {exc}") from exc
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -70,10 +83,16 @@ def _load_config(path: Path | None) -> dict:
 
 
 def _dims(cfg: dict, default=(64, 32)) -> FrameDims:
-    return FrameDims(
-        _cfg_get(cfg, "dims.N", default[0], int),
-        _cfg_get(cfg, "dims.M", default[1], int),
-    )
+    with _rejected_as("dims"):
+        return FrameDims(_cfg_get(cfg, "dims.N", default[0], int), _cfg_get(cfg, "dims.M", default[1], int))
+
+
+def _alphabet(cfg: dict) -> ShapedConstellation:
+    """The uniform constellation named by the ``family`` and ``order`` fields."""
+    family = _cfg_get(cfg, "family", Family.QAM, Family)
+    order = _cfg_get(cfg, "order", 64, int)
+    with _rejected_as("order"):
+        return make_uniform(family, order)
 
 
 def _filter_kind(name: str, snr_in: float) -> FilterKind:
@@ -124,11 +143,14 @@ def _db(x: float) -> float:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
+    order = _cfg_get(cfg, "order", 64, int)
+    with _rejected_as("order"):
+        make_uniform(Family.QAM, order)  # verify runs QAM and PSK of this order; QAM's are the stricter
     checks = run_verification(
         dims=_dims(cfg),
-        order=_cfg_get(cfg, "order", 64, int),
+        order=order,
         snr_in_db=_cfg_get(cfg, "snr_in_db", 4.0, float),
-        trials=_cfg_get(cfg, "trials", 10_000, int),
+        trials=_cfg_get(cfg, "trials", 10_000, _count),
         seed=_master_seed(cfg, args),
         threads=args.threads,
     )
@@ -146,8 +168,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dr_sweep(args) -> int:
     cfg = _load_config(args.config)
-    family = Family(_cfg_get(cfg, "family", "qam", str))
-    order = _cfg_get(cfg, "order", 64, int)
+    c = _alphabet(cfg)
     dims = _dims(cfg)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, float)
     start = _cfg_get(cfg, "snr_db_start", -10.0, float)
@@ -155,7 +176,6 @@ def _cmd_dr_sweep(args) -> int:
     step = _cfg_get(cfg, "snr_db_step", 0.25, float)
     if step <= 0:
         raise ConfigError("bad config field 'snr_db_step': must be > 0")
-    c = make_uniform(family, order)
     rows = []
     db = start
     while db <= stop + 1e-9:
@@ -173,7 +193,7 @@ def _cmd_dr_sweep(args) -> int:
         [
             "units: snr_in_db and dr_*_db in dB; snr_in_linear and dr_* linear power ratios",
             "provenance: closed-form",
-            f"constellation: uniform {order}-{family.value}",
+            f"constellation: uniform {c.order}-{c.family.value}",
             f"dims: N={dims.n_subcarriers} M={dims.n_symbols}",
         ],
         ["snr_in_db", "snr_in_linear", "dr_mf", "dr_rf", "dr_wf", "dr_mf_db", "dr_rf_db", "dr_wf_db"],
@@ -200,22 +220,20 @@ def _profile_rows(expected: np.ndarray, empirical: np.ndarray):
 
 def _cmd_profiles(args) -> int:
     cfg = _load_config(args.config)
-    family = Family(_cfg_get(cfg, "family", "qam", str))
-    order = _cfg_get(cfg, "order", 64, int)
+    c = _alphabet(cfg)
     snr_db = _cfg_get(cfg, "snr_in_db", 4.0, float)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, float)
-    trials = _cfg_get(cfg, "trials", 2000, int)
+    trials = _cfg_get(cfg, "trials", 2000, _count)
     kernel = _cfg_get(cfg, "kernel", "dirichlet", str)
     snr = 10.0 ** (snr_db / 10.0)
     noise_var = gain_var / snr
     f = _filter_kind(_cfg_get(cfg, "filter", "mf", str), snr)
     delay_bin = _cfg_get(cfg, "target.delay_bin", 0.0, float)
     doppler_bin = _cfg_get(cfg, "target.doppler_bin", 0.0, float)
-    dims_list = _cfg_get(cfg, "dims_list", [[16, 16], [64, 32]])
-    c = make_uniform(family, order)
+    with _rejected_as("dims_list"):
+        dims_list = [FrameDims(int(n), int(m)) for n, m in _cfg_get(cfg, "dims_list", [[16, 16], [64, 32]])]
     seed = _derived_seeds(_master_seed(cfg, args))[0]
-    for entry in dims_list:
-        dims = FrameDims(int(entry[0]), int(entry[1]))
+    for dims in dims_list:
         scene = Scene((Target(gain_var, delay_bin, doppler_bin),), noise_var)
         mean_map = empirical_dd_profile(c, f, dims, scene, trials, seed, threads=args.threads)
         tk = int(round(delay_bin)) % dims.n_subcarriers
@@ -223,41 +241,29 @@ def _cmd_profiles(args) -> int:
         comments = [
             "units: *_norm_db in dB below the slice peak; *_power linear",
             f"provenance: expected closed-form ({kernel} kernel); empirical trials={trials} seed={seed}",
-            f"constellation: uniform {order}-{family.value}; filter={f.kind.value}; snr_in_db={snr_db}",
+            f"constellation: uniform {c.order}-{c.family.value}; filter={f.kind.value}; snr_in_db={snr_db}",
             f"dims: N={dims.n_subcarriers} M={dims.n_symbols}; target=({delay_bin},{doppler_bin})",
         ]
-        ks = np.arange(dims.n_subcarriers)
-        expected = expected_dd_power(
-            ks, np.full(ks.shape, float(tp)), (delay_bin, doppler_bin), c, f, dims,
-            gain_var, noise_var, kernel,
-        )
-        path = _write_table(
-            args.out / f"profile_delay_{dims.n_subcarriers}x{dims.n_symbols}",
-            args.format,
-            comments,
-            ["delay_bin", "expected_norm_db", "empirical_norm_db", "expected_power", "empirical_power"],
-            _profile_rows(expected, mean_map[:, tp]),
-        )
-        print(f"wrote {path}")
-        ps = np.arange(dims.n_symbols)
-        expected = expected_dd_power(
-            np.full(ps.shape, float(tk)), ps, (delay_bin, doppler_bin), c, f, dims,
-            gain_var, noise_var, kernel,
-        )
-        path = _write_table(
-            args.out / f"profile_doppler_{dims.n_subcarriers}x{dims.n_symbols}",
-            args.format,
-            comments,
-            ["doppler_bin", "expected_norm_db", "empirical_norm_db", "expected_power", "empirical_power"],
-            _profile_rows(expected, mean_map[tk, :]),
-        )
-        print(f"wrote {path}")
+        ks, ps = np.arange(dims.n_subcarriers), np.arange(dims.n_symbols)
+        for axis, k, p, empirical in (
+            ("delay", ks, np.full(ks.shape, float(tp)), mean_map[:, tp]),
+            ("doppler", np.full(ps.shape, float(tk)), ps, mean_map[tk, :]),
+        ):
+            expected = expected_dd_power(k, p, (delay_bin, doppler_bin), c, f, dims, gain_var, noise_var, kernel)
+            path = _write_table(
+                args.out / f"profile_{axis}_{dims.n_subcarriers}x{dims.n_symbols}",
+                args.format,
+                comments,
+                [f"{axis}_bin", "expected_norm_db", "empirical_norm_db", "expected_power", "empirical_power"],
+                _profile_rows(expected, empirical),
+            )
+            print(f"wrote {path}")
     return 0
 
 
 def _pcs_config(cfg: dict, args) -> PcsConfig:
-    family = Family(_cfg_get(cfg, "family", "qam", str))
-    order = _cfg_get(cfg, "order", 64, int)
+    uniform = _alphabet(cfg)
+    family, order = uniform.family, uniform.order
     dims = _dims(cfg)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, float)
     snr_db = _cfg_get(cfg, "snr_in_db", 4.0, float)
@@ -286,8 +292,8 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
         comm=comm,
         c0=c0,
         tol=_cfg_get(cfg, "tol", 1e-5, float),
-        max_outer_iters=_cfg_get(cfg, "max_outer_iters", 500, int),
-        bank_samples_per_point=_cfg_get(cfg, "bank_samples_per_point", 200, int),
+        max_outer_iters=_cfg_get(cfg, "max_outer_iters", 500, _count),
+        bank_samples_per_point=_cfg_get(cfg, "bank_samples_per_point", 200, _count),
         bank_seed=_derived_seeds(_master_seed(cfg, args))[1],
     )
 
@@ -353,18 +359,16 @@ def _cmd_tradeoff(args) -> int:
     )
     grid = _cfg_get(cfg, "c0_grid", None)
     if grid is None:
-        n_points = _cfg_get(cfg, "n_grid", 8, int)
-        if n_points < 1:
-            raise ConfigError(f"bad config field 'n_grid': must be >= 1, got {n_points}")
+        n_points = _cfg_get(cfg, "n_grid", 8, _count)
         grid = np.linspace(c_lo, c_hi, n_points).tolist()
     elif not (isinstance(grid, list) and grid and all(isinstance(v, (int, float)) for v in grid)):
         raise ConfigError("bad config field 'c0_grid': must be a non-empty list of budgets")
-    cfar = CfarConfig(
-        guard_cells=_cfg_get(cfg, "detection.cfar.guard", 2, int),
-        train_cells=_cfg_get(cfg, "detection.cfar.train", 16, int),
-        pfa=_cfg_get(cfg, "detection.cfar.pfa", 1e-4, float),
-    )
-    det_trials = _cfg_get(cfg, "detection.trials", 500, int)
+    guard = _cfg_get(cfg, "detection.cfar.guard", 2, int)
+    train = _cfg_get(cfg, "detection.cfar.train", 16, int)
+    pfa = _cfg_get(cfg, "detection.cfar.pfa", 1e-4, float)
+    with _rejected_as("detection.cfar"):
+        cfar = CfarConfig(guard_cells=guard, train_cells=train, pfa=pfa)
+    det_trials = _cfg_get(cfg, "detection.trials", 500, _count)
     scene = default_tradeoff_scene(
         pcfg.noise_var,
         weak_delay_bin=_cfg_get(cfg, "detection.weak_delay_bin", 5, int),
@@ -417,16 +421,15 @@ def _cmd_tradeoff(args) -> int:
 
 def _cmd_codebook(args) -> int:
     cfg = _load_config(args.config)
-    family = Family(_cfg_get(cfg, "family", "qam", str))
-    order = _cfg_get(cfg, "order", 64, int)
+    c = _alphabet(cfg)
     probs_file = _cfg_get(cfg, "probs_file", None)
     if probs_file is not None:
         with open(probs_file, encoding="utf-8") as fh:
             probs = json.load(fh)
-        c = make_shaped(family, order, probs)
+        with _rejected_as("probs_file"):
+            c = make_shaped(c.family, c.order, probs)
         provenance = f"probs from {probs_file}"
     else:
-        c = make_uniform(family, order)
         provenance = "uniform"
     path = args.out / "codebook.json"
     save_codebook(path, c, provenance=provenance)

@@ -8,16 +8,17 @@ alpha = T (pfa^(-1/T) - 1) is exact for i.i.d. exponential cell powers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# the noqa names are unused here but stay importable: perfbench/tracing.py wraps them
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .channel import FrameDims, Scene, complex_normal, steering_vectors
-from .constellation import ShapedConstellation, draw_symbols
-from .filtering import FilterKind, dd_transform, point_gain
-from .metrics import _batch_plan
+from .channel import FrameDims, Scene, Target, complex_normal  # noqa: F401
+from .constellation import ShapedConstellation, draw_symbols  # noqa: F401
+from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
+from .metrics import _run_batches
 
 DETECTION_BATCH = 128
 
@@ -83,9 +84,9 @@ def detection_probability(
 ) -> float:
     """Probability that the weaker of two targets is detected on its delay profile.
 
-    Each trial draws fresh symbols, complex target gains, and noise, forms the
-    DD power map, and runs CA-CFAR over the delay profile at the weak target's
-    Doppler bin (the zero-Doppler slice in the stock scenario).
+    Each trial runs the shared frame kernel on fresh symbols, target gains and
+    noise, forms the DD power map, and runs CA-CFAR over the delay profile at
+    the weak target's Doppler bin (the zero-Doppler slice in the stock scenario).
     """
     if len(scene.targets) != 2:
         raise ValueError(f"scene must contain exactly two targets, got {len(scene.targets)}")
@@ -93,47 +94,21 @@ def detection_probability(
     bins = [int(round(t.delay_bin)) % n for t in scene.targets]
     if bins[0] == bins[1]:
         raise ValueError("targets have coincident delay bins")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     weak = min(range(2), key=lambda i: scene.targets[i].gain_var)
     weak_bin = bins[weak]
     doppler_bin = int(round(scene.targets[weak].doppler_bin)) % m
-    steering = []
-    for t in scene.targets:
-        b, cv = steering_vectors(dims, t)
-        steering.append(np.outer(b, np.conj(cv)))
-    g_tab = point_gain(c.points, f)
 
-    def work(job):
-        index, size = job
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        idx = draw_symbols(c, rng, (size, n, m))
-        x = c.points[idx]
-        g = g_tab[idx]
-        h = np.zeros((size, n, m), dtype=np.complex128)
-        for t, s_q in zip(scene.targets, steering):
-            alpha = complex_normal(rng, t.gain_var, (size,))
-            h += alpha[:, None, None] * s_q[None, :, :]
-        z = complex_normal(rng, scene.noise_var, (size, n, m)) if scene.noise_var > 0 else 0.0
-        hhat = (h * x + z) * g
-        power = np.abs(dd_transform(hhat)) ** 2
-        profiles = power[:, :, doppler_bin]
+    def reduce(h, g, chi, hhat):
+        profiles = (np.abs(dd_transform(hhat)) ** 2)[:, :, doppler_bin]
         thresholds = cfar_thresholds(profiles, cfg)
-        return int(np.count_nonzero(profiles[:, weak_bin] > thresholds[:, weak_bin]))
+        return {"hits": profiles[:, weak_bin] > thresholds[:, weak_bin]}
 
-    plan = _batch_plan(trials, batch_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(work, plan))
-    else:
-        hits = sum(work(job) for job in plan)
-    return hits / trials
+    (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
+    return sums["hits"] / trials
 
 
 def default_tradeoff_scene(noise_var: float, weak_delay_bin: int = 5, weak_rel_power_db: float = -15.0):
     """Strong target at bin 0 plus a weak one nearby; the stock Pd scenario."""
-    from .channel import Target
-
     weak_power = 10.0 ** (weak_rel_power_db / 10.0)
     return Scene(
         (

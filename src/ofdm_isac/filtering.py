@@ -104,7 +104,10 @@ def dd_transform(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.complex128)
     n, m = a.shape[-2], a.shape[-1]
-    return np.sqrt(n / m) * np.fft.fft(np.fft.ifft(a, axis=-2), axis=-1)
+    out = np.fft.ifft(a, axis=-2)
+    np.fft.fft(out, axis=-1, out=out)
+    out *= np.sqrt(n / m)
+    return out
 
 
 def dd_map(csi_estimate: ComplexFrame) -> tuple[ComplexFrame, np.ndarray]:

@@ -27,6 +27,7 @@ from .constellation import ChiStats, ShapedConstellation, chi_stats, draw_symbol
 from .filtering import FilterKind, dd_transform, point_gain
 
 DEFAULT_BATCH = 256
+FRAME_BLOCK_BYTES = 1 << 20  # the kernel's complex block of frames (32 at 64x32) stays within L2
 FAR_DISTANCE = 4
 
 
@@ -189,6 +190,13 @@ def _energy(a: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(a) ** 2, axis=(1, 2))
 
 
+def _join_frames(key: str, blocks: list[np.ndarray]):
+    """Reduce one key's per-frame blocks, joined in frame order, to the batch's partial."""
+    frames = np.concatenate(blocks)
+    total = frames.max() if key.endswith("_max") else frames.sum(axis=0)  # summed block by block, it would round apart
+    return float(total) if total.ndim == 0 else total
+
+
 def _simulate_batch(
     index: int,
     size: int,
@@ -202,25 +210,33 @@ def _simulate_batch(
 ) -> list[dict]:
     """Draw one batch of symbols, gains and noise; ``reduce(h, g, chi, hhat)`` it per filter.
 
-    g and chi are gathered from each filter's per-point (gain, chi) table.
+    The chain runs over blocks of frames within ``FRAME_BLOCK_BYTES``, g and chi
+    gathered from each filter's per-point tables. ``reduce`` returns per-frame
+    arrays, frames first; each key's blocks are joined in frame order and summed
+    over frames once per batch (``_max`` keys: the maximum), whatever the block size.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     shape = (size, *dims.shape)
     idx = draw_symbols(c, rng, shape)
-    h = np.zeros(shape, dtype=np.complex128)
-    for t, s_q in zip(scene.targets, steering):
-        alpha = complex_normal(rng, t.gain_var, (size,))
-        h += alpha[:, None, None] * s_q[None, :, :]
-    x = c.points[idx]
-    y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
-    del x
-    if scene.noise_var > 0:
-        y += complex_normal(rng, scene.noise_var, shape)
-    parts = []
-    for g_tab, chi_tab in tables:
-        g = g_tab[idx]
-        parts.append(reduce(h, g, chi_tab[idx], y * g))
-    return parts
+    alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
+    z = complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
+    block = max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
+    per_frame: list[dict] = [{} for _ in tables]
+    for lo in range(0, size, block):
+        frames = slice(lo, lo + block)
+        idx_b = idx[frames]
+        h = np.zeros(idx_b.shape, dtype=np.complex128)
+        for alpha, s_q in zip(alphas, steering):
+            h += alpha[frames, None, None] * s_q[None, :, :]
+        x = c.points[idx_b]
+        y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
+        if z is not None:
+            y += z[frames]
+        for parts, (g_tab, chi_tab) in zip(per_frame, tables):
+            g = g_tab[idx_b]
+            for key, value in reduce(h, g, chi_tab[idx_b], y * g).items():
+                parts.setdefault(key, []).append(value)
+    return [{key: _join_frames(key, values) for key, values in parts.items()} for parts in per_frame]
 
 
 def _run_batches(
@@ -234,7 +250,10 @@ def _run_batches(
     threads: int,
     reduce,
 ) -> list[dict]:
-    """One dict of partials per filter over one shared trial set: ``_max`` keys keep the maximum."""
+    """One dict of partials per filter over one shared trial set: ``_max`` keys keep the maximum.
+
+    ``reduce`` returns per-frame arrays (``_simulate_batch``); batches add up in plan order.
+    """
     plan = _batch_plan(trials, batch_size)
     steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
     tables = [(g_tab, (c.points * g_tab).real) for g_tab in (point_gain(c.points, f) for f in filters)]
@@ -285,13 +304,14 @@ def empirical_metrics(
         chi_sum = chi.sum(axis=(1, 2))
         lam_power = np.abs(dd_transform(hhat)) ** 2
         return {
-            "mse": float(_energy(hhat - h).sum()),
-            "g_energy": float(_energy(g).sum()),
-            "r00_sq": float(((chi_sum / math.sqrt(nm)) ** 2).sum()),
-            "r_energy": float(_energy(dd_transform(chi)).sum()),
-            "chi_total": float(chi_sum.sum()),
-            "peak": float(lam_power[:, peak_bin[0], peak_bin[1]].sum()),
-            "far": float(lam_power[:, far].mean(axis=1).sum()),
+            "mse": _energy(hhat - h),
+            "g_energy": _energy(g),
+            "r00_sq": (chi_sum / math.sqrt(nm)) ** 2,
+            "r_energy": _energy(dd_transform(chi)),
+            "chi_total": chi_sum,
+            "peak": lam_power[:, peak_bin[0], peak_bin[1]],
+            # cell by cell, as .mean(axis=1) sums a gather of 2+ frames; on one frame it sums pairwise
+            "far": np.cumsum(lam_power[:, far], axis=1)[:, -1] / far.sum(),
         }
 
     (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
@@ -319,14 +339,14 @@ def empirical_dd_profile(
     """Mean DD power map E|Lambda|^2 estimated over random frames."""
 
     def reduce(h, g, chi, hhat):
-        return {"power": (np.abs(dd_transform(hhat)) ** 2).sum(axis=0)}
+        return {"power": np.abs(dd_transform(hhat)) ** 2}
 
     (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
     return sums["power"] / trials
 
 
 def _identity_sums(h, g, chi, hhat) -> dict:
-    """Per-batch partials of the identity residuals: the chi FFT and the error FFT."""
+    """Per-frame terms of the identity residuals: the chi FFT and the error FFT."""
     nm = chi[0].size
     sqrt_nm = math.sqrt(nm)
     diff = hhat - h
@@ -340,12 +360,12 @@ def _identity_sums(h, g, chi, hhat) -> dict:
     parseval = np.abs(r_energy - (chi**2).sum(axis=(1, 2))) / r_energy
     mse_relation_lhs = ident_lhs + nm * (1.0 - r00 / sqrt_nm) ** 2
     return {
-        "mse": float(diff_energy.sum()),
-        "g_energy": float(_energy(g).sum()),
-        "mse_relation_lhs": float(mse_relation_lhs.sum()),
-        "islr_identity_max": float((np.abs(ident_lhs - ident_rhs) / r_energy).max()),
-        "parseval_max": float(parseval.max()),
-        "dd_unitarity_max": float(dd_unitarity.max()),
+        "mse": diff_energy,
+        "g_energy": _energy(g),
+        "mse_relation_lhs": mse_relation_lhs,
+        "islr_identity_max": np.abs(ident_lhs - ident_rhs) / r_energy,
+        "parseval_max": parseval,
+        "dd_unitarity_max": dd_unitarity,
     }
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ComplexFrame, FrameDims, Scene, Target
-from .constellation import Family, chi_stats, make_uniform
-from .filtering import MF, RF, FilterKind, filter_matrix, wiener
+from .constellation import Family, chi_stats, make_uniform, sample_symbols
+from .filtering import MF, RF, FilterKind, chi_matrix, filter_matrix, response_function, wiener
 from .metrics import closed_form_metrics, crossover_snr_in, identity_checks
 
 
@@ -79,8 +79,6 @@ def run_verification(
         checks.append(Check(f"mse_relation_{tag}", rep.mse_relation_rel, 0.02))
 
     # RF response is delta-shaped per realization
-    from .constellation import sample_symbols
-    from .filtering import chi_matrix, response_function
 
     x = sample_symbols(qam, dims.size, seed + 1).reshape(dims.shape)
     r = response_function(chi_matrix(ComplexFrame(x, "symbols"), RF)).entries

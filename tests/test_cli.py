@@ -239,3 +239,44 @@ class TestUsageErrors:
         rc = main(["dr-sweep", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+class TestRejectedValues:
+    """Values the library rejects while a config is built exit 2 and name the field."""
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("dr-sweep", {"family": "hex"}, "family"),
+            ("tradeoff", {"family": "hex"}, "family"),
+            ("profiles", {"family": "hex"}, "family"),
+            ("codebook", {"family": "hex"}, "family"),
+            ("verify", {"order": 63}, "order"),
+            ("dr-sweep", {"order": 63}, "order"),
+            ("tradeoff", {"order": 63}, "order"),
+            ("pcs", {"order": 63}, "order"),
+            ("verify", {"dims": {"N": 0}}, "dims"),
+            ("dr-sweep", {"dims": {"N": 0}}, "dims"),
+            ("tradeoff", {"order": 16, "dims": {"N": 0}}, "dims"),
+            ("verify", {"trials": 0}, "trials"),
+            ("profiles", {"trials": 0}, "trials"),
+            ("profiles", {"dims_list": [[16, 16], [1, 4]]}, "dims_list"),
+            ("pcs", {"order": 16, "max_outer_iters": 0}, "max_outer_iters"),
+            ("tradeoff", {"order": 16, "n_grid": 1, "detection": {"trials": 0}}, "detection.trials"),
+            ("tradeoff", {"order": 16, "n_grid": 1, "detection": {"cfar": {"pfa": 2.0}}}, "detection.cfar"),
+        ],
+    )
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
+        cfg = write_cfg(tmp_path, "bad.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad config field '{field}'" in err
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_tradeoff_order_names_the_family_asked_for(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "bad.json", {"order": 63})
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "QAM order 63" in err and "PSK" not in err
