@@ -22,7 +22,7 @@ import numpy as np
 from .air import GH_NODES, AirConfig
 from .channel import FrameDims, Scene, Target
 from .constellation import Family, ShapedConstellation, make_shaped, make_uniform, save_codebook
-from .detection import CfarConfig, default_tradeoff_scene, detection_probability
+from .detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_cell, detection_probability
 from .filtering import MF, RF, FilterKind, wiener
 from .metrics import closed_form_metrics, empirical_dd_profile, expected_dd_power
 from .pcs import PcsConfig, SolverError, c0_bounds, mba_solve, tradeoff_sweep
@@ -65,6 +65,13 @@ def _count(value) -> int:
     if n < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return n
+
+
+def _positive(value) -> float:
+    x = float(value)
+    if not x > 0:  # also rejects nan
+        raise ValueError(f"must be > 0, got {x}")
+    return x
 
 
 def _load_config(path: Path | None) -> dict:
@@ -170,7 +177,7 @@ def _cmd_dr_sweep(args) -> int:
     cfg = _load_config(args.config)
     c = _alphabet(cfg)
     dims = _dims(cfg)
-    gain_var = _cfg_get(cfg, "gain_var", 1.0, float)
+    gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
     start = _cfg_get(cfg, "snr_db_start", -10.0, float)
     stop = _cfg_get(cfg, "snr_db_stop", 30.0, float)
     step = _cfg_get(cfg, "snr_db_step", 0.25, float)
@@ -222,7 +229,7 @@ def _cmd_profiles(args) -> int:
     cfg = _load_config(args.config)
     c = _alphabet(cfg)
     snr_db = _cfg_get(cfg, "snr_in_db", 4.0, float)
-    gain_var = _cfg_get(cfg, "gain_var", 1.0, float)
+    gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
     trials = _cfg_get(cfg, "trials", 2000, _count)
     kernel = _cfg_get(cfg, "kernel", "dirichlet", str)
     snr = 10.0 ** (snr_db / 10.0)
@@ -265,13 +272,13 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
     uniform = _alphabet(cfg)
     family, order = uniform.family, uniform.order
     dims = _dims(cfg)
-    gain_var = _cfg_get(cfg, "gain_var", 1.0, float)
+    gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
     snr_db = _cfg_get(cfg, "snr_in_db", 4.0, float)
     snr = 10.0 ** (snr_db / 10.0)
     noise_var = gain_var / snr
     filt = _filter_kind(_cfg_get(cfg, "filter", "wf", str), snr)
     comm = AirConfig(
-        comm_noise_var=_cfg_get(cfg, "comm.noise_var", 0.1, float),
+        comm_noise_var=_cfg_get(cfg, "comm.noise_var", 0.1, _positive),
         channel_gain=complex(
             _cfg_get(cfg, "comm.channel_gain_re", 1.0, float),
             _cfg_get(cfg, "comm.channel_gain_im", 0.0, float),
@@ -291,7 +298,7 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
         noise_var=noise_var,
         comm=comm,
         c0=c0,
-        tol=_cfg_get(cfg, "tol", 1e-5, float),
+        tol=_cfg_get(cfg, "tol", 1e-5, _positive),
         max_outer_iters=_cfg_get(cfg, "max_outer_iters", 500, _count),
         bank_samples_per_point=_cfg_get(cfg, "bank_samples_per_point", 200, _count),
         bank_seed=_derived_seeds(_master_seed(cfg, args))[1],
@@ -368,14 +375,23 @@ def _cmd_tradeoff(args) -> int:
     pfa = _cfg_get(cfg, "detection.cfar.pfa", 1e-4, float)
     with _rejected_as("detection.cfar"):
         cfar = CfarConfig(guard_cells=guard, train_cells=train, pfa=pfa)
+        cfar_thresholds(np.zeros(pcfg.dims.n_subcarriers), cfar)  # the delay profile must outspan the window
     det_trials = _cfg_get(cfg, "detection.trials", 500, _count)
     scene = default_tradeoff_scene(
         pcfg.noise_var,
         weak_delay_bin=_cfg_get(cfg, "detection.weak_delay_bin", 5, int),
         weak_rel_power_db=_cfg_get(cfg, "detection.weak_rel_power_db", -15.0, float),
     )
+    with _rejected_as("detection.weak_delay_bin"):
+        detection_cell(pcfg.dims, scene)  # checked before the solves, not after them
     det_seed = _derived_seeds(_master_seed(cfg, args))[3]
     points = tradeoff_sweep(pcfg, grid)
+    shaped = {i: make_shaped(pcfg.family, pcfg.order, pt.probs) for i, pt in enumerate(points) if pt.error is None}
+    # one call, so every budget's pd comes from the same trial set
+    pds = detection_probability(
+        pcfg.dims, scene, list(shaped.values()), pcfg.filt, cfar, det_trials, det_seed, threads=args.threads
+    ) if shaped else ()
+    pd_of = dict(zip(shaped, pds))
     rows = []
     unconverged = 0
     for i, pt in enumerate(points):
@@ -386,14 +402,11 @@ def _cmd_tradeoff(args) -> int:
         if not pt.converged:
             unconverged += 1
             status = f"not converged after {pt.outer_iters} iterations"
-        shaped = make_shaped(pcfg.family, pcfg.order, pt.probs)
-        pd = detection_probability(
-            pcfg.dims, scene, shaped, pcfg.filt, cfar, det_trials, det_seed, threads=args.threads
-        )
+        pd = pd_of[i]
         rows.append((pt.c0, pt.air_bits, pt.sensing_mse, pd, status))
         save_codebook(
             args.out / f"codebook_{i:02d}.json",
-            shaped,
+            shaped[i],
             snr_in=pcfg.gain_var / pcfg.noise_var,
             filter_kind=pcfg.filt.kind.value,
             c0=pt.c0,

@@ -145,8 +145,8 @@ def chi_stats(c: ShapedConstellation, f: FilterKind) -> ChiStats:
     return ChiStats(mean_chi, mean_chi_sq, var_chi, mean_gain_sq)
 
 
-def draw_symbols(c: ShapedConstellation, rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF draw of point indices: min(searchsorted(cumsum(p), u, 'right'), Q-1).
+def symbol_index(c: ShapedConstellation, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF point indices of uniforms ``u``: min(searchsorted(cumsum(p), u, 'right'), Q-1).
 
     Exact guide-table search (Chen & Asau 1974): bucket floor(u K), K >= 8Q a
     power of two, gives a start that never overshoots; passes step the rest.
@@ -155,13 +155,18 @@ def draw_symbols(c: ShapedConstellation, rng: np.random.Generator, shape) -> np.
     cut[-1] = np.inf  # the clip to Q-1: the last point takes every u past the other cuts
     k = 1 << (8 * c.order - 1).bit_length()
     start = np.searchsorted(cut, np.arange(k) / k, side="right")
-    u = rng.random(shape).reshape(-1)
-    idx = start[(u * k).astype(np.intp)]
-    todo = np.flatnonzero(cut[idx] <= u)
+    flat = u.reshape(-1)
+    idx = start[(flat * k).astype(np.intp)]
+    todo = np.flatnonzero(cut[idx] <= flat)
     while todo.size:
         idx[todo] += 1
-        todo = todo[cut[idx[todo]] <= u[todo]]
-    return idx.reshape(shape)
+        todo = todo[cut[idx[todo]] <= flat[todo]]
+    return idx.reshape(u.shape)
+
+
+def draw_symbols(c: ShapedConstellation, rng: np.random.Generator, shape) -> np.ndarray:
+    """Point indices of ``shape`` fresh uniforms, mapped by ``symbol_index``."""
+    return symbol_index(c, rng.random(shape))
 
 
 def sample_symbols(c: ShapedConstellation, count: int, seed: int) -> np.ndarray:

@@ -8,6 +8,8 @@ alpha = T (pfa^(-1/T) - 1) is exact for i.i.d. exponential cell powers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 # the noqa names are unused here but stay importable: perfbench/tracing.py wraps them
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -71,23 +73,8 @@ def ca_cfar_1d(profile, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(profile > thresholds), thresholds
 
 
-def detection_probability(
-    dims: FrameDims,
-    scene: Scene,
-    c: ShapedConstellation,
-    f: FilterKind,
-    cfg: CfarConfig,
-    trials: int,
-    seed: int,
-    batch_size: int = DETECTION_BATCH,
-    threads: int = 1,
-) -> float:
-    """Probability that the weaker of two targets is detected on its delay profile.
-
-    Each trial runs the shared frame kernel on fresh symbols, target gains and
-    noise, forms the DD power map, and runs CA-CFAR over the delay profile at
-    the weak target's Doppler bin (the zero-Doppler slice in the stock scenario).
-    """
+def detection_cell(dims: FrameDims, scene: Scene) -> tuple[int, int]:
+    """The weak target's (delay bin, Doppler bin) in a two-target scene; raises if it is not detectable."""
     if len(scene.targets) != 2:
         raise ValueError(f"scene must contain exactly two targets, got {len(scene.targets)}")
     n, m = dims.shape
@@ -95,16 +82,51 @@ def detection_probability(
     if bins[0] == bins[1]:
         raise ValueError("targets have coincident delay bins")
     weak = min(range(2), key=lambda i: scene.targets[i].gain_var)
-    weak_bin = bins[weak]
-    doppler_bin = int(round(scene.targets[weak].doppler_bin)) % m
+    return bins[weak], int(round(scene.targets[weak].doppler_bin)) % m
+
+
+def detection_probability(
+    dims: FrameDims,
+    scene: Scene,
+    c: ShapedConstellation | Sequence[ShapedConstellation],
+    f: FilterKind,
+    cfg: CfarConfig,
+    trials: int,
+    seed: int,
+    batch_size: int = DETECTION_BATCH,
+    threads: int = 1,
+) -> float | tuple[float, ...]:
+    """Probability that the weaker of two targets is detected on its delay profile.
+
+    Each trial runs the shared frame kernel on fresh symbols, target gains and
+    noise and runs CA-CFAR over the delay profile at the weak target's Doppler
+    bin (the zero-Doppler slice in the stock scenario). That profile is one
+    column of the DD map, |IFFT_N(hhat @ w_p)|^2 N/M with w_p[m] = e^{-j2 pi m p/M},
+    so the full map is never formed.
+
+    A sequence of codebooks on one alphabet gets a tuple of P_d from one shared
+    trial set: every codebook sees the same uniforms, target gains and noise,
+    so the P_d differ only through the codebooks, never through the draw. Each
+    entry equals a single call's.
+    """
+    weak_bin, doppler_bin = detection_cell(dims, scene)
+    single = isinstance(c, ShapedConstellation)
+    books = (c,) if single else tuple(c)
+    n, m = dims.shape
+    w_p = np.exp(-2j * np.pi * np.arange(m) * doppler_bin / m)
+    scale = np.sqrt(n / m)
 
     def reduce(h, g, chi, hhat):
-        profiles = (np.abs(dd_transform(hhat)) ** 2)[:, :, doppler_bin]
+        column = np.fft.ifft(hhat @ w_p, axis=-1)
+        column *= scale
+        profiles = np.abs(column) ** 2
         thresholds = cfar_thresholds(profiles, cfg)
         return {"hits": profiles[:, weak_bin] > thresholds[:, weak_bin]}
 
-    (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
-    return sums["hits"] / trials
+    arms = tuple((book, f) for book in books)
+    sums = _run_batches(arms, dims, scene, trials, seed, batch_size, threads, reduce)
+    pds = tuple(s["hits"] / trials for s in sums)
+    return pds[0] if single else pds
 
 
 def default_tradeoff_scene(noise_var: float, weak_delay_bin: int = 5, weak_rel_power_db: float = -15.0):

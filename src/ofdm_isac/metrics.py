@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FrameDims, Scene, complex_normal, steering_vectors
-from .constellation import ChiStats, ShapedConstellation, chi_stats, draw_symbols, moment_abs_pow
+from .constellation import ChiStats, ShapedConstellation, chi_stats, moment_abs_pow, symbol_index
+from .constellation import draw_symbols  # noqa: F401 -- stays importable: perfbench/tracing.py wraps it
 from .filtering import FilterKind, dd_transform, point_gain
 
 DEFAULT_BATCH = 256
@@ -200,48 +201,54 @@ def _join_frames(key: str, blocks: list[np.ndarray]):
 def _simulate_batch(
     index: int,
     size: int,
-    c: ShapedConstellation,
-    tables: list[tuple[np.ndarray, np.ndarray]],
+    books: list[tuple[ShapedConstellation, list[tuple[int, np.ndarray, np.ndarray]]]],
+    n_arms: int,
     dims: FrameDims,
     scene: Scene,
     seed: int,
     steering: list[np.ndarray],
     reduce,
 ) -> list[dict]:
-    """Draw one batch of symbols, gains and noise; ``reduce(h, g, chi, hhat)`` it per filter.
+    """Draw one batch of uniforms, gains and noise; ``reduce(h, g, chi, hhat)`` it per arm.
 
-    The chain runs over blocks of frames within ``FRAME_BLOCK_BYTES``, g and chi
-    gathered from each filter's per-point tables. ``reduce`` returns per-frame
+    Every arm sees the same trial set, so the arms' results (say, the P_d of
+    each trade-off budget) differ through their codebooks and filters, never
+    through the draw. The uniforms are mapped to symbol indices once per
+    codebook in ``books``; each of that codebook's arms ``(arm, g_tab, chi_tab)``
+    gathers g and chi from its filter's per-point tables. The chain runs over
+    blocks of frames within ``FRAME_BLOCK_BYTES``. ``reduce`` returns per-frame
     arrays, frames first; each key's blocks are joined in frame order and summed
     over frames once per batch (``_max`` keys: the maximum), whatever the block size.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     shape = (size, *dims.shape)
-    idx = draw_symbols(c, rng, shape)
+    u = rng.random(shape)
     alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
     z = complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
     block = max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
-    per_frame: list[dict] = [{} for _ in tables]
+    per_frame: list[dict] = [{} for _ in range(n_arms)]
     for lo in range(0, size, block):
         frames = slice(lo, lo + block)
-        idx_b = idx[frames]
-        h = np.zeros(idx_b.shape, dtype=np.complex128)
+        u_b = u[frames]
+        h = np.zeros(u_b.shape, dtype=np.complex128)
         for alpha, s_q in zip(alphas, steering):
             h += alpha[frames, None, None] * s_q[None, :, :]
-        x = c.points[idx_b]
-        y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
-        if z is not None:
-            y += z[frames]
-        for parts, (g_tab, chi_tab) in zip(per_frame, tables):
-            g = g_tab[idx_b]
-            for key, value in reduce(h, g, chi_tab[idx_b], y * g).items():
-                parts.setdefault(key, []).append(value)
+        for c, book_arms in books:
+            idx = symbol_index(c, u_b)
+            x = c.points[idx]
+            y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
+            del x  # not needed by the reducers; freeing it keeps the block's peak memory down
+            if z is not None:
+                y += z[frames]
+            for arm, g_tab, chi_tab in book_arms:
+                g = g_tab[idx]
+                for key, value in reduce(h, g, chi_tab[idx], y * g).items():
+                    per_frame[arm].setdefault(key, []).append(value)
     return [{key: _join_frames(key, values) for key, values in parts.items()} for parts in per_frame]
 
 
 def _run_batches(
-    c: ShapedConstellation,
-    filters: tuple[FilterKind, ...],
+    arms: tuple[tuple[ShapedConstellation, FilterKind], ...],
     dims: FrameDims,
     scene: Scene,
     trials: int,
@@ -250,17 +257,28 @@ def _run_batches(
     threads: int,
     reduce,
 ) -> list[dict]:
-    """One dict of partials per filter over one shared trial set: ``_max`` keys keep the maximum.
+    """One dict of partials per (codebook, filter) arm over one shared trial set.
 
-    ``reduce`` returns per-frame arrays (``_simulate_batch``); batches add up in plan order.
+    The arms' codebooks must share one alphabet (the same points up to the
+    unit-power scale); equal codebooks map the uniforms once. ``reduce`` returns
+    per-frame arrays (``_simulate_batch``); batches add up in plan order, and
+    ``_max`` keys keep the maximum.
     """
     plan = _batch_plan(trials, batch_size)
+    alphabet = arms[0][0].points / arms[0][0].points[0]
+    groups: dict[bytes, tuple[ShapedConstellation, list]] = {}
+    for arm, (c, f) in enumerate(arms):
+        if c.order != alphabet.size or not np.allclose(c.points / c.points[0], alphabet, rtol=1e-12, atol=0.0):
+            raise ValueError("codebooks must share one alphabet (the same points up to scale)")
+        g_tab = point_gain(c.points, f)
+        book = groups.setdefault(c.points.tobytes() + c.probs.tobytes(), (c, []))
+        book[1].append((arm, g_tab, (c.points * g_tab).real))
+    books = list(groups.values())
     steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
-    tables = [(g_tab, (c.points * g_tab).real) for g_tab in (point_gain(c.points, f) for f in filters)]
 
     def work(job):
         index, size = job
-        return _simulate_batch(index, size, c, tables, dims, scene, seed, steering, reduce)
+        return _simulate_batch(index, size, books, len(arms), dims, scene, seed, steering, reduce)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -268,7 +286,7 @@ def _run_batches(
     else:
         partials = [work(job) for job in plan]
 
-    totals: list[dict] = [{} for _ in filters]
+    totals: list[dict] = [{} for _ in arms]
     for parts in partials:  # fixed reduction order keeps outputs bit-identical
         for total, part in zip(totals, parts):
             for key, value in part.items():
@@ -314,7 +332,7 @@ def empirical_metrics(
             "far": np.cumsum(lam_power[:, far], axis=1)[:, -1] / far.sum(),
         }
 
-    (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
+    (sums,) = _run_batches(((c, f),), dims, scene, trials, seed, batch_size, threads, reduce)
     mse = sums["mse"] / trials
     mean_r00_sq = sums["r00_sq"] / trials
     mean_g_energy = sums["g_energy"] / trials
@@ -341,7 +359,7 @@ def empirical_dd_profile(
     def reduce(h, g, chi, hhat):
         return {"power": np.abs(dd_transform(hhat)) ** 2}
 
-    (sums,) = _run_batches(c, (f,), dims, scene, trials, seed, batch_size, threads, reduce)
+    (sums,) = _run_batches(((c, f),), dims, scene, trials, seed, batch_size, threads, reduce)
     return sums["power"] / trials
 
 
@@ -390,7 +408,8 @@ def identity_checks(
     single = isinstance(f, FilterKind)
     filters = (f,) if single else tuple(f)
     reports = []
-    for sums in _run_batches(c, filters, dims, scene, trials, seed, batch_size, threads, _identity_sums):
+    arms = tuple((c, g) for g in filters)
+    for sums in _run_batches(arms, dims, scene, trials, seed, batch_size, threads, _identity_sums):
         lhs = scene.total_gain_var * sums["mse_relation_lhs"] / trials + scene.noise_var * sums["g_energy"] / trials
         rhs = sums["mse"] / trials
         mse_relation = _ratio(abs(lhs - rhs), rhs)

@@ -346,7 +346,11 @@ def tradeoff_sweep(cfg: PcsConfig, c0_grid) -> list[TradeoffPoint]:
     """One independent solve per budget, in increasing order; errors do not stop the sweep.
 
     Each solve redraws the same bank from ``cfg.bank_seed`` and recomputes the
-    budget bounds; nothing is carried from one budget to the next.
+    budget bounds; nothing is carried from one budget to the next. The
+    ``tradeoff`` command then passes every solved codebook to one
+    ``detection_probability`` call, so every budget's P_d comes from one shared
+    trial set and differences along the frontier come from the codebooks, not
+    from the draw.
     """
     points: list[TradeoffPoint] = []
     for c0 in sorted(float(v) for v in c0_grid):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ofdm_isac import cli
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import load_codebook
 
@@ -169,6 +170,60 @@ class TestTradeoffCommand:
             assert 0.0 < float(row[1]) and 0.0 <= float(row[3]) <= 1.0
         assert (tmp_path / "codebook_01.json").exists()
 
+    def test_threads_do_not_change_bytes(self, tmp_path):
+        """Every artifact of a reduced sweep is byte-identical at 1 and 2 threads."""
+        cfg = write_cfg(
+            tmp_path,
+            "t.json",
+            {
+                "order": 16,
+                "filter": "wf",
+                "comm": {"noise_var": 0.05},
+                "bank_samples_per_point": 50,
+                "n_grid": 3,
+                "detection": {"trials": 300, "cfar": {"pfa": 1e-2}},
+            },
+        )
+        outs = [tmp_path / f"t{threads}" for threads in ("1", "2")]
+        for out, threads in zip(outs, ("1", "2")):
+            assert main(["tradeoff", "--config", cfg, "--out", str(out), "--seed", "4", "--threads", threads]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert names == ["codebook_00.json", "codebook_01.json", "codebook_02.json", "tradeoff.csv"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_each_row_pd_is_its_codebooks_own(self, tmp_path):
+        """One shared detection call gives each row the pd of a single call on that row's codebook."""
+        from ofdm_isac.channel import FrameDims
+        from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
+        from ofdm_isac.filtering import wiener
+
+        cfg = write_cfg(
+            tmp_path,
+            "t.json",
+            {
+                "order": 16,
+                "filter": "wf",
+                "comm": {"noise_var": 0.05},
+                "bank_samples_per_point": 50,
+                "n_grid": 3,
+                "detection": {"trials": 600, "weak_rel_power_db": -15.0, "cfar": {"pfa": 1e-2}},
+            },
+        )
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path), "--seed", "6"]) == 0
+        _, _, rows = read_csv(tmp_path / "tradeoff.csv")
+        snr = 10.0**0.4
+        scene = default_tradeoff_scene(1.0 / snr, weak_rel_power_db=-15.0)
+        pds = [float(row[3]) for row in rows]
+        for i, pd in enumerate(pds):
+            c, _ = load_codebook(tmp_path / f"codebook_{i:02d}.json")
+            want = detection_probability(
+                FrameDims(64, 32), scene, c, wiener(snr), CfarConfig(2, 16, 1e-2), 600, cli._derived_seeds(6)[3]
+            )
+            assert pd == want
+        assert len(set(pds)) == len(pds)  # distinct, so a row given another row's pd would show
+
     @pytest.mark.parametrize(
         "payload, field",
         [({"n_grid": 0}, "n_grid"), ({"c0_grid": []}, "c0_grid"), ({"c0_grid": ["a"]}, "c0_grid")],
@@ -264,6 +319,16 @@ class TestRejectedValues:
             ("pcs", {"order": 16, "max_outer_iters": 0}, "max_outer_iters"),
             ("tradeoff", {"order": 16, "n_grid": 1, "detection": {"trials": 0}}, "detection.trials"),
             ("tradeoff", {"order": 16, "n_grid": 1, "detection": {"cfar": {"pfa": 2.0}}}, "detection.cfar"),
+            ("pcs", {"order": 16, "tol": 0}, "tol"),
+            ("tradeoff", {"order": 16, "tol": 0}, "tol"),
+            ("pcs", {"order": 16, "comm": {"noise_var": 0}}, "comm.noise_var"),
+            ("tradeoff", {"order": 16, "comm": {"noise_var": -1}}, "comm.noise_var"),
+            ("pcs", {"order": 16, "gain_var": -1}, "gain_var"),
+            ("tradeoff", {"order": 16, "gain_var": 0}, "gain_var"),
+            ("dr-sweep", {"gain_var": -1}, "gain_var"),
+            ("profiles", {"gain_var": 0}, "gain_var"),
+            ("tradeoff", {"order": 16, "detection": {"weak_delay_bin": 64}}, "detection.weak_delay_bin"),
+            ("tradeoff", {"order": 16, "dims": {"N": 32}, "detection": {"cfar": {"train": 16}}}, "detection.cfar"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
@@ -274,6 +339,15 @@ class TestRejectedValues:
         assert f"bad config field '{field}'" in err
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_tradeoff_weak_bin_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solves(*args, **kwargs):
+            raise AssertionError("tradeoff_sweep ran on a config that detection rejects")
+
+        monkeypatch.setattr(cli, "tradeoff_sweep", no_solves)
+        cfg = write_cfg(tmp_path, "bad.json", {"order": 16, "detection": {"weak_delay_bin": 128}})
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "bad config field 'detection.weak_delay_bin'" in capsys.readouterr().err
 
     def test_tradeoff_order_names_the_family_asked_for(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bad.json", {"order": 63})

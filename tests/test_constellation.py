@@ -20,6 +20,7 @@ from ofdm_isac.constellation import (
     moment_abs_pow,
     sample_symbols,
     save_codebook,
+    symbol_index,
 )
 from ofdm_isac.filtering import MF, RF, wiener
 
@@ -275,3 +276,22 @@ class TestDrawSymbols:
             c = make_uniform("qam", 64)
         idx = draw_symbols(c, np.random.default_rng(seed), (16, 64, 32))
         assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == digest
+
+
+class TestSymbolIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=distributions(),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+    )
+    @example(weights=[1.0] * 10, seed=0, shape=(4, 64))  # cumsum ends just below 1: the last cut clips
+    @example(weights=[1.0] * 49, seed=0, shape=(4, 64))  # cumsum ends just above 1
+    @example(weights=[0.0, 1.0, 0.0, 0.0], seed=1, shape=(200,))  # zero-probability points at both ends
+    def test_uniforms_then_index_is_the_draw(self, weights, seed, shape):
+        """A shared draw maps its uniforms to exactly the indices draw_symbols gives on that stream."""
+        c = circle(weights)
+        got = symbol_index(c, np.random.default_rng(seed).random(shape))
+        want = draw_symbols(c, np.random.default_rng(seed), shape)
+        assert got.shape == want.shape == shape
+        np.testing.assert_array_equal(got, want)

@@ -147,3 +147,39 @@ class TestDetectionProbability:
         pd_uniform = detection_probability(DIMS, scene, make_uniform("qam", 64), f, cfar, 1500, 9)
         pd_shaped = detection_probability(DIMS, scene, shaped, f, cfar, 1500, 9)
         assert pd_shaped >= pd_uniform
+
+
+class TestSharedTrialSet:
+    """A sequence of codebooks shares one trial set; each P_d equals a single call's."""
+
+    CFAR = CfarConfig(2, 8, 1e-2)
+    SCENE = default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=-12.0)
+
+    def books(self):
+        from ofdm_isac.constellation import make_shaped
+
+        uniform = make_uniform("qam", 16)
+        weights = np.arange(16) % 5 + 1.0
+        weights[3] = 0.0
+        shaped = make_shaped("qam", 16, weights)
+        # a repeated object, and an equal codebook built apart, map the shared uniforms as the others do
+        return (shaped, uniform, shaped, make_shaped("qam", 16, weights))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_entry_equals_a_single_call(self, threads):
+        f = wiener(SNR)
+        books = self.books()
+        pds = detection_probability(DIMS, self.SCENE, books, f, self.CFAR, 300, 12, batch_size=64, threads=threads)
+        singles = [
+            detection_probability(DIMS, self.SCENE, c, f, self.CFAR, 300, 12, batch_size=64, threads=1) for c in books
+        ]
+        assert isinstance(pds, tuple) and len(pds) == len(books)
+        assert list(pds) == singles
+        assert pds[0] == pds[2] == pds[3]
+        assert pds[0] != pds[1]  # the codebooks, not the draw, set the difference
+
+    def test_different_alphabets_rejected(self):
+        scene = self.SCENE
+        for other in (make_uniform("qam", 64), make_uniform("psk", 16)):
+            with pytest.raises(ValueError, match="one alphabet"):
+                detection_probability(DIMS, scene, (make_uniform("qam", 16), other), MF, self.CFAR, 10, 0)

@@ -10,7 +10,7 @@ from ofdm_isac import metrics
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import make_shaped, make_uniform
-from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
+from ofdm_isac.detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_probability
 from ofdm_isac.filtering import MF, RF, dd_transform, wiener
 from ofdm_isac.metrics import empirical_dd_profile, empirical_metrics, identity_checks
 
@@ -72,7 +72,7 @@ def test_kernel_calls_reducer_once_per_block(monkeypatch):
         sizes.append(len(hhat))
         return {"n": np.ones(len(hhat)), "n_max": np.arange(len(hhat), dtype=float)}
 
-    (sums,) = metrics._run_batches(c, (MF,), DIMS, SCENE, 23, 1, 12, 1, reduce)
+    (sums,) = metrics._run_batches(((c, MF),), DIMS, SCENE, 23, 1, 12, 1, reduce)
     assert sizes == [5, 5, 2, 5, 5, 1]
     assert sums == {"n": 23.0, "n_max": 4.0}
 
@@ -116,3 +116,22 @@ def test_reduced_verify_report_pinned(tmp_path, threads):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3", "--threads", threads]) == 0
     digest = hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest()
     assert digest == PINNED_VERIFY_SHA256
+
+
+@pytest.mark.parametrize("doppler_bin", [0.0, 3.0, 29.0])
+def test_detection_column_matches_full_dd_map(doppler_bin):
+    """Detection reads one DD-map column; its P_d equals that of CA-CFAR on the full map's column."""
+    scene = Scene((Target(1.0, 0.0, 1.0), Target(10**-1.3, 6.0, doppler_bin)), 1.0 / SNR)
+    c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
+    cfar = CfarConfig(2, 8, 1e-3)
+    p = int(doppler_bin)
+
+    def full_map(h, g, chi, hhat):
+        profiles = (np.abs(dd_transform(hhat)) ** 2)[:, :, p]
+        thresholds = cfar_thresholds(profiles, cfar)
+        return {"hits": profiles[:, 6] > thresholds[:, 6]}
+
+    (sums,) = metrics._run_batches(((c, MF),), DIMS, scene, 400, 21, 128, 1, full_map)
+    pd = detection_probability(DIMS, scene, c, MF, cfar, 400, 21)
+    assert 0.0 < pd < 1.0
+    assert pd == sums["hits"] / 400

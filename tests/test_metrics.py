@@ -7,7 +7,7 @@ import pytest
 
 from ofdm_isac import metrics
 from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors
-from ofdm_isac.constellation import chi_stats, draw_symbols, make_shaped, make_uniform, moment_abs_pow
+from ofdm_isac.constellation import chi_stats, make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, point_gain, wiener
 from ofdm_isac.metrics import (
     closed_form_metrics,
@@ -283,27 +283,36 @@ class TestEmpiricalProfile:
 
 class TestFrameKernel:
     def test_tables_match_per_entry_chain(self):
-        """The kernel's table gathers give the bits of the per-entry chain X -> G -> (H o X + Z) o G."""
-        c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
+        """The kernel's table gathers give the bits of the per-entry chain X -> G -> (H o X + Z) o G.
+
+        Two codebooks on one alphabet share the uniforms, gains and noise; each maps
+        the uniforms to its own symbols.
+        """
+        books = (make_shaped("qam", 16, np.arange(16) % 5 + 1.0), make_uniform("qam", 16))
         dims = FrameDims(16, 16)  # 512 KiB batches: big enough for numpy's temporary elision
         scene = Scene((Target(1.0, 2.0, 1.0), Target(0.3, 6.0, 3.0)), 0.4)
         filters = (MF, RF, wiener(2.5))
         steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
-        tables = [(g, (c.points * g).real) for g in (point_gain(c.points, f) for f in filters)]
+        groups = []
+        for b, c in enumerate(books):
+            tables = [(g, (c.points * g).real) for g in (point_gain(c.points, f) for f in filters)]
+            groups.append((c, [(3 * b + i, g, chi) for i, (g, chi) in enumerate(tables)]))
         seen = []
-        metrics._simulate_batch(3, 128, c, tables, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
+        metrics._simulate_batch(3, 128, groups, 6, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(3,)))
-        x = c.points[draw_symbols(c, rng, (128, *dims.shape))]
-        h = np.zeros(x.shape, dtype=np.complex128)
+        u = rng.random((128, *dims.shape))
+        h = np.zeros(u.shape, dtype=np.complex128)
         for t, s_q in zip(scene.targets, steering):
             alpha = complex_normal(rng, t.gain_var, (128,))
             h += alpha[:, None, None] * s_q[None, :, :]
-        z = complex_normal(rng, scene.noise_var, x.shape)
-        assert len(seen) == len(filters)
-        for f, (h_k, g_k, chi_k, hhat_k) in zip(filters, seen):
-            g = point_gain(x, f)
-            assert np.array_equal(h_k, h)
-            assert np.array_equal(g_k, g)
-            assert np.array_equal(chi_k, (x * g).real)
-            assert np.array_equal(hhat_k, (h * x + z) * g)
+        z = complex_normal(rng, scene.noise_var, u.shape)
+        assert len(seen) == len(books) * len(filters)
+        for b, c in enumerate(books):
+            x = c.points[np.minimum(np.searchsorted(np.cumsum(c.probs), u, side="right"), c.order - 1)]
+            for f, (h_k, g_k, chi_k, hhat_k) in zip(filters, seen[3 * b : 3 * b + 3]):
+                g = point_gain(x, f)
+                assert np.array_equal(h_k, h)
+                assert np.array_equal(g_k, g)
+                assert np.array_equal(chi_k, (x * g).real)
+                assert np.array_equal(hhat_k, (h * x + z) * g)
