@@ -1,16 +1,8 @@
 """OFDM ISAC signaling toolkit: sensing metrics under MF/RF/WF filtering and
 probabilistic constellation shaping of the sensing-communication trade-off."""
 
-from .air import AirConfig, air_estimate, air_quadrature, frame_air_bits, noise_entropy
-from .channel import (
-    ComplexFrame,
-    FrameDims,
-    Scene,
-    Target,
-    build_csi,
-    steering_vectors,
-    synthesize_echo,
-)
+from .air import AirConfig, air_estimate, air_quadrature, noise_entropy
+from .channel import FrameDims, Scene, Target, steering_vectors
 from .constellation import (
     ChiStats,
     Family,
@@ -24,18 +16,7 @@ from .constellation import (
     save_codebook,
 )
 from .detection import CfarConfig, ca_cfar_1d, detection_probability
-from .filtering import (
-    MF,
-    RF,
-    FilterKind,
-    FilterType,
-    chi_matrix,
-    dd_map,
-    estimate_csi,
-    filter_matrix,
-    response_function,
-    wiener,
-)
+from .filtering import MF, RF, FilterKind, FilterType, wiener
 from .metrics import (
     IdentityReport,
     MetricsReport,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channel import FrameDims, complex_normal
+from .channel import complex_normal
 from .constellation import ShapedConstellation, draw_symbols
 
 _CHUNK = 20_000
@@ -109,8 +109,3 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
 
     bits = (-mean_lse - 1.0) / math.log(2.0)
     return min(max(bits, 0.0), c.entropy_bits())
-
-
-def frame_air_bits(c: ShapedConstellation, cfg: AirConfig, dims: FrameDims) -> float:
-    """Frame total: per-symbol AIR scaled by the NM identically distributed slots."""
-    return dims.size * air_estimate(c, cfg)

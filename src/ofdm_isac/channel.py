@@ -1,4 +1,4 @@
-"""Discrete delay-Doppler sensing model: frame geometry, scenes, CSI and echo synthesis.
+"""Discrete delay-Doppler sensing model: frame geometry, scenes, steering vectors.
 
 The frame is an N-subcarrier x M-symbol grid of frequency-domain data. A scene
 is a set of point targets, each contributing a rank-one steering outer product
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-ROLES = ("symbols", "csi", "echo", "filter", "chi", "dd-map", "response")
-
 
 @dataclass(frozen=True)
 class FrameDims:
@@ -45,22 +42,16 @@ class FrameDims:
 class Target:
     """Point target with delay/Doppler position in (possibly fractional) bins.
 
-    ``gain_var`` is the complex gain power used when gains are drawn randomly.
-    ``gain`` optionally pins a fixed complex gain for deterministic synthesis
-    (profile-style experiments that average over symbols and noise only).
+    Every frame draws the target's complex gain from CN(0, ``gain_var``).
     """
 
     gain_var: float
     delay_bin: float
     doppler_bin: float
-    gain: complex | None = None
 
     def __post_init__(self):
         if self.gain_var < 0:
             raise ValueError(f"gain_var must be >= 0, got {self.gain_var}")
-
-    def fixed_gain(self) -> complex:
-        return self.gain if self.gain is not None else complex(math.sqrt(self.gain_var))
 
 
 @dataclass(frozen=True)
@@ -85,31 +76,6 @@ class Scene:
         if self.noise_var == 0:
             return math.inf
         return self.total_gain_var / self.noise_var
-
-
-@dataclass(frozen=True)
-class ComplexFrame:
-    """N x M complex matrix tagged with the role it plays in the signal chain."""
-
-    entries: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown frame role {self.role!r}, expected one of {ROLES}")
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.ndim != 2:
-            raise ValueError(f"frame entries must be 2-D, got shape {entries.shape}")
-        if self.role == "chi":
-            # the filtered spectrum is real for MF, RF and WF
-            scale = max(1.0, float(np.max(np.abs(entries))) if entries.size else 1.0)
-            if float(np.max(np.abs(entries.imag))) > 1e-9 * scale:
-                raise ValueError("chi frame must be real-valued")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dims(self) -> FrameDims:
-        return FrameDims(*self.entries.shape)
 
 
 def complex_normal(rng: np.random.Generator, var: float, shape) -> np.ndarray:
@@ -137,51 +103,6 @@ def steering_vectors(dims: FrameDims, target: Target) -> tuple[np.ndarray, np.nd
     return b, c
 
 
-def build_csi(
-    dims: FrameDims,
-    scene: Scene,
-    mode: str = "random",
-    seed: int | None = None,
-) -> ComplexFrame:
-    """Synthesize the sensing CSI matrix H as a sum of steering outer products.
-
-    ``mode="random"`` draws each target gain from CN(0, gain_var) using ``seed``;
-    ``mode="fixed"`` uses each target's pinned (or sqrt(gain_var)) gain.
-    """
-    if not scene.targets:
-        raise ValueError("scene must contain at least one target")
-    if mode not in ("random", "fixed"):
-        raise ValueError(f"mode must be 'random' or 'fixed', got {mode!r}")
-    rng = np.random.default_rng(seed) if mode == "random" else None
-    h = np.zeros(dims.shape, dtype=np.complex128)
-    for target in scene.targets:
-        b, c = steering_vectors(dims, target)
-        if mode == "random":
-            alpha = complex(complex_normal(rng, target.gain_var, ()))
-        else:
-            alpha = target.fixed_gain()
-        h += alpha * np.outer(b, np.conj(c))
-    return ComplexFrame(h, "csi")
-
-
-def synthesize_echo(
-    csi: ComplexFrame,
-    symbols: ComplexFrame,
-    noise_var: float,
-    seed: int | None = None,
-) -> ComplexFrame:
-    """Noisy echo Y = H o X + Z with Z i.i.d. CN(0, noise_var) per entry."""
-    if csi.entries.shape != symbols.entries.shape:
-        raise ValueError(
-            f"shape mismatch: csi {csi.entries.shape} vs symbols {symbols.entries.shape}"
-        )
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    rng = np.random.default_rng(seed)
-    z = complex_normal(rng, noise_var, csi.entries.shape) if noise_var > 0 else 0.0
-    return ComplexFrame(csi.entries * symbols.entries + z, "echo")
-
-
 def bins_from_physical(
     dims: FrameDims,
     subcarrier_spacing_hz: float,
@@ -204,18 +125,12 @@ def bins_from_physical(
 
 
 def scene_to_dict(dims: FrameDims, scene: Scene) -> dict:
-    targets = []
-    for t in scene.targets:
-        entry: dict = {"delay_bin": t.delay_bin, "doppler_bin": t.doppler_bin}
-        if t.gain is not None:
-            entry["gain_re"] = t.gain.real
-            entry["gain_im"] = t.gain.imag
-        entry["gain_var"] = t.gain_var
-        targets.append(entry)
     return {
         "N": dims.n_subcarriers,
         "M": dims.n_symbols,
-        "targets": targets,
+        "targets": [
+            {"delay_bin": t.delay_bin, "doppler_bin": t.doppler_bin, "gain_var": t.gain_var} for t in scene.targets
+        ],
         "noise_var": scene.noise_var,
     }
 
@@ -225,18 +140,14 @@ def scene_from_dict(data: dict) -> tuple[FrameDims, Scene]:
         dims = FrameDims(int(data["N"]), int(data["M"]))
         targets = []
         for entry in data["targets"]:
-            gain = None
-            if "gain_re" in entry or "gain_im" in entry:
-                gain = complex(entry.get("gain_re", 0.0), entry.get("gain_im", 0.0))
-            gain_var = entry.get("gain_var", abs(gain) ** 2 if gain is not None else None)
-            if gain_var is None:
-                raise KeyError("targets[].gain_var")
+            pinned = [key for key in ("gain_re", "gain_im") if key in entry]
+            if pinned:
+                raise ValueError(f"scene target fields {pinned} are not supported: gains are drawn from CN(0, gain_var)")
             targets.append(
                 Target(
-                    gain_var=float(gain_var),
+                    gain_var=float(entry["gain_var"]),
                     delay_bin=float(entry["delay_bin"]),
                     doppler_bin=float(entry["doppler_bin"]),
-                    gain=gain,
                 )
             )
         scene = Scene(tuple(targets), float(data["noise_var"]))

@@ -1,9 +1,10 @@
 """Temporal-frequency filtering (matched / reciprocal / Wiener) and DD transforms.
 
-The filter matrix G acts entrywise on the echo: MF conjugates the symbols,
-RF divides them out (zero-forcing), WF regularizes the division with the
-inverse input SNR. The filtered spectrum chi = x * g is real for all three
-kinds; its unitary 2D-DFT is the delay-Doppler response function.
+The filter G acts entrywise on the echo, one gain g per symbol x: MF
+conjugates the symbols, RF divides them out (zero-forcing), WF regularizes
+the division with the inverse input SNR. The filtered spectrum chi = x * g is
+real for all three kinds; its unitary 2D-DFT is the delay-Doppler response
+function.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .channel import ComplexFrame
 
 RF_MIN_MODULUS = 1e-12
 
@@ -67,36 +66,6 @@ def point_chi(x: np.ndarray, f: FilterKind) -> np.ndarray:
     return sq / (sq + 1.0 / f.snr_in)
 
 
-def _check_rf_hazard(x: np.ndarray) -> None:
-    if float(np.min(np.abs(x))) < RF_MIN_MODULUS:
-        raise ValueError(
-            f"RF division hazard: symbol modulus below {RF_MIN_MODULUS}"
-        )
-
-
-def filter_matrix(symbols: ComplexFrame, f: FilterKind) -> ComplexFrame:
-    """Build the entrywise filter matrix G from a symbol frame."""
-    if f.kind is FilterType.RF:
-        _check_rf_hazard(symbols.entries)
-    return ComplexFrame(point_gain(symbols.entries, f), "filter")
-
-
-def chi_matrix(symbols: ComplexFrame, f: FilterKind) -> ComplexFrame:
-    """Build the real filtered-spectrum frame chi = X o G."""
-    if f.kind is FilterType.RF:
-        _check_rf_hazard(symbols.entries)
-    return ComplexFrame(point_chi(symbols.entries, f), "chi")
-
-
-def estimate_csi(echo: ComplexFrame, filt: ComplexFrame) -> ComplexFrame:
-    """CSI estimate from the filtered echo: Hhat = Y o G."""
-    if echo.entries.shape != filt.entries.shape:
-        raise ValueError(
-            f"shape mismatch: echo {echo.entries.shape} vs filter {filt.entries.shape}"
-        )
-    return ComplexFrame(echo.entries * filt.entries, "csi")
-
-
 def dd_transform(a: np.ndarray) -> np.ndarray:
     """Unitary 2D-DFT used throughout: (1/sqrt(NM)) sum a[n,m] e^{+j2pi nk/N} e^{-j2pi mp/M}.
 
@@ -108,16 +77,3 @@ def dd_transform(a: np.ndarray) -> np.ndarray:
     np.fft.fft(out, axis=-1, out=out)
     out *= np.sqrt(n / m)
     return out
-
-
-def dd_map(csi_estimate: ComplexFrame) -> tuple[ComplexFrame, np.ndarray]:
-    """Delay-Doppler map of a CSI estimate: returns (Lambda frame, |Lambda|^2)."""
-    lam = dd_transform(csi_estimate.entries)
-    return ComplexFrame(lam, "dd-map"), np.abs(lam) ** 2
-
-
-def response_function(chi: ComplexFrame) -> ComplexFrame:
-    """DD response r(k,p): unitary 2D-DFT of the real filtered spectrum."""
-    if chi.role != "chi":
-        raise ValueError(f"expected a chi frame, got role {chi.role!r}")
-    return ComplexFrame(dd_transform(chi.entries.real), "response")

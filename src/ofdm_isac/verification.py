@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ComplexFrame, FrameDims, Scene, Target
+from .channel import FrameDims, Scene, Target
 from .constellation import Family, chi_stats, make_uniform, sample_symbols
-from .filtering import MF, RF, FilterKind, chi_matrix, filter_matrix, response_function, wiener
+from .filtering import MF, RF, FilterKind, dd_transform, point_chi, point_gain, wiener
 from .metrics import closed_form_metrics, crossover_snr_in, identity_checks
 
 
@@ -79,19 +79,16 @@ def run_verification(
         checks.append(Check(f"mse_relation_{tag}", rep.mse_relation_rel, 0.02))
 
     # RF response is delta-shaped per realization
-
     x = sample_symbols(qam, dims.size, seed + 1).reshape(dims.shape)
-    r = response_function(chi_matrix(ComplexFrame(x, "symbols"), RF)).entries
+    r = dd_transform(point_chi(x, RF))
     off_peak = np.abs(r) ** 2
     peak = off_peak[0, 0]
-    off_peak = off_peak.copy()
     off_peak[0, 0] = 0.0
     checks.append(Check("rf_delta_response", float(off_peak.max() / peak), 1e-10))
 
-    # WF -> MF at low SNR (filter matrices), WF -> RF at high SNR (chi stats)
-    frame = ComplexFrame(x, "symbols")
-    g_wf = filter_matrix(frame, wiener(1e-6)).entries
-    g_mf = filter_matrix(frame, MF).entries
+    # WF -> MF at low SNR (filter gains), WF -> RF at high SNR (chi stats)
+    g_wf = point_gain(x, wiener(1e-6))
+    g_mf = point_gain(x, MF)
     low_gap = float(np.max(np.abs(g_wf - 1e-6 * g_mf) / np.abs(1e-6 * g_mf)))
     checks.append(Check("wf_low_snr_matches_mf", low_gap, 1e-4))
     s_wf = chi_stats(qam, wiener(1e6))
@@ -109,11 +106,8 @@ def run_verification(
     for c in (make_uniform(Family.PSK, 4), make_uniform(Family.QAM, 16), qam):
         for f in _filters(snr_in):
             rep = closed_form_metrics(c, f, dims, gain_var, noise_var)
-            nmse_res = max(
-                nmse_res,
-                abs(rep.nmse - dims.size**2 / rep.dr - (chi_stats(c, f).mean_chi - 1.0) ** 2 / chi_stats(c, f).mean_chi ** 2),
-            )
             s = chi_stats(c, f)
+            nmse_res = max(nmse_res, abs(rep.nmse - dims.size**2 / rep.dr - (s.mean_chi - 1.0) ** 2 / s.mean_chi**2))
             chi_bound = max(chi_bound, s.mean_chi - 1.0)
             var_res = max(var_res, abs(s.var_chi - (s.mean_chi_sq - s.mean_chi**2)), -min(s.var_chi, 0.0))
     checks.append(Check("nmse_decomposition", nmse_res, 1e-12))

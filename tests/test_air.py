@@ -10,7 +10,6 @@ from ofdm_isac.air import (
     AirConfig,
     air_estimate,
     air_quadrature,
-    frame_air_bits,
     noise_entropy,
 )
 from ofdm_isac.channel import FrameDims
@@ -107,12 +106,6 @@ class TestAirEstimate:
         large = [air_estimate(c, AirConfig(0.5, mc_samples=16_000, seed=s + 100)) for s in range(10)]
         ratio = np.std(small) / np.std(large)
         assert 1.2 < ratio < 3.3  # ~2 expected for a 4x sample increase
-
-    def test_frame_total_scales_by_slots(self):
-        c = make_uniform("psk", 4)
-        cfg = AirConfig(0.5, mc_samples=20_000, seed=9)
-        per_symbol = air_estimate(c, cfg)
-        assert frame_air_bits(c, cfg, FrameDims(16, 8)) == pytest.approx(128 * per_symbol)
 
 
 class TestAirQuadrature:

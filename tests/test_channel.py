@@ -1,4 +1,4 @@
-"""Frame geometry, steering vectors, CSI synthesis, and echo statistics."""
+"""Frame geometry, steering vectors, the kernel's CSI and echo, and scene files."""
 
 import math
 
@@ -6,19 +6,27 @@ import numpy as np
 import pytest
 
 from ofdm_isac.channel import (
-    ComplexFrame,
     FrameDims,
     Scene,
     Target,
     bins_from_physical,
-    build_csi,
     complex_normal,
+    load_scene,
+    save_scene,
     scene_from_dict,
     scene_to_dict,
     steering_vectors,
-    synthesize_echo,
 )
-from ofdm_isac.filtering import dd_transform
+from ofdm_isac.constellation import make_shaped, make_uniform
+from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
+from ofdm_isac.metrics import empirical_metrics
+
+QAM16 = make_uniform("qam", 16)
+
+
+def outer(dims, target):
+    b, c = steering_vectors(dims, target)
+    return np.outer(b, np.conj(c))
 
 
 class TestSteering:
@@ -44,42 +52,46 @@ class TestSteering:
 
 
 class TestBuildCsi:
-    def test_single_unit_target_all_ones(self):
-        scene = Scene((Target(1.0, 0.0, 0.0, gain=1.0 + 0j),), 0.0)
-        h = build_csi(FrameDims(4, 3), scene, mode="fixed")
-        np.testing.assert_allclose(h.entries, np.ones((4, 3)))
+    """The CSI H the frame kernel builds: a sum of gain-weighted steering outer products."""
+
+    def test_single_unit_target_all_ones(self, kernel_frames):
+        scene = Scene((Target(1.0, 0.0, 0.0),), 0.0)
+        h, *_ = kernel_frames(QAM16, MF, FrameDims(4, 3), scene, 8)
+        np.testing.assert_array_equal(outer(FrameDims(4, 3), scene.targets[0]), np.ones((4, 3)))
+        # every frame is its own gain times the all-ones steering product
+        np.testing.assert_array_equal(h, np.broadcast_to(h[:, :1, :1], h.shape))
+        assert np.all(h[:, 0, 0] != 0)
 
     def test_empty_scene_rejected(self):
         with pytest.raises(ValueError, match="at least one target"):
-            build_csi(FrameDims(4, 3), Scene((), 1.0))
+            empirical_metrics(QAM16, MF, FrameDims(4, 3), Scene((), 1.0), 10, 0)
 
-    def test_orthogonal_targets_frobenius(self):
+    def test_orthogonal_targets_frobenius(self, kernel_frames):
         # distinct integer bins give orthogonal DFT columns
         a1, a2 = 1.3 - 0.4j, -0.2 + 2.1j
-        scene = Scene(
-            (
-                Target(abs(a1) ** 2, 1.0, 0.0, gain=a1),
-                Target(abs(a2) ** 2, 5.0, 3.0, gain=a2),
-            ),
-            0.0,
-        )
+        scene = Scene((Target(abs(a1) ** 2, 1.0, 0.0), Target(abs(a2) ** 2, 5.0, 3.0)), 0.0)
         dims = FrameDims(16, 8)
-        h = build_csi(dims, scene, mode="fixed")
-        expected = dims.size * (abs(a1) ** 2 + abs(a2) ** 2)
-        assert np.linalg.norm(h.entries) ** 2 == pytest.approx(expected, rel=1e-9)
+        h, *_ = kernel_frames(QAM16, MF, dims, scene, 20)
+        s1, s2 = (outer(dims, t) for t in scene.targets)
+        g1, g2 = (np.einsum("fnm,nm->f", h, np.conj(s)) / dims.size for s in (s1, s2))
+        np.testing.assert_allclose(h, g1[:, None, None] * s1 + g2[:, None, None] * s2, atol=1e-12)
+        expected = dims.size * (np.abs(g1) ** 2 + np.abs(g2) ** 2)
+        np.testing.assert_allclose(np.linalg.norm(h, axis=(1, 2)) ** 2, expected, rtol=1e-9)
 
-    def test_random_mode_reproducible(self):
+    def test_random_mode_reproducible(self, kernel_frames):
         scene = Scene((Target(1.0, 2.0, 1.0),), 0.1)
-        a = build_csi(FrameDims(8, 4), scene, seed=11)
-        b = build_csi(FrameDims(8, 4), scene, seed=11)
-        np.testing.assert_array_equal(a.entries, b.entries)
+        a = kernel_frames(QAM16, MF, FrameDims(8, 4), scene, 10, seed=11)
+        b = kernel_frames(QAM16, MF, FrameDims(8, 4), scene, 10, seed=11)
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(got, want)
 
-    def test_random_gain_statistics(self):
+    def test_random_gain_statistics(self, kernel_frames):
         scene = Scene((Target(0.7, 1.0, 1.0), Target(0.5, 3.0, 2.0)), 0.1)
         dims = FrameDims(4, 4)
         total_var = 1.2
         draws = 10_000
-        samples = np.array([build_csi(dims, scene, seed=s).entries[1, 1] for s in range(draws)])
+        h, *_ = kernel_frames(QAM16, MF, dims, scene, draws)
+        samples = h[:, 1, 1]
         # per-entry mean ~ CN(0, total/draws); |mean| bound from 3 sigma per quadrature
         sigma_mean = math.sqrt(total_var / 2.0 / draws)
         assert abs(samples.mean().real) < 3 * sigma_mean
@@ -88,76 +100,90 @@ class TestBuildCsi:
         sigma_power = total_var / math.sqrt(draws)  # |h|^2 is exponential
         assert abs(power - total_var) < 3 * sigma_power
 
-    def test_single_target_dd_peak(self):
-        # one on-grid target: unitary 2D-DFT concentrates everything in one bin
-        alpha = 0.8 - 1.1j
+    def test_single_target_dd_peak(self, kernel_frames):
+        # one on-grid target: rank-one CSI, and the unitary 2D-DFT concentrates everything in one bin
         dims = FrameDims(8, 4)
-        scene = Scene((Target(abs(alpha) ** 2, 3.0, 2.0, gain=alpha),), 0.0)
-        h = build_csi(dims, scene, mode="fixed")
-        lam = dd_transform(h.entries)
-        power = np.abs(lam) ** 2
-        assert power[3, 2] == pytest.approx(dims.size * abs(alpha) ** 2, rel=1e-9)
+        scene = Scene((Target(abs(0.8 - 1.1j) ** 2, 3.0, 2.0),), 0.0)
+        h, *_ = kernel_frames(QAM16, MF, dims, scene, 16)
+        alpha = h[:, 0, 0]  # both steering vectors start at 1
+        np.testing.assert_allclose(h, alpha[:, None, None] * outer(dims, scene.targets[0]), atol=1e-12)
+        power = np.abs(dd_transform(h)) ** 2
+        np.testing.assert_allclose(power[:, 3, 2], dims.size * np.abs(alpha) ** 2, rtol=1e-9)
         rest = power.copy()
-        rest[3, 2] = 0.0
-        assert rest.max() < 1e-9 * power[3, 2]
+        rest[:, 3, 2] = 0.0
+        assert np.all(rest.max(axis=(1, 2)) < 1e-9 * power[:, 3, 2])
 
 
 class TestEcho:
-    def test_noise_free_exact(self):
-        dims = FrameDims(4, 4)
-        scene = Scene((Target(1.0, 1.0, 1.0, gain=0.5 + 0.5j),), 0.0)
-        h = build_csi(dims, scene, mode="fixed")
-        x = ComplexFrame(np.full(dims.shape, 2.0 - 1.0j), "symbols")
-        y = synthesize_echo(h, x, 0.0, seed=0)
-        np.testing.assert_allclose(y.entries, h.entries * x.entries)
+    """The kernel's echo Y = H o X + Z, seen through Hhat = Y o G."""
 
-    def test_all_ones_symbols_recover_h(self):
-        dims = FrameDims(6, 5)
+    def test_noise_free_exact(self, kernel_frames):
+        scene = Scene((Target(0.5, 1.0, 1.0),), 0.0)
+        h, g, _, hhat = kernel_frames(QAM16, MF, FrameDims(4, 4), scene, 8)
+        x = np.conj(g)  # MF: g = conj(x)
+        np.testing.assert_array_equal(hhat, (h * x) * g)
+
+    def test_all_ones_symbols_recover_h(self, kernel_frames):
+        # unit-modulus symbols under MF: chi = |x|^2 is all ones, so Hhat = H
         scene = Scene((Target(1.0, 2.0, 3.0),), 0.0)
-        h = build_csi(dims, scene, seed=4)
-        y = synthesize_echo(h, ComplexFrame(np.ones(dims.shape), "symbols"), 0.0)
-        np.testing.assert_allclose(y.entries, h.entries)
+        h, _, chi, hhat = kernel_frames(make_uniform("psk", 8), MF, FrameDims(6, 5), scene, 8, seed=4)
+        np.testing.assert_allclose(chi, 1.0, atol=1e-12)
+        np.testing.assert_allclose(hhat, h)
 
-    def test_pure_noise_variance(self):
+    def test_pure_noise_variance(self, kernel_frames):
         dims = FrameDims(400, 250)  # 1e5 entries
-        h = ComplexFrame(np.zeros(dims.shape), "csi")
-        x = ComplexFrame(np.ones(dims.shape), "symbols")
         noise_var = 0.37
-        y = synthesize_echo(h, x, noise_var, seed=99)
-        emp = float(np.mean(np.abs(y.entries) ** 2))
+        scene = Scene((Target(0.0, 0.0, 0.0),), noise_var)
+        # a gainless target leaves Hhat = Z / x, and unit-modulus x keeps |Z|
+        h, _, _, hhat = kernel_frames(make_uniform("psk", 4), RF, dims, scene, 1, seed=99)
+        np.testing.assert_array_equal(h, 0)
+        emp = float(np.mean(np.abs(hhat) ** 2))
         sigma = noise_var / math.sqrt(dims.size)  # |z|^2 exponential
         assert abs(emp - noise_var) < 3 * sigma
-
-    def test_shape_mismatch(self):
-        h = ComplexFrame(np.zeros((4, 4)), "csi")
-        x = ComplexFrame(np.ones((4, 5)), "symbols")
-        with pytest.raises(ValueError, match="shape mismatch"):
-            synthesize_echo(h, x, 0.1)
 
 
 class TestFrames:
     def test_chi_role_must_be_real(self):
-        with pytest.raises(ValueError, match="real-valued"):
-            ComplexFrame(np.full((2, 2), 1.0 + 1.0j), "chi")
-
-    def test_unknown_role(self):
-        with pytest.raises(ValueError, match="unknown frame role"):
-            ComplexFrame(np.zeros((2, 2)), "whatever")
+        """x * g is real for every kind: the kernel keeps only the real part of its chi table."""
+        books = (QAM16, make_uniform("psk", 8), make_shaped("qam", 64, np.arange(64) % 7 + 1.0))
+        for c in books:
+            for f in (MF, RF, wiener(0.5)):
+                chi = c.points * point_gain(c.points, f)
+                scale = max(1.0, float(np.max(np.abs(chi))))
+                assert float(np.max(np.abs(chi.imag))) <= 1e-9 * scale
+                np.testing.assert_allclose(chi.real, point_chi(c.points, f), rtol=1e-12)
 
 
 class TestSceneConfig:
     def test_roundtrip(self):
         dims = FrameDims(32, 16)
-        scene = Scene((Target(1.0, 3.0, 2.0), Target(0.1, 9.0, 0.0, gain=0.3 - 0.1j)), 0.25)
+        scene = Scene((Target(1.0, 3.0, 2.0), Target(0.1, 9.0, 0.0)), 0.25)
         dims2, scene2 = scene_from_dict(scene_to_dict(dims, scene))
         assert dims2 == dims
-        assert scene2.noise_var == scene.noise_var
-        assert scene2.targets[1].gain == scene.targets[1].gain
-        assert scene2.targets[0].gain_var == 1.0
+        assert scene2 == scene
+
+    def test_file_roundtrip(self, tmp_path):
+        dims = FrameDims(16, 8)
+        scene = Scene((Target(0.5, 2.5, 1.0), Target(2.0, 0.0, 7.0)), 0.1)
+        path = tmp_path / "scene.json"
+        save_scene(path, dims, scene)
+        assert load_scene(path) == (dims, scene)
+
+    @pytest.mark.parametrize("field", ["gain_re", "gain_im"])
+    def test_pinned_gain_rejected(self, field):
+        data = {"N": 8, "M": 4, "noise_var": 0.1, "targets": [{"gain_var": 1.0, "delay_bin": 1, "doppler_bin": 0}]}
+        data["targets"][0][field] = 0.5
+        with pytest.raises(ValueError, match=field):
+            scene_from_dict(data)
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
             scene_from_dict({"N": 8, "M": 4, "targets": []})
+
+    def test_missing_gain_var(self):
+        data = {"N": 8, "M": 4, "noise_var": 0.1, "targets": [{"delay_bin": 1, "doppler_bin": 0}]}
+        with pytest.raises(ValueError, match="missing field 'gain_var'"):
+            scene_from_dict(data)
 
     def test_bins_from_physical(self):
         dims = FrameDims(64, 32)

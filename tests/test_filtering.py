@@ -1,23 +1,14 @@
-"""Filter matrices, CSI estimation, DD maps, and the response function."""
+"""Per-point filter gains and chi, the kernel's CSI estimate, DD maps, and the response function."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ofdm_isac.channel import ComplexFrame, FrameDims, Scene, Target, build_csi, synthesize_echo
+from ofdm_isac.channel import FrameDims, Scene, Target, steering_vectors
 from ofdm_isac.constellation import make_uniform, sample_symbols
-from ofdm_isac.filtering import (
-    MF,
-    RF,
-    chi_matrix,
-    dd_map,
-    dd_transform,
-    estimate_csi,
-    filter_matrix,
-    response_function,
-    wiener,
-)
+from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
+from ofdm_isac.pcs import penalty_f
 
 
 def dd_transform_oracle(a):
@@ -36,74 +27,60 @@ def dd_transform_oracle(a):
 
 class TestFilterMatrix:
     def test_mf_conjugates(self):
-        x = ComplexFrame(np.array([[1 + 0j, 1 + 2j], [0.5 - 0.5j, -1j]]), "symbols")
-        g = filter_matrix(x, MF)
-        np.testing.assert_allclose(g.entries, np.conj(x.entries))
+        x = np.array([[1 + 0j, 1 + 2j], [0.5 - 0.5j, -1j]])
+        np.testing.assert_allclose(point_gain(x, MF), np.conj(x))
 
     def test_rf_inverts(self):
-        x = ComplexFrame(np.array([[2 + 0j, 4j], [1 - 1j, -2 + 0j]]), "symbols")
-        g = filter_matrix(x, RF)
-        np.testing.assert_allclose(g.entries, 1.0 / x.entries)
-        assert g.entries[0, 0] == pytest.approx(0.5)
+        x = np.array([[2 + 0j, 4j], [1 - 1j, -2 + 0j]])
+        g = point_gain(x, RF)
+        np.testing.assert_allclose(g, 1.0 / x)
+        assert g[0, 0] == pytest.approx(0.5)
 
     def test_wf_unit_modulus_half(self):
-        x = ComplexFrame(np.exp(1j * np.linspace(0, 2, 6)).reshape(2, 3), "symbols")
-        g = filter_matrix(x, wiener(1.0))
-        np.testing.assert_allclose(g.entries, np.conj(x.entries) / 2.0, atol=1e-15)
+        x = np.exp(1j * np.linspace(0, 2, 6)).reshape(2, 3)
+        np.testing.assert_allclose(point_gain(x, wiener(1.0)), np.conj(x) / 2.0, atol=1e-15)
 
     def test_rf_zero_symbol_hazard(self):
-        x = ComplexFrame(np.array([[1 + 0j, 0j], [1 + 0j, 1 + 0j]]), "symbols")
+        # ShapedConstellation rejects zero points; the RF penalty guards raw points itself
+        x = np.array([1 + 0j, 0j, 1 + 0j, 1 + 0j])
         with pytest.raises(ValueError, match="division hazard"):
-            filter_matrix(x, RF)
+            penalty_f(x, RF, 1.0)
 
 
 class TestChiMatrix:
-    def test_rf_all_ones(self):
-        x = ComplexFrame(sample_symbols(make_uniform("qam", 16), 12, 0).reshape(3, 4), "symbols")
-        chi = chi_matrix(x, RF)
-        np.testing.assert_allclose(chi.entries.real, 1.0, atol=1e-12)
+    def test_rf_all_ones(self, kernel_frames):
+        scene = Scene((Target(1.0, 1.0, 2.0),), 0.1)
+        _, _, chi, _ = kernel_frames(make_uniform("qam", 16), RF, FrameDims(3, 4), scene, 8)
+        np.testing.assert_allclose(chi, 1.0, atol=1e-12)
 
     def test_psk_mf_all_ones(self):
-        x = ComplexFrame(sample_symbols(make_uniform("psk", 8), 12, 1).reshape(3, 4), "symbols")
-        chi = chi_matrix(x, MF)
-        np.testing.assert_allclose(chi.entries.real, 1.0, atol=1e-12)
+        x = sample_symbols(make_uniform("psk", 8), 12, 1).reshape(3, 4)
+        np.testing.assert_allclose(point_chi(x, MF), 1.0, atol=1e-12)
 
     def test_wf_three_quarters(self):
-        x = ComplexFrame(np.full((2, 2), math.sqrt(3.0) + 0j), "symbols")
-        chi = chi_matrix(x, wiener(1.0))
-        np.testing.assert_allclose(chi.entries.real, 0.75, atol=1e-15)
+        x = np.full((2, 2), math.sqrt(3.0) + 0j)
+        np.testing.assert_allclose(point_chi(x, wiener(1.0)), 0.75, atol=1e-15)
 
 
 class TestEstimateCsi:
-    def _setup(self, noise_var=0.0, seed=0):
-        dims = FrameDims(8, 4)
-        scene = Scene((Target(1.0, 2.0, 1.0),), noise_var)
-        h = build_csi(dims, scene, seed=3)
-        x = ComplexFrame(sample_symbols(make_uniform("qam", 16), dims.size, seed).reshape(dims.shape), "symbols")
-        y = synthesize_echo(h, x, noise_var, seed=seed + 1)
-        return h, x, y
+    """Hhat = Y o G as the frame kernel forms it."""
 
-    def test_noise_free_rf_recovers_h(self):
-        h, x, y = self._setup()
-        hhat = estimate_csi(y, filter_matrix(x, RF))
-        np.testing.assert_allclose(hhat.entries, h.entries, atol=1e-12)
+    SCENE = Scene((Target(1.0, 2.0, 1.0),), 0.0)
 
-    def test_noise_free_mf_scales_by_power(self):
-        h, x, y = self._setup()
-        hhat = estimate_csi(y, filter_matrix(x, MF))
-        np.testing.assert_allclose(hhat.entries, h.entries * np.abs(x.entries) ** 2, atol=1e-12)
+    def test_noise_free_rf_recovers_h(self, kernel_frames):
+        h, _, _, hhat = kernel_frames(make_uniform("qam", 16), RF, FrameDims(8, 4), self.SCENE, 8, seed=3)
+        np.testing.assert_allclose(hhat, h, atol=1e-12)
 
-    def test_zero_echo(self):
-        _, x, _ = self._setup()
-        y = ComplexFrame(np.zeros((8, 4)), "echo")
-        hhat = estimate_csi(y, filter_matrix(x, MF))
-        np.testing.assert_array_equal(hhat.entries, 0)
+    def test_noise_free_mf_scales_by_power(self, kernel_frames):
+        h, g, chi, hhat = kernel_frames(make_uniform("qam", 16), MF, FrameDims(8, 4), self.SCENE, 8, seed=3)
+        power = np.abs(g) ** 2  # |x|^2, as g = conj(x)
+        np.testing.assert_allclose(chi, power, rtol=1e-15)
+        np.testing.assert_allclose(hhat, h * power, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        y = ComplexFrame(np.zeros((8, 4)), "echo")
-        g = ComplexFrame(np.ones((4, 8)), "filter")
-        with pytest.raises(ValueError, match="shape mismatch"):
-            estimate_csi(y, g)
+    def test_zero_echo(self, kernel_frames):
+        scene = Scene((Target(0.0, 2.0, 1.0),), 0.0)
+        _, _, _, hhat = kernel_frames(make_uniform("qam", 16), MF, FrameDims(8, 4), scene, 8)
+        np.testing.assert_array_equal(hhat, 0)
 
 
 class TestDdTransform:
@@ -113,23 +90,22 @@ class TestDdTransform:
         np.testing.assert_allclose(dd_transform(a), dd_transform_oracle(a), atol=1e-12)
 
     def test_constant_frame_single_bin(self):
-        lam, power = dd_map(ComplexFrame(np.ones((2, 2)), "csi"))
-        assert lam.entries[0, 0] == pytest.approx(2.0)
+        lam = dd_transform(np.ones((2, 2)))
+        power = np.abs(lam) ** 2
+        assert lam[0, 0] == pytest.approx(2.0)
         assert power[0, 0] == pytest.approx(4.0)
         assert power.sum() == pytest.approx(4.0)
 
     def test_unitary_norm_preservation(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-        lam, _ = dd_map(ComplexFrame(a, "csi"))
-        assert np.linalg.norm(lam.entries) == pytest.approx(np.linalg.norm(a), rel=1e-10)
+        assert np.linalg.norm(dd_transform(a)) == pytest.approx(np.linalg.norm(a), rel=1e-10)
 
     def test_steering_outer_product_peak(self):
-        dims = FrameDims(4, 2)
-        scene = Scene((Target(1.0, 1.0, 0.0, gain=1.0 + 0j),), 0.0)
-        h = build_csi(dims, scene, mode="fixed")
-        oracle = dd_transform_oracle(h.entries)
-        _, power = dd_map(h)
+        b, c = steering_vectors(FrameDims(4, 2), Target(1.0, 1.0, 0.0))
+        h = np.outer(b, np.conj(c))
+        oracle = dd_transform_oracle(h)
+        power = np.abs(dd_transform(h)) ** 2
         np.testing.assert_allclose(power, np.abs(oracle) ** 2, atol=1e-12)
         assert power[1, 0] == pytest.approx(8.0, rel=1e-12)
         mask = np.ones((4, 2), bool)
@@ -138,9 +114,10 @@ class TestDdTransform:
 
 
 class TestResponseFunction:
+    """r(k, p): the unitary 2D-DFT of the real filtered spectrum chi."""
+
     def test_flat_chi_is_delta(self):
-        chi = ComplexFrame(np.ones((8, 4)), "chi")
-        r = response_function(chi).entries
+        r = dd_transform(np.ones((8, 4)))
         assert r[0, 0] == pytest.approx(math.sqrt(32.0))
         off = np.abs(r) ** 2
         off[0, 0] = 0.0
@@ -149,21 +126,20 @@ class TestResponseFunction:
     def test_r00_is_mean_times_sqrt_nm(self):
         rng = np.random.default_rng(0)
         chi_vals = rng.random((8, 4))
-        r = response_function(ComplexFrame(chi_vals, "chi")).entries
+        r = dd_transform(chi_vals)
         assert r[0, 0].real == pytest.approx(chi_vals.sum() / math.sqrt(32.0), rel=1e-12)
         assert abs(r[0, 0].imag) < 1e-12
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
         chi_vals = rng.random((16, 8))
-        r = response_function(ComplexFrame(chi_vals, "chi")).entries
+        r = dd_transform(chi_vals)
         assert np.sum(np.abs(r) ** 2) == pytest.approx(np.sum(chi_vals**2), rel=1e-10)
 
     def test_rf_response_delta_per_realization(self):
         c = make_uniform("qam", 64)
-        x = ComplexFrame(sample_symbols(c, 128, 3).reshape(16, 8), "symbols")
-        r = response_function(chi_matrix(x, RF)).entries
-        power = np.abs(r) ** 2
+        x = sample_symbols(c, 128, 3).reshape(16, 8)
+        power = np.abs(dd_transform(point_chi(x, RF))) ** 2
         peak = power[0, 0]
         power[0, 0] = 0.0
         assert power.max() / peak < 1e-10
@@ -175,8 +151,8 @@ class TestResponseFunction:
         dims = FrameDims(16, 8)
         acc = np.zeros(dims.shape)
         for s in range(rng_frames):
-            x = ComplexFrame(sample_symbols(c, dims.size, s).reshape(dims.shape), "symbols")
-            acc += np.abs(response_function(chi_matrix(x, MF)).entries) ** 2
+            x = sample_symbols(c, dims.size, s).reshape(dims.shape)
+            acc += np.abs(dd_transform(point_chi(x, MF))) ** 2
         acc /= rng_frames
         peak = acc[0, 0]
         acc[0, 0] = 0.0
@@ -184,13 +160,9 @@ class TestResponseFunction:
 
     def test_wf_low_snr_equals_scaled_mf(self):
         c = make_uniform("qam", 64)
-        x = ComplexFrame(sample_symbols(c, 64, 9).reshape(8, 8), "symbols")
+        x = sample_symbols(c, 64, 9).reshape(8, 8)
         snr = 1e-6
-        g_wf = filter_matrix(x, wiener(snr)).entries
-        g_mf = filter_matrix(x, MF).entries
+        g_wf = point_gain(x, wiener(snr))
+        g_mf = point_gain(x, MF)
         rel = np.abs(g_wf - snr * g_mf) / np.abs(snr * g_mf)
         assert rel.max() < 1e-4
-
-    def test_rejects_non_chi_frame(self):
-        with pytest.raises(ValueError, match="chi frame"):
-            response_function(ComplexFrame(np.ones((2, 2)), "symbols"))
