@@ -77,21 +77,13 @@ def pedestal_power(stats: ChiStats, gain_var: float, noise_var: float) -> float:
     return gain_var * stats.var_chi + noise_var * stats.mean_gain_sq
 
 
-def dynamic_range(
-    stats: ChiStats,
-    dims: FrameDims,
-    gain_var: float,
-    noise_var: float,
-    include_unity: bool = False,
-) -> float:
+def dynamic_range(stats: ChiStats, dims: FrameDims, gain_var: float, noise_var: float) -> float:
     """Peak-to-pedestal ratio of the expected DD profile.
 
-    The default drops the +1 of the exact peak/pedestal ratio (the peak term
-    accumulates NM-fold, so DR >> 1 in any useful regime); ``include_unity``
-    restores it for small-frame sanity checks.
+    It drops the +1 of the exact peak/pedestal ratio: the peak term
+    accumulates NM-fold, so DR >> 1 in any useful regime.
     """
-    dr = _ratio(dims.size * gain_var * stats.mean_chi**2, pedestal_power(stats, gain_var, noise_var))
-    return 1.0 + dr if include_unity else dr
+    return _ratio(dims.size * gain_var * stats.mean_chi**2, pedestal_power(stats, gain_var, noise_var))
 
 
 def closed_form_metrics(

@@ -13,7 +13,6 @@ from ofdm_isac.metrics import (
     closed_form_metrics,
     crossover_snr_in,
     dirichlet_kernel,
-    dynamic_range,
     empirical_dd_profile,
     empirical_metrics,
     expected_dd_power,
@@ -81,12 +80,6 @@ class TestClosedForm:
                 s = chi_stats(c, f)
                 penalty = (s.mean_chi - 1.0) ** 2 / s.mean_chi**2
                 assert abs(rep.nmse - DIMS.size**2 / rep.dr - penalty) < 1e-12
-
-    def test_dr_exact_form_is_one_more(self):
-        s = chi_stats(make_uniform("qam", 64), MF)
-        approx = dynamic_range(s, DIMS, 1.0, 0.5)
-        exact = dynamic_range(s, DIMS, 1.0, 0.5, include_unity=True)
-        assert exact == pytest.approx(approx + 1.0, rel=1e-14)
 
 
 class TestDrBehavior:
