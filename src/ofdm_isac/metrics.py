@@ -317,7 +317,7 @@ def empirical_metrics(
             "mse": _energy(hhat - h),
             "g_energy": _energy(g),
             "r00_sq": (chi_sum / math.sqrt(nm)) ** 2,
-            "r_energy": _energy(dd_transform(chi)),
+            "r_energy": (chi**2).sum(axis=(1, 2)),  # Parseval: the response energy, without its FFT
             "chi_total": chi_sum,
             "peak": lam_power[:, peak_bin[0], peak_bin[1]],
             # cell by cell, as .mean(axis=1) sums a gather of 2+ frames; on one frame it sums pairwise
