@@ -5,8 +5,9 @@ the log-sum-exp stabilized mixture likelihood is computed two ways:
 
 - ``air_quadrature``: a deterministic K x K Gauss-Hermite product rule over the
   complex noise, one rule per alphabet point. The shaping solver reports this.
+  Its log-sum-exp is ``row_logsumexp``, which the solver's posterior step uses too.
 - ``air_estimate``: Monte Carlo with a fixed seed, kept as an independent check
-  of the quadrature.
+  of the quadrature; it keeps ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
@@ -40,15 +41,53 @@ class AirConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.comm_noise_var <= 0:
+        if not self.comm_noise_var > 0:  # also rejects nan
             raise ValueError(f"comm_noise_var must be > 0, got {self.comm_noise_var}")
         if self.mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
+def row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a 2-D float array, overwriting ``a``.
+
+    The max-separated ``log1p`` form of Blanchard, Higham & Higham (IMA J.
+    Numer. Anal. 2021), step for step as ``scipy.special.logsumexp(a, axis=1)``
+    takes it, so the result has the same bits: with ``a_max`` the row maximum
+    and ``count`` the number of cells equal to it, ``s`` is the row sum of
+    ``exp(a - a_max)`` over the other cells, divided by ``count`` unless it is
+    0, and the result is ``log1p(s) + log(count) + a_max``.
+
+    For finite real input only: inf and nan rows are not handled. ``a`` is
+    used as the work buffer and holds no useful values afterwards.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    count = np.count_nonzero(top, axis=1).astype(a.dtype)
+    a -= a_max
+    np.exp(a, out=a)
+    np.putmask(a, top, 0.0)
+    s = a.sum(axis=1)
+    np.divide(s, count, out=s, where=s != 0)
+    out = np.log1p(s)
+    out += np.log(count)
+    out += a_max[:, 0]
+    return out
+
+
+def log_likelihood_table(y: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
+    """-|y_i - c_k|^2 / var for outputs y (rows) and centers c (columns), built in one buffer.
+
+    ln p(y|x) of CN(h x, var) up to its constant, with ``centers = h x``.
+    """
+    out = np.abs(np.subtract(y[:, None], centers))
+    np.square(out, out=out)
+    out /= -var  # the sign moves onto the divisor exactly
+    return out
+
+
 def noise_entropy(comm_noise_var: float) -> float:
     """Differential entropy of CN(0, var) in bits: log2(pi e var)."""
-    if comm_noise_var <= 0:
+    if not comm_noise_var > 0:
         raise ValueError(f"comm_noise_var must be > 0, got {comm_noise_var}")
     return math.log2(math.pi * math.e * comm_noise_var)
 
@@ -104,8 +143,9 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     mean_lse = 0.0
     for start in range(0, y.size, _GH_CHUNK_ROWS):
         block = slice(start, start + _GH_CHUNK_ROWS)
-        sq_dist = np.abs(y[block, None] - centers[None, :]) ** 2
-        mean_lse += float(row_w[block] @ logsumexp(log_p[None, :] - sq_dist / var, axis=1))
+        a = log_likelihood_table(y[block], centers, var)
+        a += log_p
+        mean_lse += float(row_w[block] @ row_logsumexp(a))
 
     bits = (-mean_lse - 1.0) / math.log(2.0)
     return min(max(bits, 0.0), c.entropy_bits())

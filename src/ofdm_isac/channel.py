@@ -50,7 +50,7 @@ class Target:
     doppler_bin: float
 
     def __post_init__(self):
-        if self.gain_var < 0:
+        if not self.gain_var >= 0:  # also rejects nan
             raise ValueError(f"gain_var must be >= 0, got {self.gain_var}")
 
 
@@ -63,7 +63,7 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:  # also rejects nan
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
 
     @property

@@ -74,6 +74,20 @@ def _positive(value) -> float:
     return x
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+def _threads(text: str) -> int:
+    try:
+        return _count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from exc
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -156,7 +170,7 @@ def _cmd_verify(args) -> int:
     checks = run_verification(
         dims=_dims(cfg),
         order=order,
-        snr_in_db=_cfg_get(cfg, "snr_in_db", 4.0, float),
+        snr_in_db=_cfg_get(cfg, "snr_in_db", 4.0, _finite),
         trials=_cfg_get(cfg, "trials", 10_000, _count),
         seed=_master_seed(cfg, args),
         threads=args.threads,
@@ -178,9 +192,9 @@ def _cmd_dr_sweep(args) -> int:
     c = _alphabet(cfg)
     dims = _dims(cfg)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
-    start = _cfg_get(cfg, "snr_db_start", -10.0, float)
-    stop = _cfg_get(cfg, "snr_db_stop", 30.0, float)
-    step = _cfg_get(cfg, "snr_db_step", 0.25, float)
+    start = _cfg_get(cfg, "snr_db_start", -10.0, _finite)
+    stop = _cfg_get(cfg, "snr_db_stop", 30.0, _finite)
+    step = _cfg_get(cfg, "snr_db_step", 0.25, _finite)
     if step <= 0:
         raise ConfigError("bad config field 'snr_db_step': must be > 0")
     rows = []
@@ -228,7 +242,7 @@ def _profile_rows(expected: np.ndarray, empirical: np.ndarray):
 def _cmd_profiles(args) -> int:
     cfg = _load_config(args.config)
     c = _alphabet(cfg)
-    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, float)
+    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, _finite)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
     trials = _cfg_get(cfg, "trials", 2000, _count)
     kernel = _cfg_get(cfg, "kernel", "dirichlet", str)
@@ -273,7 +287,7 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
     family, order = uniform.family, uniform.order
     dims = _dims(cfg)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
-    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, float)
+    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, _finite)
     snr = 10.0 ** (snr_db / 10.0)
     noise_var = gain_var / snr
     filt = _filter_kind(_cfg_get(cfg, "filter", "wf", str), snr)
@@ -472,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        sp.add_argument("--threads", type=int, default=1, help="worker thread cap")
+        sp.add_argument("--threads", type=_threads, default=1, help="worker thread cap (>= 1)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.set_defaults(func=func)
     return parser

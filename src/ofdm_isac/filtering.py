@@ -33,7 +33,7 @@ class FilterKind:
     def __post_init__(self):
         object.__setattr__(self, "kind", FilterType(self.kind))
         if self.kind is FilterType.WF:
-            if self.snr_in is None or self.snr_in <= 0:
+            if self.snr_in is None or not self.snr_in > 0:  # also rejects nan
                 raise ValueError(f"WF requires snr_in > 0, got {self.snr_in}")
 
 

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 # air_estimate is unused here but stays importable: perfbench/tracing.py wraps pcs.air_estimate
-from .air import AirConfig, air_estimate, air_quadrature  # noqa: F401
+from .air import AirConfig, air_estimate, air_quadrature, log_likelihood_table  # noqa: F401
+# bound as ``logsumexp``: perfbench/tracing.py wraps pcs.logsumexp as the posterior span
+from .air import row_logsumexp as logsumexp
 from .channel import FrameDims, complex_normal
 from .constellation import Family, make_shaped, make_uniform
 from .filtering import RF_MIN_MODULUS, FilterKind, FilterType
@@ -63,11 +64,12 @@ class PcsConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if self.tol <= 0:
+        # each check is written so that nan fails it
+        if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.noise_var <= 0:
+        if not self.noise_var > 0:
             raise ValueError("solver requires noise_var > 0 (finite input SNR)")
-        if self.gain_var <= 0:
+        if not self.gain_var > 0:
             raise ValueError(f"gain_var must be > 0, got {self.gain_var}")
         if self.max_outer_iters < 1 or self.bank_samples_per_point < 1:
             raise ValueError("max_outer_iters and bank_samples_per_point must be >= 1")
@@ -106,7 +108,7 @@ def penalty_f(points, f: FilterKind, snr_in: float) -> np.ndarray:
     matched to it (callers scale the expectation by NM*noise_var to recover
     the MSE budget).
     """
-    if snr_in <= 0:
+    if not snr_in > 0:
         raise ValueError(f"snr_in must be > 0, got {snr_in}")
     sq = np.abs(np.asarray(points)) ** 2
     if f.kind is FilterType.MF:
@@ -265,12 +267,9 @@ def _sample_bank(cfg: PcsConfig, points: np.ndarray):
     rng = np.random.default_rng(cfg.bank_seed)
     var = cfg.comm.comm_noise_var
     h = complex(cfg.comm.channel_gain)
-    q = cfg.order
-    l_y = cfg.bank_samples_per_point
     centers = h * points
-    y = centers[:, None] + complex_normal(rng, var, (q, l_y))
-    ll = -(np.abs(y[:, :, None] - centers[None, None, :]) ** 2) / var
-    return ll.reshape(q * l_y, q)
+    y = centers[:, None] + complex_normal(rng, var, (cfg.order, cfg.bank_samples_per_point))
+    return log_likelihood_table(y.ravel(), centers, var)
 
 
 def mba_solve(cfg: PcsConfig) -> PcsSolution:
@@ -299,6 +298,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     own_idx = np.repeat(np.arange(cfg.order), cfg.bank_samples_per_point)
     own_ll = ll[np.arange(ll.shape[0]), own_idx]
 
+    work = np.empty_like(ll)  # ll + log p, overwritten by each posterior step
     p = np.full(cfg.order, 1.0 / cfg.order)
     trace: list[float] = []
     rows: list[tuple] = []
@@ -307,7 +307,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     iters = 0
     for iters in range(1, cfg.max_outer_iters + 1):
         logp = np.log(np.clip(p, P_FLOOR, None))
-        lse = logsumexp(ll + logp[None, :], axis=1)
+        lse = logsumexp(np.add(ll, logp, out=work))
         t = (logp[own_idx] + own_ll - lse).reshape(cfg.order, -1).mean(axis=1)
         p_next, l1, l2 = _constrained_update(t, fpen, energy, budget_norm)
         # surrogate of the updated (always feasible) iterate against the current

@@ -329,6 +329,14 @@ class TestRejectedValues:
             ("profiles", {"gain_var": 0}, "gain_var"),
             ("tradeoff", {"order": 16, "detection": {"weak_delay_bin": 64}}, "detection.weak_delay_bin"),
             ("tradeoff", {"order": 16, "dims": {"N": 32}, "detection": {"cfar": {"train": 16}}}, "detection.cfar"),
+            ("profiles", {"snr_in_db": float("nan")}, "snr_in_db"),
+            ("verify", {"snr_in_db": float("nan")}, "snr_in_db"),
+            ("pcs", {"order": 16, "snr_in_db": float("nan")}, "snr_in_db"),
+            ("tradeoff", {"order": 16, "snr_in_db": float("inf")}, "snr_in_db"),
+            ("dr-sweep", {"snr_db_start": float("nan")}, "snr_db_start"),
+            ("dr-sweep", {"snr_db_stop": float("inf")}, "snr_db_stop"),
+            ("dr-sweep", {"snr_db_step": float("nan")}, "snr_db_step"),
+            ("dr-sweep", {"snr_db_step": float("inf")}, "snr_db_step"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
