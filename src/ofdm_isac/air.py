@@ -23,12 +23,11 @@ from .constellation import ShapedConstellation, draw_symbols
 
 _CHUNK = 20_000
 GH_NODES = 20  # per real dimension; the product rule has GH_NODES**2 noise nodes
-# (point, node) rows per log-sum-exp block; bounds the call's memory. Measured
-# on the 64-QAM benchmark workloads: 8192 rows give a solve the same peak RSS as
-# 4096, and the tradeoff command (solves, then 2-thread detection) a lower one,
-# 152-167 MB against ~178 MB, because at 4096 the C heap keeps ~24 MB of the
-# solves' freed memory; 12800 rows and up raise a solve's own peak.
+# (point, node) rows per quadrature block. Fixed, not sized to memory: the AIR
+# sums one dot product per block, so its bits depend on where the blocks split.
 _GH_CHUNK_ROWS = 8192
+# complex differences y - c per chunk of log_likelihood_table (1,024 rows at 64 centers)
+LL_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,23 @@ def row_logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def log_likelihood_table(y: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
-    """-|y_i - c_k|^2 / var for outputs y (rows) and centers c (columns), built in one buffer.
+    """-|y_i - c_k|^2 / var for outputs y (rows) and centers c (columns).
 
-    ln p(y|x) of CN(h x, var) up to its constant, with ``centers = h x``.
+    ln p(y|x) of CN(h x, var) up to its constant, with ``centers = h x``. The
+    rows are filled in chunks whose complex differences fit in
+    ``LL_CHUNK_BYTES``, so no complex temporary of the table's size exists;
+    each entry is computed alone, so the chunking does not change its bits.
     """
-    out = np.abs(np.subtract(y[:, None], centers))
-    np.square(out, out=out)
-    out /= -var  # the sign moves onto the divisor exactly
+    out = np.empty((y.size, centers.size))
+    rows = max(1, LL_CHUNK_BYTES // (16 * centers.size))
+    diff = np.empty((min(rows, y.size), centers.size), dtype=complex)
+    for start in range(0, y.size, rows):
+        part = out[start : start + rows]
+        d = diff[: part.shape[0]]
+        np.subtract(y[start : start + rows, None], centers, out=d)
+        np.abs(d, out=part)
+        np.square(part, out=part)
+        part /= -var  # the sign moves onto the divisor exactly
     return out
 
 

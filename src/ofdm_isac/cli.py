@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,18 @@ def _finite(value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x}")
     return x
+
+
+def _level_db(value) -> float:
+    """A power level in dB whose linear value and its reciprocal are finite and > 0."""
+    db = float(value)
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not (0.0 < linear < math.inf and 1.0 / linear < math.inf):  # also rejects nan
+        raise ValueError(f"must be a dB level whose linear power and its reciprocal are finite and > 0, got {db}")
+    return db
 
 
 def _threads(text: str) -> int:
@@ -170,7 +183,7 @@ def _cmd_verify(args) -> int:
     checks = run_verification(
         dims=_dims(cfg),
         order=order,
-        snr_in_db=_cfg_get(cfg, "snr_in_db", 4.0, _finite),
+        snr_in_db=_cfg_get(cfg, "snr_in_db", 4.0, _level_db),
         trials=_cfg_get(cfg, "trials", 10_000, _count),
         seed=_master_seed(cfg, args),
         threads=args.threads,
@@ -192,8 +205,8 @@ def _cmd_dr_sweep(args) -> int:
     c = _alphabet(cfg)
     dims = _dims(cfg)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
-    start = _cfg_get(cfg, "snr_db_start", -10.0, _finite)
-    stop = _cfg_get(cfg, "snr_db_stop", 30.0, _finite)
+    start = _cfg_get(cfg, "snr_db_start", -10.0, _level_db)
+    stop = _cfg_get(cfg, "snr_db_stop", 30.0, _level_db)
     step = _cfg_get(cfg, "snr_db_step", 0.25, _finite)
     if step <= 0:
         raise ConfigError("bad config field 'snr_db_step': must be > 0")
@@ -242,7 +255,7 @@ def _profile_rows(expected: np.ndarray, empirical: np.ndarray):
 def _cmd_profiles(args) -> int:
     cfg = _load_config(args.config)
     c = _alphabet(cfg)
-    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, _finite)
+    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, _level_db)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
     trials = _cfg_get(cfg, "trials", 2000, _count)
     kernel = _cfg_get(cfg, "kernel", "dirichlet", str)
@@ -287,10 +300,15 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
     family, order = uniform.family, uniform.order
     dims = _dims(cfg)
     gain_var = _cfg_get(cfg, "gain_var", 1.0, _positive)
-    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, _finite)
+    snr_db = _cfg_get(cfg, "snr_in_db", 4.0, _level_db)
     snr = 10.0 ** (snr_db / 10.0)
     noise_var = gain_var / snr
     filt = _filter_kind(_cfg_get(cfg, "filter", "wf", str), snr)
+    if _cfg_get(cfg, "comm.mc_samples", None) is not None:
+        warnings.warn(
+            "config field 'comm.mc_samples' is not used: the solver's AIR is by Gauss-Hermite quadrature",
+            stacklevel=2,
+        )
     comm = AirConfig(
         comm_noise_var=_cfg_get(cfg, "comm.noise_var", 0.1, _positive),
         channel_gain=complex(
@@ -394,7 +412,7 @@ def _cmd_tradeoff(args) -> int:
     scene = default_tradeoff_scene(
         pcfg.noise_var,
         weak_delay_bin=_cfg_get(cfg, "detection.weak_delay_bin", 5, int),
-        weak_rel_power_db=_cfg_get(cfg, "detection.weak_rel_power_db", -15.0, float),
+        weak_rel_power_db=_cfg_get(cfg, "detection.weak_rel_power_db", -15.0, _level_db),
     )
     with _rejected_as("detection.weak_delay_bin"):
         detection_cell(pcfg.dims, scene)  # checked before the solves, not after them

@@ -278,6 +278,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     Terminates when ||p_next - p||^2 <= tol or after max_outer_iters. The
     returned distribution satisfies the simplex exactly, the unit-power
     constraint to the multiplier-root tolerance, and sensing_mse <= c0_effective.
+    The sample bank and the work table are freed before the AIR quadrature runs.
     """
     alphabet = make_uniform(cfg.family, cfg.order)
     points = alphabet.points
@@ -324,6 +325,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
             converged = True
             break
 
+    del ll, own_ll, work  # free the bank before the quadrature allocates its blocks
     sensing_mse = scale * float(p @ fpen)
     shaped = make_shaped(cfg.family, cfg.order, p)
     air_bits = air_quadrature(shaped, cfg.comm)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,17 @@ class TestRejectedValues:
             ("dr-sweep", {"snr_db_stop": float("inf")}, "snr_db_stop"),
             ("dr-sweep", {"snr_db_step": float("nan")}, "snr_db_step"),
             ("dr-sweep", {"snr_db_step": float("inf")}, "snr_db_step"),
+            ("profiles", {"snr_in_db": 4000}, "snr_in_db"),
+            ("profiles", {"snr_in_db": -3100}, "snr_in_db"),
+            ("verify", {"snr_in_db": -3300}, "snr_in_db"),
+            ("pcs", {"order": 16, "snr_in_db": 4000}, "snr_in_db"),
+            ("pcs", {"order": 16, "snr_in_db": -3100}, "snr_in_db"),
+            ("tradeoff", {"order": 16, "snr_in_db": -3300}, "snr_in_db"),
+            ("dr-sweep", {"snr_db_start": 3100}, "snr_db_start"),
+            ("dr-sweep", {"snr_db_stop": -3300}, "snr_db_stop"),
+            ("tradeoff", {"order": 16, "detection": {"weak_rel_power_db": 4000}}, "detection.weak_rel_power_db"),
+            ("tradeoff", {"order": 16, "detection": {"weak_rel_power_db": -3100}}, "detection.weak_rel_power_db"),
+            ("tradeoff", {"order": 16, "detection": {"weak_rel_power_db": float("nan")}}, "detection.weak_rel_power_db"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
@@ -362,3 +374,33 @@ class TestRejectedValues:
         assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "QAM order 63" in err and "PSK" not in err
+
+
+class TestUnusedMcSamples:
+    """``comm.mc_samples`` is read by no command: pcs and tradeoff say so on stderr and change nothing else."""
+
+    PCS = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05}, "bank_samples_per_point": 50, "c0_fraction": 0.5}
+    TRADEOFF = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05}, "bank_samples_per_point": 50,
+                "n_grid": 1, "detection": {"trials": 20}}
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, payload, name):
+        cfg = write_cfg(tmp_path, f"{name}.json", payload)
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", ["pcs", "tradeoff"])
+    def test_warns_and_changes_nothing_else(self, tmp_path, capsys, command):
+        base = self.PCS if command == "pcs" else self.TRADEOFF
+        with_field = json.loads(json.dumps(base))
+        with_field["comm"]["mc_samples"] = 20_000
+        with pytest.warns(UserWarning, match=r"'comm\.mc_samples' is not used"):
+            stdout, files = self._run(tmp_path, capsys, command, with_field, "with")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stdout_ref, files_ref = self._run(tmp_path, capsys, command, base, "without")
+        assert not [w for w in caught if "mc_samples" in str(w.message)]
+        assert stdout == stdout_ref
+        assert files == files_ref
