@@ -5,7 +5,8 @@ the log-sum-exp stabilized mixture likelihood is computed two ways:
 
 - ``air_quadrature``: a deterministic K x K Gauss-Hermite product rule over the
   complex noise, one rule per alphabet point. The shaping solver reports this.
-  Its log-sum-exp is ``row_logsumexp``, which the solver's posterior step uses too.
+  Its nodes come from ``gauss_hermite_outputs`` and its log-sum-exp is
+  ``row_logsumexp``; the solver's posterior bank uses both, at fewer nodes.
 - ``air_estimate``: Monte Carlo with a fixed seed, kept as an independent check
   of the quadrature; it keeps ``scipy.special.logsumexp``.
 """
@@ -94,6 +95,16 @@ def log_likelihood_table(y: np.ndarray, centers: np.ndarray, var: float) -> np.n
     return out
 
 
+def gauss_hermite_outputs(centers: np.ndarray, var: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs y = c + sqrt(var) (t_i + j t_k), nodes**2 per center in center-major order, and
+    the weights w_i w_k / pi of the Gauss-Hermite product rule for CN(0, var) (they sum to 1).
+    """
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    noise = math.sqrt(var) * (t[:, None] + 1j * t[None, :]).ravel()
+    node_w = (w[:, None] * w[None, :]).ravel() / math.pi
+    return (centers[:, None] + noise[None, :]).ravel(), node_w
+
+
 def noise_entropy(comm_noise_var: float) -> float:
     """Differential entropy of CN(0, var) in bits: log2(pi e var)."""
     if not comm_noise_var > 0:
@@ -133,20 +144,15 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     """Per-symbol mutual information in bits by Gauss-Hermite quadrature, clamped to [0, H(p)].
 
     E[ln sum_x' p(x') exp(-|y - h x'|^2 / var)] with y = h x + n is summed over
-    the points x with p(x) > 0 and the GH_NODES x GH_NODES product nodes
-    n = sqrt(var) (t_i + j t_k) of weight w_i w_k / pi. Deterministic: the
-    Monte Carlo settings ``mc_samples`` and ``seed`` are not used.
+    the points x with p(x) > 0 and the GH_NODES x GH_NODES ``gauss_hermite_outputs``
+    nodes. Deterministic: the Monte Carlo settings ``mc_samples`` and ``seed`` are not used.
     """
     var = cfg.comm_noise_var
-    h = complex(cfg.channel_gain)
-    t, w = np.polynomial.hermite.hermgauss(GH_NODES)
-    noise = math.sqrt(var) * (t[:, None] + 1j * t[None, :]).ravel()
-    node_w = (w[:, None] * w[None, :]).ravel() / math.pi
     keep = c.probs > 0
     probs = c.probs[keep]
     log_p = np.log(probs)
-    centers = h * c.points[keep]
-    y = (centers[:, None] + noise[None, :]).ravel()
+    centers = complex(cfg.channel_gain) * c.points[keep]
+    y, node_w = gauss_hermite_outputs(centers, var, GH_NODES)
     row_w = (probs[:, None] * node_w[None, :]).ravel()
 
     mean_lse = 0.0

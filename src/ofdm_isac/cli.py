@@ -26,7 +26,7 @@ from .constellation import Family, ShapedConstellation, make_shaped, make_unifor
 from .detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_cell, detection_probability
 from .filtering import MF, RF, FilterKind, wiener
 from .metrics import closed_form_metrics, empirical_dd_profile, expected_dd_power
-from .pcs import PcsConfig, SolverError, c0_bounds, mba_solve, tradeoff_sweep
+from .pcs import BANK_NODES, PcsConfig, SolverError, c0_bounds, mba_solve, tradeoff_sweep
 from .verification import run_verification
 
 _MISSING = object()
@@ -38,8 +38,10 @@ class ConfigError(Exception):
 
 def _cfg_get(cfg: dict, path: str, default=_MISSING, cast=None):
     node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    for depth, part in enumerate(parts := path.split(".")):
+        if not isinstance(node, dict):
+            raise ConfigError(f"bad config field '{'.'.join(parts[:depth])}': must be a JSON object, got {node!r}")
+        if part not in node:
             if default is _MISSING:
                 raise ConfigError(f"missing config field '{path}'")
             return default
@@ -210,6 +212,8 @@ def _cmd_dr_sweep(args) -> int:
     step = _cfg_get(cfg, "snr_db_step", 0.25, _finite)
     if step <= 0:
         raise ConfigError("bad config field 'snr_db_step': must be > 0")
+    if start > stop:
+        raise ConfigError(f"bad config field 'snr_db_start': must be <= snr_db_stop ({stop}), got {start}")
     rows = []
     db = start
     while db <= stop + 1e-9:
@@ -266,6 +270,8 @@ def _cmd_profiles(args) -> int:
     doppler_bin = _cfg_get(cfg, "target.doppler_bin", 0.0, float)
     with _rejected_as("dims_list"):
         dims_list = [FrameDims(int(n), int(m)) for n, m in _cfg_get(cfg, "dims_list", [[16, 16], [64, 32]])]
+    with _rejected_as("kernel"):  # checked before the Monte Carlo, not after it
+        expected_dd_power(0, 0, (0.0, 0.0), c, f, dims_list[0], gain_var, noise_var, kernel)
     seed = _derived_seeds(_master_seed(cfg, args))[0]
     for dims in dims_list:
         scene = Scene((Target(gain_var, delay_bin, doppler_bin),), noise_var)
@@ -295,7 +301,7 @@ def _cmd_profiles(args) -> int:
     return 0
 
 
-def _pcs_config(cfg: dict, args) -> PcsConfig:
+def _pcs_config(cfg: dict) -> PcsConfig:
     uniform = _alphabet(cfg)
     family, order = uniform.family, uniform.order
     dims = _dims(cfg)
@@ -304,11 +310,10 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
     snr = 10.0 ** (snr_db / 10.0)
     noise_var = gain_var / snr
     filt = _filter_kind(_cfg_get(cfg, "filter", "wf", str), snr)
-    if _cfg_get(cfg, "comm.mc_samples", None) is not None:
-        warnings.warn(
-            "config field 'comm.mc_samples' is not used: the solver's AIR is by Gauss-Hermite quadrature",
-            stacklevel=2,
-        )
+    unused = [path for path in ("comm.mc_samples", "bank_samples_per_point") if _cfg_get(cfg, path, None) is not None]
+    if unused:  # accepted, as earlier versions read them, but warned about
+        warnings.warn(f"config fields not used: {', '.join(map(repr, unused))}; "
+                      "the solver's bank and its AIR are Gauss-Hermite quadratures", stacklevel=2)
     comm = AirConfig(
         comm_noise_var=_cfg_get(cfg, "comm.noise_var", 0.1, _positive),
         channel_gain=complex(
@@ -332,27 +337,15 @@ def _pcs_config(cfg: dict, args) -> PcsConfig:
         c0=c0,
         tol=_cfg_get(cfg, "tol", 1e-5, _positive),
         max_outer_iters=_cfg_get(cfg, "max_outer_iters", 500, _count),
-        bank_samples_per_point=_cfg_get(cfg, "bank_samples_per_point", 200, _count),
-        bank_seed=_derived_seeds(_master_seed(cfg, args))[1],
     )
 
 
-_AIR_PROVENANCE = f"air=gauss-hermite {GH_NODES}x{GH_NODES}"
-
-
-def _trace_comments(cfg: PcsConfig) -> list[str]:
-    return [
-        "units: objective_nats in nats; mse linear power; power linear",
-        f"provenance: solver trace; bank_samples_per_point={cfg.bank_samples_per_point} "
-        f"bank_seed={cfg.bank_seed} {_AIR_PROVENANCE}",
-        f"problem: {cfg.order}-{Family(cfg.family).value} filter={cfg.filt.kind.value} "
-        f"snr_in={cfg.gain_var / cfg.noise_var:g} c0={cfg.c0:g}",
-    ]
+_QUADRATURE_PROVENANCE = f"bank=gauss-hermite {BANK_NODES}x{BANK_NODES} air=gauss-hermite {GH_NODES}x{GH_NODES}"
 
 
 def _cmd_pcs(args) -> int:
     cfg = _load_config(args.config)
-    pcfg = _pcs_config(cfg, args)
+    pcfg = _pcs_config(cfg)
     try:
         sol = mba_solve(pcfg)
     except SolverError as exc:
@@ -371,14 +364,18 @@ def _cmd_pcs(args) -> int:
         c0=sol.c0_effective,
         provenance=(
             f"mba_solve iters={sol.outer_iters} converged={sol.converged} "
-            f"air_bits={sol.air_bits:.6f} sensing_mse={sol.sensing_mse:.6g} "
-            f"bank_seed={pcfg.bank_seed} {_AIR_PROVENANCE}"
+            f"air_bits={sol.air_bits:.6f} sensing_mse={sol.sensing_mse:.6g} {_QUADRATURE_PROVENANCE}"
         ),
     )
     trace_path = _write_table(
         args.out / "pcs_trace",
         args.format,
-        _trace_comments(pcfg),
+        [
+            "units: objective_nats in nats; mse linear power; power linear",
+            f"provenance: solver trace; {_QUADRATURE_PROVENANCE}",
+            f"problem: {pcfg.order}-{Family(pcfg.family).value} filter={pcfg.filt.kind.value} "
+            f"snr_in={pcfg.gain_var / pcfg.noise_var:g} c0={pcfg.c0:g}",
+        ],
         ["iter", "objective_nats", "mse", "power", "lambda1", "lambda2"],
         sol.trace_rows,
     )
@@ -392,7 +389,7 @@ def _cmd_pcs(args) -> int:
 
 def _cmd_tradeoff(args) -> int:
     cfg = _load_config(args.config)
-    pcfg = _pcs_config(cfg, args)
+    pcfg = _pcs_config(cfg)
     c_lo, c_hi = c0_bounds(
         pcfg.order, pcfg.filt, pcfg.dims, pcfg.gain_var, pcfg.noise_var, pcfg.family
     )

@@ -295,7 +295,6 @@ def test_criterion_08_mba_solver_properties():
                 mba_solve(
                     PcsConfig(
                         "qam", 64, f, DIMS, 1.0, NOISE_4DB, COMM, float(c0),
-                        bank_samples_per_point=200, bank_seed=5,
                     )
                 )
             )
@@ -335,7 +334,6 @@ def _pcs_pedestal_gain_db(f):
         sol = mba_solve(
             PcsConfig(
                 "qam", 64, f, DIMS, 1.0, NOISE_4DB, COMM, lo,
-                bank_samples_per_point=200, bank_seed=5,
             )
         )
     assert sol.converged, f"mba_solve stopped after {sol.outer_iters} iterations"

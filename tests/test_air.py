@@ -143,7 +143,7 @@ class TestAirQuadrature:
         lo, hi = c0_bounds(64, f, dims, 1.0, 1.0 / snr)
         c0 = lo + 0.5 * (hi - lo)
         sol = mba_solve(
-            PcsConfig("qam", 64, f, dims, 1.0, 1.0 / snr, AirConfig(noise_var), c0, bank_seed=5)
+            PcsConfig("qam", 64, f, dims, 1.0, 1.0 / snr, AirConfig(noise_var), c0)
         )
         c = make_shaped("qam", 64, sol.probs)
         assert sol.air_bits == pytest.approx(gh_product_air_bits(c, noise_var), abs=5e-4)

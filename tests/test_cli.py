@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -88,7 +89,6 @@ class TestPcsCommand:
                 "order": 16,
                 "filter": "rf",
                 "comm": {"noise_var": 0.05, "mc_samples": 20000},
-                "bank_samples_per_point": 100,
                 "c0_fraction": 0.5,
             },
         )
@@ -111,7 +111,6 @@ class TestPcsCommand:
                 "order": 16,
                 "filter": "wf",
                 "comm": {"noise_var": 0.05, "mc_samples": 5000},
-                "bank_samples_per_point": 50,
                 "c0_fraction": 0.3,
                 "max_outer_iters": 1,
             },
@@ -125,6 +124,18 @@ class TestPcsCommand:
         _, _, rows = read_csv(tmp_path / "pcs_trace.csv")
         assert len(rows) == 1
 
+    def test_pcs_bytes_do_not_depend_on_the_seed(self, tmp_path):
+        """The solver draws nothing, so the master seed does not reach pcs artifacts."""
+        payload = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05}, "c0_fraction": 0.5}
+        cfg = write_cfg(tmp_path, "pcs.json", payload)
+        outs = [tmp_path / f"s{seed}" for seed in ("1", "2")]
+        for out, seed in zip(outs, ("1", "2")):
+            assert main(["pcs", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["codebook.json", "pcs_trace.csv"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestTradeoffCommand:
     def test_sweep_with_pd(self, tmp_path):
@@ -135,7 +146,6 @@ class TestTradeoffCommand:
                 "order": 16,
                 "filter": "wf",
                 "comm": {"noise_var": 0.05, "mc_samples": 10000},
-                "bank_samples_per_point": 80,
                 "n_grid": 2,
                 "detection": {"trials": 60, "cfar": {"pfa": 1e-3}},
             },
@@ -156,8 +166,10 @@ class TestTradeoffCommand:
                 "order": 16,
                 "filter": "wf",
                 "comm": {"noise_var": 0.05},
-                "bank_samples_per_point": 50,
-                "n_grid": 2,
+                # 16-QAM has three energy shells: at the uniform-MSE budget, the
+                # default grid's last point, uniform is the one shell-symmetric
+                # feasible law and the exact bank returns it in one step
+                "c0_grid": [600.0, 650.0],
                 "max_outer_iters": 1,
                 "detection": {"trials": 40},
             },
@@ -180,7 +192,6 @@ class TestTradeoffCommand:
                 "order": 16,
                 "filter": "wf",
                 "comm": {"noise_var": 0.05},
-                "bank_samples_per_point": 50,
                 "n_grid": 3,
                 "detection": {"trials": 300, "cfar": {"pfa": 1e-2}},
             },
@@ -207,7 +218,6 @@ class TestTradeoffCommand:
                 "order": 16,
                 "filter": "wf",
                 "comm": {"noise_var": 0.05},
-                "bank_samples_per_point": 50,
                 "n_grid": 3,
                 "detection": {"trials": 600, "weak_rel_power_db": -15.0, "cfar": {"pfa": 1e-2}},
             },
@@ -240,14 +250,14 @@ class TestTradeoffCommand:
         cfg = write_cfg(
             tmp_path,
             "pcs.json",
-            {"order": 16, "filter": "rf", "comm": {"noise_var": 0.05}, "bank_samples_per_point": 50},
+            {"order": 16, "filter": "rf", "comm": {"noise_var": 0.05}},
         )
         assert main(["pcs", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]) == 0
         _, meta = load_codebook(tmp_path / "codebook.json")
-        assert "air=gauss-hermite 20x20" in meta["provenance"]
-        assert "air_seed" not in meta["provenance"]
+        assert "bank=gauss-hermite 10x10 air=gauss-hermite 20x20" in meta["provenance"]
+        assert "seed" not in meta["provenance"]
         comments, _, _ = read_csv(tmp_path / "pcs_trace.csv")
-        assert "air=gauss-hermite 20x20" in comments[1]
+        assert "bank=gauss-hermite 10x10 air=gauss-hermite 20x20" in comments[1]
 
 
 class TestCodebookCommand:
@@ -349,6 +359,15 @@ class TestRejectedValues:
             ("tradeoff", {"order": 16, "detection": {"weak_rel_power_db": 4000}}, "detection.weak_rel_power_db"),
             ("tradeoff", {"order": 16, "detection": {"weak_rel_power_db": -3100}}, "detection.weak_rel_power_db"),
             ("tradeoff", {"order": 16, "detection": {"weak_rel_power_db": float("nan")}}, "detection.weak_rel_power_db"),
+            ("dr-sweep", {"snr_db_start": 3000}, "snr_db_start"),
+            ("dr-sweep", {"snr_db_start": 10, "snr_db_stop": 5}, "snr_db_start"),
+            ("dr-sweep", {"dims": 5}, "dims"),
+            ("verify", {"dims": [64, 32]}, "dims"),
+            ("pcs", {"order": 16, "comm": 0.05}, "comm"),
+            ("tradeoff", {"order": 16, "detection": 3}, "detection"),
+            ("tradeoff", {"order": 16, "detection": {"cfar": 1e-3}}, "detection.cfar"),
+            ("profiles", {"target": 5}, "target"),
+            ("profiles", {"kernel": "gauss"}, "kernel"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
@@ -377,10 +396,11 @@ class TestRejectedValues:
 
 
 class TestUnusedMcSamples:
-    """``comm.mc_samples`` is read by no command: pcs and tradeoff say so on stderr and change nothing else."""
+    """``comm.mc_samples`` and ``bank_samples_per_point`` are read by no command: pcs and tradeoff
+    say so on stderr and change nothing else."""
 
-    PCS = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05}, "bank_samples_per_point": 50, "c0_fraction": 0.5}
-    TRADEOFF = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05}, "bank_samples_per_point": 50,
+    PCS = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05}, "c0_fraction": 0.5}
+    TRADEOFF = {"order": 16, "filter": "wf", "comm": {"noise_var": 0.05},
                 "n_grid": 1, "detection": {"trials": 20}}
 
     @staticmethod
@@ -391,16 +411,30 @@ class TestUnusedMcSamples:
         stdout = capsys.readouterr().out.replace(str(out), "<out>")
         return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
+    @pytest.mark.parametrize("field", ["comm.mc_samples", "bank_samples_per_point"])
     @pytest.mark.parametrize("command", ["pcs", "tradeoff"])
-    def test_warns_and_changes_nothing_else(self, tmp_path, capsys, command):
+    def test_warns_and_changes_nothing_else(self, tmp_path, capsys, command, field):
         base = self.PCS if command == "pcs" else self.TRADEOFF
         with_field = json.loads(json.dumps(base))
-        with_field["comm"]["mc_samples"] = 20_000
-        with pytest.warns(UserWarning, match=r"'comm\.mc_samples' is not used"):
+        if field == "comm.mc_samples":
+            with_field["comm"]["mc_samples"] = 20_000
+        else:
+            with_field[field] = 50
+        with pytest.warns(UserWarning, match=rf"not used: '{re.escape(field)}';"):
             stdout, files = self._run(tmp_path, capsys, command, with_field, "with")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             stdout_ref, files_ref = self._run(tmp_path, capsys, command, base, "without")
-        assert not [w for w in caught if "mc_samples" in str(w.message)]
+        assert not [w for w in caught if "not used" in str(w.message)]
         assert stdout == stdout_ref
         assert files == files_ref
+
+    def test_one_warning_names_both(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(self.PCS))
+        payload["comm"]["mc_samples"] = 20_000
+        payload["bank_samples_per_point"] = 50
+        with pytest.warns(UserWarning) as caught:
+            self._run(tmp_path, capsys, "pcs", payload, "both")
+        unused = [str(w.message) for w in caught if "not used" in str(w.message)]
+        assert len(unused) == 1
+        assert "not used: 'comm.mc_samples', 'bank_samples_per_point';" in unused[0]

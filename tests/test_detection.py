@@ -138,7 +138,7 @@ class TestDetectionProbability:
             sol = mba_solve(
                 PcsConfig(
                     "qam", 64, f, DIMS, 1.0, noise,
-                    AirConfig(0.02, mc_samples=10_000, seed=11), lo, bank_seed=5,
+                    AirConfig(0.02, mc_samples=10_000, seed=11), lo,
                 )
             )
         shaped = make_shaped("qam", 64, sol.probs)

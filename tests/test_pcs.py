@@ -38,8 +38,6 @@ def quick_cfg(filt, c0, **kw):
         noise_var=NOISE,
         comm=COMM,
         c0=c0,
-        bank_samples_per_point=200,
-        bank_seed=5,
     )
     defaults.update(kw)
     return PcsConfig(**defaults)
@@ -176,6 +174,13 @@ class TestSolver:
         )
         tv = 0.5 * float(np.abs(sol.probs - oracle).sum())
         assert tv <= 0.05
+
+    @pytest.mark.parametrize("filt", [wiener(SNR), RF], ids=["wf", "rf"])
+    def test_loosest_budget_reaches_uniform_air(self, filt):
+        """Uniform 64-QAM meets the loosest budget, so the solved AIR may not fall below its AIR."""
+        _, hi = c0_bounds(64, filt, DIMS, 1.0, NOISE)
+        sol = mba_solve(quick_cfg(filt, hi))
+        assert sol.air_bits >= air_quadrature(make_uniform("qam", 64), COMM)
 
     def test_tight_rf_budget_concentrates_near_unit_modulus(self):
         f = RF

@@ -78,24 +78,24 @@ def test_solver_posterior_runs_the_kernel():
     assert pcs.logsumexp is row_logsumexp
 
 
-# Taken from the commit before the kernel replaced scipy's logsumexp on the
-# solver path, under numpy 2.4 on x86-64: the benchmark's six shaping solves
-# (64-QAM, 64x32, 4 dB, comm noise variance 0.02, default bank and tolerance).
+# Recorded on the 10x10 Gauss-Hermite bank under numpy 2.4 on x86-64: the
+# benchmark's six shaping solves (64-QAM, 64x32, 4 dB, comm noise variance
+# 0.02, default tolerance).
 # Per (filter, budget fraction): sha256 of the probs bytes, air_bits,
 # sha256 of repr(trace_rows), outer_iters.
 PINNED_SOLVES = {
-    ("wf", 0.2): ("ccbe7a1118451d5f45242b2de8c9afa9481060dd8750180e10c92426f3526300", 4.688135269204704,
-                  "fafbeec76ece1926fb765706fdf08c24fff41419ca479c17d3f4f9e45c74fc95", 3),
-    ("wf", 0.5): ("6028b9bfca5dc2c0b99edf5f495221b318cbbd0c6c89e0298a8d6b88c95b1bc7", 5.0690839211798195,
-                  "875857f354e20da516afb8098ed83d16361ee91abb62262895e5cbd002b5f6d9", 3),
-    ("wf", 0.8): ("0b21503ec9fd9db361fd48930322645e144276b76c8fa1751cfa6a70c9fb18c3", 5.196671283990076,
-                  "c5318e86f6f39082c66875d46cb0fe05e0bd936a2aba2a496c0c504d8e3e4e6c", 2),
-    ("rf", 0.2): ("5e1ca8577394fdac1a40ac251c1f1e454a355ec655913f1fc4e7b175230977f4", 5.0447869467666075,
-                  "670b0a9cc0df801668c92a3adc0ed88647b4dd2619be06f6e117f9a8f1b21ce4", 3),
-    ("rf", 0.5): ("abe2cae041ae3d7a68cb2befb7adad3c035c438aed39ffb1f23a1506140330aa", 5.182042950758797,
-                  "b94143bf0546e93915b74d4aeacc4755bef6696966ddec8e80089dc76010df9a", 3),
-    ("rf", 0.8): ("daded68153bf77a68f59a59c40c413f63611bd939d9d2b61d5f8c2d5fa5f7291", 5.213336508256789,
-                  "e8938371314425cb370bbf2da45c5a653d9b587193af17ffa52e8baf284b6441", 3),
+    ("wf", 0.2): ("a52a1f1dbe2e47274a0d6f473d80dc8fad1bfde7654c71c17e3f4ce5ea930806", 4.691742687242389,
+                  "c8200a0d9ce6b1971c99e99d505ef67a004db7befedadeb801afce80b1a69dd1", 3),
+    ("wf", 0.5): ("d0502061fa6a472520bef3d5c28ee984dfe19c1b769811773ff9c19e0694ba1e", 5.073030749927425,
+                  "38a324bb53ed904fe2630b565d28e69d28ba77a93ada4530359dd2e9545591e3", 2),
+    ("wf", 0.8): ("0ae5bace7b77e28a89da9f5befb85d5220c544adf60059f5ab90df8b991881da", 5.2000300313001535,
+                  "011c432e4e29636ade5db0b5c4d52be7ce3d4256958c84e480e10f113361f1e8", 2),
+    ("rf", 0.2): ("93b2f201bd9fc8404254b05a62abd341681e0be704844619e4d0bf8ba27a4242", 5.048466006080262,
+                  "ce45648db873a369ecaaf5a8fec6b4a27daf9fe9065a47864b491cfb769b32e1", 2),
+    ("rf", 0.5): ("e6d951e74e437d8c1bb967241993dee0a0fc29ae94021df47160c059c5c4dfcb", 5.1862088042815895,
+                  "df0fad47fe4cae3bad9f3b96d807f7059258a75264b1c5960702d7cb5dbf2cbf", 3),
+    ("rf", 0.8): ("7a97fe85fe8e489c49d669cbe9051f36ab17e621349f0eeaaba3c8bcbc4fc4b9", 5.217444031915401,
+                  "c0f202876f3a0e4f6d1fea44e8dc6e8fc7c5346e60488c7725ff1e3af6deea7b", 2),
 }
 # air_quadrature of 64-QAM with probabilities (i mod 7), zeros included, at
 # (comm noise variance, channel gain); the second spans three row blocks.

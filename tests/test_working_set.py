@@ -39,17 +39,18 @@ def test_table_equals_whole_array_expression(rows, n_centers):
     assert table.tobytes() == expected.tobytes()
 
 
-def test_wf_solve_peak_below_16_mib():
-    """The benchmark's WF 64-QAM solve: 29.4 MiB before chunking and early release, 14.1 after."""
+def test_wf_solve_peak_bounded():
+    """The benchmark's WF 64-QAM solve: 29.4 MiB before chunking and early release, 14.1 after,
+    10.1 on the 6,400-row Gauss-Hermite bank in place of 12,800 Monte Carlo rows (the quadrature's
+    9.85 now sets the peak)."""
     snr = 10.0 ** 0.4
     dims = FrameDims(64, 32)
     filt = wiener(snr)
     lo, hi = c0_bounds(64, filt, dims, 1.0, 1.0 / snr)
-    cfg = PcsConfig("qam", 64, filt, dims, 1.0, 1.0 / snr, AirConfig(0.02), lo + 0.5 * (hi - lo),
-                    bank_samples_per_point=200, bank_seed=5)
+    cfg = PcsConfig("qam", 64, filt, dims, 1.0, 1.0 / snr, AirConfig(0.02), lo + 0.5 * (hi - lo))
     sol, peak = _traced_peak(mba_solve, cfg)
     assert sol.converged
-    assert peak < 16 * MIB, f"peak {peak / MIB:.2f} MiB"
+    assert peak < 11.5 * MIB, f"peak {peak / MIB:.2f} MiB"
 
 
 def test_quadrature_peak_below_11_mib():
