@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +278,19 @@ class TestCodebookCommand:
         c, _ = load_codebook(tmp_path / "codebook.json")
         np.testing.assert_allclose(c.probs, probs, rtol=1e-12)
 
+    @pytest.mark.parametrize("contents", [None, "", "[0.5, 0.5,", "{\"probs\": [1]}", "[0.5, 0.5]"],
+                             ids=["missing", "empty", "truncated", "object", "wrong-length"])
+    def test_unreadable_probs_file_exit_2(self, tmp_path, capsys, contents):
+        pfile = tmp_path / "probs.json"
+        if contents is not None:
+            pfile.write_text(contents)
+        cfg = write_cfg(tmp_path, "cb.json", {"order": 16, "probs_file": str(pfile)})
+        out = tmp_path / "out"
+        assert main(["codebook", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad config field 'probs_file'" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
 
 class TestVerifyCommand:
     def test_quick_pass(self, tmp_path):
@@ -368,6 +382,32 @@ class TestRejectedValues:
             ("tradeoff", {"order": 16, "detection": {"cfar": 1e-3}}, "detection.cfar"),
             ("profiles", {"target": 5}, "target"),
             ("profiles", {"kernel": "gauss"}, "kernel"),
+            # integer fields refuse bools and fractions instead of truncating them
+            ("dr-sweep", {"dims": {"N": 16.9, "M": 8.5}}, "dims.N"),
+            ("verify", {"dims": {"M": 8.5}}, "dims.M"),
+            ("codebook", {"order": 16.5}, "order"),
+            ("profiles", {"dims_list": [[16, 16.5]]}, "dims_list"),
+            ("profiles", {"dims_list": []}, "dims_list"),
+            ("verify", {"trials": True}, "trials"),
+            ("profiles", {"trials": 40.5}, "trials"),
+            ("tradeoff", {"order": 16, "detection": {"trials": 20.5}}, "detection.trials"),
+            ("tradeoff", {"order": 16, "n_grid": 2.5}, "n_grid"),
+            ("pcs", {"order": 16, "max_outer_iters": 10.5}, "max_outer_iters"),
+            ("tradeoff", {"order": 16, "detection": {"cfar": {"guard": 2.9}}}, "detection.cfar.guard"),
+            ("tradeoff", {"order": 16, "detection": {"cfar": {"train": True}}}, "detection.cfar.train"),
+            ("tradeoff", {"order": 16, "detection": {"weak_delay_bin": 5.5}}, "detection.weak_delay_bin"),
+            # budgets, channel gains and target bins must be finite numbers
+            ("pcs", {"order": 16, "c0": float("nan")}, "c0"),
+            ("pcs", {"order": 16, "c0_fraction": float("nan")}, "c0_fraction"),
+            ("pcs", {"order": 16, "c0": True}, "c0"),
+            ("pcs", {"order": 16, "tol": True}, "tol"),
+            ("pcs", {"order": 16, "comm": {"channel_gain_re": float("nan")}}, "comm.channel_gain_re"),
+            ("tradeoff", {"order": 16, "comm": {"channel_gain_im": float("inf")}}, "comm.channel_gain_im"),
+            ("tradeoff", {"order": 16, "c0_grid": [float("nan"), 600.0]}, "c0_grid"),
+            ("tradeoff", {"order": 16, "c0_grid": [True]}, "c0_grid"),
+            ("profiles", {"target": {"delay_bin": float("nan")}}, "target.delay_bin"),
+            ("profiles", {"target": {"doppler_bin": float("inf")}}, "target.doppler_bin"),
+            ("codebook", {"order": 16, "probs_file": "no-such-probs.json"}, "probs_file"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
@@ -393,6 +433,63 @@ class TestRejectedValues:
         assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "QAM order 63" in err and "PSK" not in err
+
+
+COMMANDS = ["verify", "dr-sweep", "profiles", "pcs", "tradeoff", "codebook"]
+
+
+class TestStrictFields:
+    """A field the command does not read, or both fields of an exclusive pair, exits 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            *[(command, {"famly": "psk"}, ["'famly'", "did you mean 'family'?"]) for command in COMMANDS],
+            ("verify", {"family": "psk"}, ["'family' does not apply to verify, only to dr-sweep"]),
+            ("profiles", {"dims": {"N": 16, "M": 16}}, ["'dims' does not apply to profiles", "pcs"]),
+            ("pcs", {"order": 16, "n_grid": 4}, ["'n_grid' does not apply to pcs, only to tradeoff"]),
+            ("pcs", {"order": 16, "detection": {"trials": 100}}, ["'detection' does not apply to pcs"]),
+            ("tradeoff", {"order": 16, "c0": 600.0}, ["'c0' does not apply to tradeoff, only to pcs"]),
+            ("tradeoff", {"order": 16, "c0_fraction": 0.5}, ["'c0_fraction' does not apply to tradeoff"]),
+            ("codebook", {"comm": {"mc_samples": 100}}, ["'comm' does not apply to codebook"]),
+            ("dr-sweep", {"dims": {"n": 16}}, ["'dims.n'", "did you mean 'dims.N'?"]),
+            ("profiles", {"dim_list": [[16, 16]]}, ["'dim_list'", "did you mean 'dims_list'?"]),
+            ("tradeoff", {"order": 16, "detection": {"cfar": {"gaurd": 2}}}, ["did you mean 'detection.cfar.guard'?"]),
+            ("pcs", {"order": 16, "c0": 600.0, "c0_fraction": 0.5}, ["'c0' or 'c0_fraction', not both"]),
+            ("tradeoff", {"order": 16, "c0_grid": [600.0], "n_grid": 2}, ["'c0_grid' or 'n_grid', not both"]),
+        ],
+    )
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, named):
+        cfg = write_cfg(tmp_path, "bad.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for text in named:
+            assert text in err
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
+
+def readme_examples():
+    """(command, config) for each example in README.md's jsonc block, whose `// <command>` line heads it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    parts = re.split(r"^// (\S+)\n", block, flags=re.M)[1:]
+    return [(parts[i], json.loads(re.sub(r"//[^\n]*", "", parts[i + 1]))) for i in range(0, len(parts), 2)]
+
+
+class TestReadmeExamples:
+    """Every example config in README.md runs on its command, so the docs and the field tables agree."""
+
+    def test_every_command_but_verify_has_one(self):
+        assert sorted(command for command, _ in readme_examples()) == sorted(set(COMMANDS) - {"verify"})
+
+    @pytest.mark.parametrize("command, payload", readme_examples(), ids=[c for c, _ in readme_examples()])
+    def test_example_runs(self, tmp_path, command, payload):
+        cfg = write_cfg(tmp_path, "example.json", payload)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "config fields not used")  # no example sets a field its command ignores
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestUnusedMcSamples:
