@@ -66,9 +66,9 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _count(value) -> int:
-    if (n := _integer(value)) < 1:
-        raise ValueError(f"must be >= 1, got {n}")
+def _count(value, least: int = 1) -> int:
+    if (n := _integer(value)) < least:
+        raise ValueError(f"must be >= {least}, got {n}")
     return n
 
 
@@ -105,6 +105,12 @@ def _filter_kind(name: str, snr_in: float) -> FilterKind:
 def _snr_range(v: dict) -> None:
     if v["snr_db_start"] > v["snr_db_stop"]:
         raise ValueError(f"must be <= snr_db_stop ({v['snr_db_stop']}), got {v['snr_db_start']}")
+
+
+def _snr_step(v: dict) -> None:
+    edge = max(abs(v["snr_db_start"]), abs(v["snr_db_stop"]) + 1e-9)  # the largest |db| the sweep visits
+    if v["snr_db_step"] < math.ulp(edge):  # a step of at least its float spacing moves every db
+        raise ValueError(f"must be >= {math.ulp(edge):g}, the float spacing at {edge:g} dB, got {v['snr_db_step']}")
 
 
 def _cfar(v: dict) -> CfarConfig:
@@ -158,7 +164,7 @@ _LINK = {  # input SNR, target gain and the receive filter they set
     "noise_var": _Derived("gain_var", lambda v: _positive(v["gain_var"] / v["snr"])),
     "filt": _Derived("filter", lambda v: _filter_kind(v["filter"], v["snr"])),
 }
-_SEED = {"master_seed": (0, _integer)}
+_SEED = {"master_seed": (0, lambda seed: _count(seed, least=0))}
 _SOLVE = {
     **_ALPHABET,
     **_FRAME,
@@ -192,6 +198,7 @@ _TABLES: dict[str, dict] = {
         "snr_db_stop": (30.0, _level_db),
         "snr_db_step": (0.25, _positive),
         "snr_range": _Derived("snr_db_start", _snr_range),
+        "snr_step": _Derived("snr_db_step", _snr_step),
     },
     "profiles": {
         **_ALPHABET,
@@ -504,6 +511,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"argument --threads: must be an integer >= 1, got {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be an integer >= 0, got {args.seed}")
     args.out.mkdir(parents=True, exist_ok=True)
     try:
         values = _resolve(args.command, _load_config(args.config))

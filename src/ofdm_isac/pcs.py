@@ -7,12 +7,11 @@ BANK_NODES x BANK_NODES Gauss-Hermite outputs around each point (y is continuous
   2) Gibbs update      p(x) ~ exp(E_{y|x}[log q(x|y)] - l1 f(x) - l2 |x|^2)
 
 where f(x) is the per-point sensing-MSE penalty of the active filter and the
-multipliers (l1, l2) are solved so the MSE budget and unit-power constraints
-hold: l2 by a safeguarded root of the monotone power map, l1 >= 0 by outer
-bisection with l1 = 0 accepted whenever the unconstrained update is feasible
-(complementary slackness). The bank needs no seed, so a solve is
-deterministic; the reported AIR of the final distribution is the finer
-Gauss-Hermite quadrature ``air.air_quadrature``.
+multipliers (l1, l2) minimize the update's convex dual by Newton's method:
+l2 alone first, with l1 = 0 accepted whenever that law meets the MSE budget
+(complementary slackness), else both, so the budget holds with equality. The
+bank needs no seed, so a solve is deterministic; the reported AIR of the final
+distribution is the finer Gauss-Hermite quadrature ``air.air_quadrature``.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401
 
-# air_estimate and complex_normal are unused here but stay importable:
-# perfbench/tracing.py wraps pcs.air_estimate and pcs.complex_normal
+# brentq, air_estimate and complex_normal are unused here but stay importable:
+# perfbench/tracing.py wraps pcs.brentq, pcs.air_estimate and pcs.complex_normal
 from .air import AirConfig, air_estimate, air_quadrature, gauss_hermite_outputs, log_likelihood_table  # noqa: F401
 # bound as ``logsumexp``: perfbench/tracing.py wraps pcs.logsumexp as the posterior span
 from .air import row_logsumexp as logsumexp
@@ -42,7 +41,7 @@ BANK_NODES = 10
 
 
 class SolverError(RuntimeError):
-    """Raised when a multiplier search cannot converge; carries diagnostics."""
+    """Raised when a multiplier solve cannot converge; carries diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -175,81 +174,54 @@ def min_penalty_on_simplex(penalties: np.ndarray, energies: np.ndarray) -> tuple
     return best_val, best_p
 
 
-def _gibbs(t, fpen, energy, l1, l2):
-    a = t - l1 * fpen - l2 * energy
-    a = a - a.max()
-    w = np.exp(a)
-    return w / w.sum()
+def _gibbs_law(t, F, b):
+    """The law p ~ exp(t - lam.F) whose feature means E_p[F] equal ``b``, and its multipliers lam.
 
+    lam minimizes the convex dual log sum exp(t - lam.F) + lam.b by Newton's method: the
+    gradient is the gap b - E_p[F] and the Hessian is Cov_p[F]. Each step is halved until
+    the gap's norm shrinks; the dual's value is flat to rounding near its minimum, so it
+    cannot steer the step. A feature constant on the alphabet keeps a zero multiplier.
+    """
+    free = np.ptp(F, axis=1) >= 1e-12
+    F, b, lam = F[free], b[free], np.zeros(len(F))
 
-def _solve_power_multiplier(t, fpen, energy, l1) -> float:
-    if float(energy.max() - energy.min()) < 1e-12:
-        return 0.0
+    def law(x):
+        a = t - x @ F
+        w = np.exp(a - a.max())
+        p = w / w.sum()
+        return p, b - F @ p
 
-    def resid(l2):
-        return float(_gibbs(t, fpen, energy, l1, l2) @ energy) - 1.0
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if resid(hi) <= 0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("power multiplier bracket failed (upper)", {"l1": l1})
-    for _ in range(200):
-        if resid(lo) >= 0:
-            break
-        lo *= 2.0
-    else:
-        raise SolverError("power multiplier bracket failed (lower)", {"l1": l1})
-    return float(brentq(resid, lo, hi, xtol=1e-13, maxiter=300))
+    x = lam[free]
+    p, gap = law(x)
+    for _ in range(100):
+        if np.all(np.abs(gap) <= 1e-13 * np.abs(b)):
+            lam[free] = x
+            return p, lam
+        centered = F - (F @ p)[:, None]
+        step = np.linalg.lstsq((centered * p) @ centered.T, gap, rcond=None)[0]
+        s = 1.0
+        while (trial := law(x - s * step))[1] @ trial[1] >= gap @ gap and s > 2.0**-40:
+            s *= 0.5
+        x = x - s * step
+        p, gap = trial
+    raise SolverError("multiplier Newton iteration did not converge", {"lambda": x.tolist(), "gap": gap.tolist()})
 
 
 def _constrained_update(t, fpen, energy, budget_norm):
-    """One Gibbs update with multipliers solved for power and MSE constraints."""
-
-    def solve(l1):
-        l2 = _solve_power_multiplier(t, fpen, energy, l1)
-        p = _gibbs(t, fpen, energy, l1, l2)
-        return p, l2, float(p @ fpen)
-
-    p0, l20, m0 = solve(0.0)
-    if m0 <= budget_norm * (1.0 + 1e-12):
-        return p0, 0.0, l20
-    hi = 1.0
-    p_hi, l2_hi, m_hi = solve(hi)
-    for _ in range(80):
-        if m_hi <= budget_norm:
-            break
-        hi *= 2.0
-        p_hi, l2_hi, m_hi = solve(hi)
-    else:
-        raise SolverError(
-            "sensing-MSE multiplier search failed to bracket",
-            {"budget_norm": budget_norm, "min_reachable": m_hi, "l1_max": hi},
-        )
-    lo = 0.0
-    best = (p_hi, hi, l2_hi, m_hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p_m, l2_m, m_m = solve(mid)
-        if m_m <= budget_norm:
-            hi = mid
-            best = (p_m, mid, l2_m, m_m)
-        else:
-            lo = mid
-        if best[3] >= budget_norm * (1.0 - 1e-7) or hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    p, l1, l2, _ = best
-    return p, l1, l2
+    """One Gibbs update: power alone when that law meets the MSE budget (l1 = 0), else both."""
+    p, (l2,) = _gibbs_law(t, energy[None], np.ones(1))
+    if float(p @ fpen) <= budget_norm * (1.0 + 1e-12):
+        return p, 0.0, float(l2)
+    p, (l1, l2) = _gibbs_law(t, np.stack([fpen, energy]), np.array([budget_norm, 1.0]))
+    return p, float(l1), float(l2)
 
 
 def effective_budget(cfg: PcsConfig) -> tuple[float, float, float]:
     """Clamp the requested budget into the achievable range; returns (c0_eff, c_lo, c_hi)."""
     snr_in = cfg.gain_var / cfg.noise_var
-    alphabet = make_uniform(cfg.family, cfg.order)
-    fpen = penalty_f(alphabet.points, cfg.filt, snr_in)
-    energy = np.abs(alphabet.points) ** 2
+    points = make_uniform(cfg.family, cfg.order).points
+    fpen = penalty_f(points, cfg.filt, snr_in)
+    energy = np.abs(points) ** 2
     scale = cfg.dims.size * cfg.noise_var
     c_lo, c_hi = c0_bounds(cfg.order, cfg.filt, cfg.dims, cfg.gain_var, cfg.noise_var, cfg.family)
     lp_val, _ = min_penalty_on_simplex(fpen, energy)
@@ -268,12 +240,11 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     """Run the modified Blahut-Arimoto iteration until the iterates settle.
 
     Terminates when ||p_next - p||^2 <= tol or after max_outer_iters. The
-    returned distribution satisfies the simplex exactly, the unit-power
-    constraint to the multiplier-root tolerance, and sensing_mse <= c0_effective.
+    returned distribution satisfies the simplex exactly, and the unit-power constraint
+    and sensing_mse <= c0_effective (equality when lambda1 > 0) to a relative 1e-13.
     The bank and the work table are freed before the AIR quadrature runs.
     """
-    alphabet = make_uniform(cfg.family, cfg.order)
-    points = alphabet.points
+    points = make_uniform(cfg.family, cfg.order).points
     energy = np.abs(points) ** 2
     snr_in = cfg.gain_var / cfg.noise_var
     if cfg.filt.kind is FilterType.WF and not math.isclose(cfg.filt.snr_in, snr_in, rel_tol=1e-9):

@@ -408,6 +408,11 @@ class TestRejectedValues:
             ("profiles", {"target": {"delay_bin": float("nan")}}, "target.delay_bin"),
             ("profiles", {"target": {"doppler_bin": float("inf")}}, "target.doppler_bin"),
             ("codebook", {"order": 16, "probs_file": "no-such-probs.json"}, "probs_file"),
+            # a seed must be >= 0, as np.random.SeedSequence requires
+            ("verify", {"master_seed": -1}, "master_seed"),
+            ("profiles", {"master_seed": -1}, "master_seed"),
+            ("tradeoff", {"order": 16, "master_seed": -1}, "master_seed"),
+            ("profiles", {"master_seed": 1.5}, "master_seed"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, field):
@@ -418,6 +423,20 @@ class TestRejectedValues:
         assert f"bad config field '{field}'" in err
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"snr_db_step": 1e-20},
+            {"snr_db_stop": 1000.0, "snr_db_step": 1e-14},
+            # the sweep runs 1e-9 dB past snr_db_stop, where 1e-300 no longer moves db
+            {"snr_db_start": 0.0, "snr_db_stop": 0.0, "snr_db_step": 1e-300},
+        ],
+    )
+    def test_dr_sweep_step_that_cannot_advance(self, payload):
+        # through _resolve, so that a missing check fails here instead of looping in the sweep
+        with pytest.raises(cli.ConfigError, match="bad config field 'snr_db_step'"):
+            cli._resolve("dr-sweep", payload)
 
     def test_tradeoff_weak_bin_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_solves(*args, **kwargs):

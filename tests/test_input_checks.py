@@ -1,4 +1,4 @@
-"""Bad numbers fail loudly: nan in the library types, a thread count below 1 on the command line."""
+"""Bad numbers fail loudly: nan in the library types, a thread count below 1 or a negative seed on the command line."""
 
 import math
 
@@ -66,4 +66,15 @@ class TestThreadsFlag:
             main([command, "--out", str(out), "--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["profiles", "tradeoff"])
+    def test_negative_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()

@@ -9,12 +9,14 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
+from ofdm_isac import pcs
 from ofdm_isac.air import AirConfig, air_quadrature
 from ofdm_isac.channel import FrameDims, complex_normal
 from ofdm_isac.constellation import make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, wiener
 from ofdm_isac.pcs import (
     PcsConfig,
+    SolverError,
     c0_bounds,
     mba_solve,
     min_penalty_on_simplex,
@@ -79,6 +81,22 @@ def ba_power_only(points, noise_var, l_y, bank_seed, iters=500, tol=1e-9):
     return p
 
 
+def _softmax(a):
+    w = np.exp(a - a.max())
+    return w / w.sum()
+
+
+def _power_multiplier(t, energy):
+    """The l2 at which exp(t - l2 |x|^2) has unit power, by an independent bracketed root."""
+    if np.ptp(energy) < 1e-12:
+        return 0.0
+
+    def resid(l2):
+        return float(_softmax(t - l2 * energy) @ energy) - 1.0
+
+    return brentq(resid, -64.0, 64.0, xtol=1e-14)
+
+
 class TestPenalty:
     def test_mf_unit_modulus(self):
         assert penalty_f(np.array([1.0 + 0j]), MF, 3.7)[0] == pytest.approx(1.0)
@@ -140,21 +158,51 @@ class TestSolver:
             assert tv < 0.03
             assert sol.lambda1 == 0.0
 
-    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
-    def test_constraints_satisfied(self, fraction):
-        f = wiener(SNR)
-        lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
+    @pytest.mark.parametrize(
+        "filt, fraction, family, order",
+        [pytest.param(wiener(SNR), fr, "qam", 64, id=str(fr)) for fr in (0.0, 0.2, 0.3, 0.5, 0.8, 1.0)]
+        + [pytest.param(f, fr, "qam", 64, id=f"{name}-{fr}")
+           for name, f in (("rf", RF), ("mf", MF)) for fr in (0.0, 0.2, 0.5, 0.8)]
+        + [pytest.param(wiener(SNR), 1.0, "psk", 8, id="psk8")],
+    )
+    def test_constraints_satisfied(self, monkeypatch, filt, fraction, family, order):
+        """The solution meets its constraints, and the last multiplier step its KKT conditions."""
+        update, steps = pcs._constrained_update, []
+
+        def recording(*args):
+            steps.append((args, update(*args)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(pcs, "_constrained_update", recording)
+        lo, hi = c0_bounds(order, filt, DIMS, 1.0, NOISE, family=family)
         c0 = lo + fraction * (hi - lo)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = mba_solve(quick_cfg(f, c0))
-        energy = np.abs(make_uniform("qam", 64).points) ** 2
+            sol = mba_solve(quick_cfg(filt, c0, family=family, order=order))
+        energy = np.abs(make_uniform(family, order).points) ** 2
         assert abs(float(sol.probs.sum()) - 1.0) < 1e-10
         assert np.all(sol.probs >= 0)
-        assert abs(float(sol.probs @ energy) - 1.0) < 1e-6
-        assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-4)
-        if sol.sensing_mse < sol.c0_effective * (1.0 - 1e-3):
-            assert sol.lambda1 == 0.0  # complementary slackness
+        assert abs(float(sol.probs @ energy) - 1.0) <= 1e-12
+        assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-12)
+        if sol.lambda1 > 0:
+            assert abs(sol.sensing_mse / sol.c0_effective - 1.0) <= 1e-12
+        (t, fpen, _, budget_norm), (p, l1, l2) = steps[-1]
+        assert p is sol.probs and (l1, l2) == (sol.lambda1, sol.lambda2)
+        # complementary slackness: l1 = 0 exactly when the power-only law meets the budget
+        power_only = _softmax(t - _power_multiplier(t, energy) * energy)
+        assert (l1 == 0.0) == (float(power_only @ fpen) <= budget_norm * (1.0 + 1e-12))
+        np.testing.assert_allclose(p, _softmax(t - l1 * fpen - l2 * energy), rtol=1e-12, atol=0.0)
+
+    def test_multiplier_step_at_the_alphabet_floor(self):
+        """A budget just above the LP floor is met with equality; one below it raises with diagnostics."""
+        points = make_uniform("qam", 64).points
+        energy, fpen = np.abs(points) ** 2, penalty_f(points, RF, SNR)
+        floor, _ = min_penalty_on_simplex(fpen, energy)
+        p, l1, _ = pcs._constrained_update(np.zeros(64), fpen, energy, floor * (1.0 + 1e-7))
+        assert l1 > 0 and float(p @ fpen) == pytest.approx(floor * (1.0 + 1e-7), rel=1e-12)
+        with pytest.raises(SolverError) as exc:
+            pcs._constrained_update(np.zeros(64), fpen, energy, 0.999 * floor)
+        assert len(exc.value.diagnostics["lambda"]) == len(exc.value.diagnostics["gap"]) == 2
 
     def test_objective_trace_monotone(self):
         f = RF

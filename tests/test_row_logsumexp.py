@@ -1,5 +1,6 @@
 """The row-wise log-sum-exp kernel: scipy's bits, and the solver outputs it leaves unchanged."""
 
+import functools
 import hashlib
 import inspect
 import warnings
@@ -80,22 +81,34 @@ def test_solver_posterior_runs_the_kernel():
 
 # Recorded on the 10x10 Gauss-Hermite bank under numpy 2.4 on x86-64: the
 # benchmark's six shaping solves (64-QAM, 64x32, 4 dB, comm noise variance
-# 0.02, default tolerance).
+# 0.02, default tolerance), with the multipliers solved by Newton's method on
+# the dual. To re-record, run each solve as test_shaping_solves_pinned does and
+# print the four values.
 # Per (filter, budget fraction): sha256 of the probs bytes, air_bits,
 # sha256 of repr(trace_rows), outer_iters.
 PINNED_SOLVES = {
-    ("wf", 0.2): ("a52a1f1dbe2e47274a0d6f473d80dc8fad1bfde7654c71c17e3f4ce5ea930806", 4.691742687242389,
-                  "c8200a0d9ce6b1971c99e99d505ef67a004db7befedadeb801afce80b1a69dd1", 3),
-    ("wf", 0.5): ("d0502061fa6a472520bef3d5c28ee984dfe19c1b769811773ff9c19e0694ba1e", 5.073030749927425,
-                  "38a324bb53ed904fe2630b565d28e69d28ba77a93ada4530359dd2e9545591e3", 2),
-    ("wf", 0.8): ("0ae5bace7b77e28a89da9f5befb85d5220c544adf60059f5ab90df8b991881da", 5.2000300313001535,
-                  "011c432e4e29636ade5db0b5c4d52be7ce3d4256958c84e480e10f113361f1e8", 2),
-    ("rf", 0.2): ("93b2f201bd9fc8404254b05a62abd341681e0be704844619e4d0bf8ba27a4242", 5.048466006080262,
-                  "ce45648db873a369ecaaf5a8fec6b4a27daf9fe9065a47864b491cfb769b32e1", 2),
-    ("rf", 0.5): ("e6d951e74e437d8c1bb967241993dee0a0fc29ae94021df47160c059c5c4dfcb", 5.1862088042815895,
-                  "df0fad47fe4cae3bad9f3b96d807f7059258a75264b1c5960702d7cb5dbf2cbf", 3),
-    ("rf", 0.8): ("7a97fe85fe8e489c49d669cbe9051f36ab17e621349f0eeaaba3c8bcbc4fc4b9", 5.217444031915401,
-                  "c0f202876f3a0e4f6d1fea44e8dc6e8fc7c5346e60488c7725ff1e3af6deea7b", 2),
+    ("wf", 0.2): ("5c431953d8b327a8cb1a496d5a62d24bc758b409efd038283b269ba4e1ba355e", 4.69174319484745,
+                  "940deb60fab99c8970463b910b94745acde07e8c354b0fedb6c1baf095e0e36a", 3),
+    ("wf", 0.5): ("27b70a74486faf216b561d6aa488fbb2f635d0f3ab27d5c96b099c14d8e10da4", 5.073030879091987,
+                  "8b88391a2065251f8850126122d8bfa1c0d54a66f31f3a3e101a52366a0ad1ef", 2),
+    ("wf", 0.8): ("96c1cc756672a24b565988f6665268951743debc281e7c0bc9d34c42ffe47422", 5.200030113160443,
+                  "e5d1e8e208e893ae7e2083c8113f0ed671b72a7838c4bc9b77e2963270ffc9d8", 2),
+    ("rf", 0.2): ("4cc6f616c2c0f5eb0b199b56bc54b57ed713839d13afa098e8ce3ead82bf5a88", 5.048466049086006,
+                  "a86db088cc277a9b9a6e0cfe77653f48b1b9a3fc1ae452ce0888b78475806b6d", 2),
+    ("rf", 0.5): ("952444183e7d05095a2a88cab279ac38e47442355774136ec0aa72a84c0ce093", 5.186208816964971,
+                  "72fc2ec582983cf62961264bf60ae03a0c6715b4d69bb3ef65b7776f76994ca8", 3),
+    ("rf", 0.8): ("dca8cb7bb567339d40560f74bd09dc45a37172976e2bec370b417c1be836c823", 5.21744403520648,
+                  "3dc3ff07ea75510c0fdcc07856c1465e7677aeaf8e491df20d110a1aa560e681", 2),
+}
+# The same solves' air_bits when the budget multiplier was bisected: the
+# bisection stopped 3-8e-8 short of each active budget, so these are floors.
+BISECTION_AIR = {
+    ("wf", 0.2): 4.691742687242389,
+    ("wf", 0.5): 5.073030749927425,
+    ("wf", 0.8): 5.2000300313001535,
+    ("rf", 0.2): 5.048466006080262,
+    ("rf", 0.5): 5.1862088042815895,
+    ("rf", 0.8): 5.217444031915401,
 }
 # air_quadrature of 64-QAM with probabilities (i mod 7), zeros included, at
 # (comm noise variance, channel gain); the second spans three row blocks.
@@ -105,22 +118,32 @@ SNR = 10.0**0.4
 pinned_numpy = pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="bits pinned under numpy 2.4")
 
 
-@pinned_numpy
-@pytest.mark.parametrize("filt, fraction", sorted(PINNED_SOLVES))
-def test_shaping_solves_pinned(filt, fraction):
+@functools.cache
+def _shaping_solve(filt, fraction):
     f = wiener(SNR) if filt == "wf" else RF
     dims = FrameDims(64, 32)
     lo, hi = c0_bounds(64, f, dims, 1.0, 1.0 / SNR)
     cfg = PcsConfig("qam", 64, f, dims, 1.0, 1.0 / SNR, AirConfig(0.02), lo + fraction * (hi - lo))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = mba_solve(cfg)
+        return mba_solve(cfg)
+
+
+@pinned_numpy
+@pytest.mark.parametrize("filt, fraction", sorted(PINNED_SOLVES))
+def test_shaping_solves_pinned(filt, fraction):
+    sol = _shaping_solve(filt, fraction)
     probs_sha, air_bits, rows_sha, iters = PINNED_SOLVES[filt, fraction]
     assert sol.converged
     assert sol.outer_iters == iters
     assert sol.air_bits == air_bits
     assert hashlib.sha256(sol.probs.tobytes()).hexdigest() == probs_sha
     assert hashlib.sha256(repr(sol.trace_rows).encode()).hexdigest() == rows_sha
+
+
+@pytest.mark.parametrize("filt, fraction", sorted(BISECTION_AIR))
+def test_shaping_solves_reach_bisection_air(filt, fraction):
+    assert _shaping_solve(filt, fraction).air_bits >= BISECTION_AIR[filt, fraction] - 1e-12
 
 
 @pinned_numpy
