@@ -4,9 +4,10 @@ The output entropy has no closed form (Gaussian mixture), so the expectation of
 the log-sum-exp stabilized mixture likelihood is computed two ways:
 
 - ``air_quadrature``: a deterministic K x K Gauss-Hermite product rule over the
-  complex noise, one rule per alphabet point. The shaping solver reports this.
-  Its nodes come from ``gauss_hermite_outputs`` and its log-sum-exp is
-  ``row_logsumexp``; the solver's posterior bank uses both, at fewer nodes.
+  complex noise, one rule per ``symmetry_orbits`` class of the alphabet. The
+  shaping solver reports this. Its nodes come from ``gauss_hermite_outputs``
+  and its log-sum-exp is ``row_logsumexp``; the solver's posterior bank uses
+  all three, at fewer nodes.
 - ``air_estimate``: Monte Carlo with a fixed seed, kept as an independent check
   of the quadrature; it keeps ``scipy.special.logsumexp``.
 """
@@ -105,6 +106,39 @@ def gauss_hermite_outputs(centers: np.ndarray, var: float, nodes: int) -> tuple[
     return (centers[:, None] + noise[None, :]).ravel(), node_w
 
 
+def symmetry_orbits(points: np.ndarray, gain: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the alphabet under the maps of the square's group D4 that leave the channel y = h x + n alone.
+
+    A map is kept when it permutes ``points`` (to 1e-9 of the largest modulus)
+    and the Gauss-Hermite noise grid, which is D4-invariant, stays invariant
+    under the output map it induces: the rotations x -> j^k x always (y -> j^k y),
+    the reflections x -> j^k conj(x) only when h / conj(h) is a power of j, that
+    is when h is real, imaginary or on a diagonal (y -> j^k (h / conj(h)) conj(y)).
+    Every kept map preserves |x|, and every log-likelihood |y - h x'|^2 up to a
+    relabelling of x', so the AIR and the shaping problem's optimum are constant
+    on each orbit (Kschischang & Pasupathy, IEEE T-IT 1993).
+
+    Returns ``reps``, the smallest point index of each orbit (ascending),
+    ``sizes``, each orbit's point count, and ``orbit_of``, each point's orbit:
+    ``points[reps[orbit_of[i]]]`` is the representative of point ``i``.
+    """
+    points = np.asarray(points, dtype=complex)
+    h = complex(gain)
+    maps = [points, 1j * points, -points, -1j * points]
+    if h.real * h.imag == 0.0 or abs(h.real) == abs(h.imag):
+        conj = points.conj()
+        maps += [conj, 1j * conj, -conj, -1j * conj]
+    tol = 1e-9 * float(np.abs(points).max())
+    lowest = np.arange(points.size)
+    for image in maps:
+        dist = np.abs(image[:, None] - points[None, :])
+        target = dist.argmin(axis=1)
+        if dist.min(axis=1).max() <= tol and np.unique(target).size == points.size:
+            np.minimum(lowest, target, out=lowest)  # the kept maps form a group: this ends at each orbit's least index
+    reps, orbit_of, sizes = np.unique(lowest, return_inverse=True, return_counts=True)
+    return reps, sizes, orbit_of
+
+
 def noise_entropy(comm_noise_var: float) -> float:
     """Differential entropy of CN(0, var) in bits: log2(pi e var)."""
     if not comm_noise_var > 0:
@@ -144,16 +178,25 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     """Per-symbol mutual information in bits by Gauss-Hermite quadrature, clamped to [0, H(p)].
 
     E[ln sum_x' p(x') exp(-|y - h x'|^2 / var)] with y = h x + n is summed over
-    the points x with p(x) > 0 and the GH_NODES x GH_NODES ``gauss_hermite_outputs``
-    nodes. Deterministic: the Monte Carlo settings ``mc_samples`` and ``seed`` are not used.
+    the GH_NODES x GH_NODES ``gauss_hermite_outputs`` nodes of one representative
+    x of each ``symmetry_orbits`` class O with P(O) = |O| p(x) > 0, weighted by
+    P(O): the inner sum is the same at every point of an orbit. A law that is
+    not exactly constant on the orbits is summed over singleton classes, which is
+    the sum over every point with p(x) > 0. Deterministic: the Monte Carlo
+    settings ``mc_samples`` and ``seed`` are not used.
     """
     var = cfg.comm_noise_var
+    h = complex(cfg.channel_gain)
+    reps, sizes, orbit_of = symmetry_orbits(c.points, h)
+    if not np.array_equal(c.probs, c.probs[reps][orbit_of]):
+        reps, sizes = np.arange(c.order), np.ones(c.order)
+    mass = sizes * c.probs[reps]
+    reps, mass = reps[mass > 0], mass[mass > 0]
     keep = c.probs > 0
-    probs = c.probs[keep]
-    log_p = np.log(probs)
-    centers = complex(cfg.channel_gain) * c.points[keep]
-    y, node_w = gauss_hermite_outputs(centers, var, GH_NODES)
-    row_w = (probs[:, None] * node_w[None, :]).ravel()
+    log_p = np.log(c.probs[keep])
+    centers = h * c.points[keep]
+    y, node_w = gauss_hermite_outputs(h * c.points[reps], var, GH_NODES)
+    row_w = (mass[:, None] * node_w[None, :]).ravel()
 
     mean_lse = 0.0
     for start in range(0, y.size, _GH_CHUNK_ROWS):

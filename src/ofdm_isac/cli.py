@@ -34,6 +34,7 @@ from .pcs import BANK_NODES, PcsConfig, SolverError, c0_bounds, mba_solve, trade
 from .verification import run_verification
 
 _UNUSED = object()  # table entry of a field accepted, as earlier versions read it, but warned about
+MAX_SWEEP_ROWS = 10**6  # dr-sweep rows; a step that asks for more is refused, not run for hours
 
 
 class ConfigError(Exception):
@@ -111,6 +112,10 @@ def _snr_step(v: dict) -> None:
     edge = max(abs(v["snr_db_start"]), abs(v["snr_db_stop"]) + 1e-9)  # the largest |db| the sweep visits
     if v["snr_db_step"] < math.ulp(edge):  # a step of at least its float spacing moves every db
         raise ValueError(f"must be >= {math.ulp(edge):g}, the float spacing at {edge:g} dB, got {v['snr_db_step']}")
+    span = v["snr_db_stop"] + 1e-9 - v["snr_db_start"]  # the sweep has floor(span / step) + 1 rows
+    if span / v["snr_db_step"] >= MAX_SWEEP_ROWS:
+        raise ValueError(f"must be > {span / MAX_SWEEP_ROWS:g} dB, so that the sweep has at most "
+                         f"{MAX_SWEEP_ROWS} rows, got {v['snr_db_step']}")
 
 
 def _cfar(v: dict) -> CfarConfig:

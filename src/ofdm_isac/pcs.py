@@ -1,10 +1,14 @@
 """Probabilistic constellation shaping: maximize AIR under a sensing-MSE budget.
 
-The solver alternates the two Blahut-Arimoto updates on a fixed bank, the
-BANK_NODES x BANK_NODES Gauss-Hermite outputs around each point (y is continuous):
+The constraints depend on |x| only, and the channel and the noise grid are
+invariant under the maps of ``air.symmetry_orbits``, so the optimum is constant
+on each orbit O of the alphabet and the solver works on the orbit masses
+P(O) = |O| p(x). It alternates the two Blahut-Arimoto updates on a fixed bank,
+the BANK_NODES x BANK_NODES Gauss-Hermite outputs around one representative x
+of each orbit (y is continuous; 1,000 rows for 64-QAM at a real channel gain):
 
-  1) posterior update  q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x')
-  2) Gibbs update      p(x) ~ exp(E_{y|x}[log q(x|y)] - l1 f(x) - l2 |x|^2)
+  1) posterior update  q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x'), x' over every point
+  2) Gibbs update      P(O) ~ |O| exp(E_{y|x}[log q(x|y)] - l1 f(x) - l2 |x|^2)
 
 where f(x) is the per-point sensing-MSE penalty of the active filter and the
 multipliers (l1, l2) minimize the update's convex dual by Newton's method:
@@ -26,7 +30,9 @@ from scipy.optimize import brentq  # noqa: F401
 
 # brentq, air_estimate and complex_normal are unused here but stay importable:
 # perfbench/tracing.py wraps pcs.brentq, pcs.air_estimate and pcs.complex_normal
-from .air import AirConfig, air_estimate, air_quadrature, gauss_hermite_outputs, log_likelihood_table  # noqa: F401
+from .air import (  # noqa: F401
+    AirConfig, air_estimate, air_quadrature, gauss_hermite_outputs, log_likelihood_table, symmetry_orbits,
+)
 # bound as ``logsumexp``: perfbench/tracing.py wraps pcs.logsumexp as the posterior span
 from .air import row_logsumexp as logsumexp
 from .channel import FrameDims, complex_normal  # noqa: F401
@@ -239,13 +245,16 @@ def effective_budget(cfg: PcsConfig) -> tuple[float, float, float]:
 def mba_solve(cfg: PcsConfig) -> PcsSolution:
     """Run the modified Blahut-Arimoto iteration until the iterates settle.
 
-    Terminates when ||p_next - p||^2 <= tol or after max_outer_iters. The
-    returned distribution satisfies the simplex exactly, and the unit-power constraint
-    and sensing_mse <= c0_effective (equality when lambda1 > 0) to a relative 1e-13.
-    The bank and the work table are freed before the AIR quadrature runs.
+    The iteration runs on the orbit masses P(O) of ``air.symmetry_orbits``: the
+    constraints and the channel are invariant under its maps, so the optimum is
+    constant on each orbit and p(x) = P(O) / |O|. Terminates when
+    ||p_next - p||^2 = sum_O (P_next(O) - P(O))^2 / |O| <= tol or after
+    max_outer_iters. The returned distribution satisfies the simplex exactly,
+    and the unit-power constraint and sensing_mse <= c0_effective (equality when
+    lambda1 > 0) to a relative 1e-13. The bank and the work table are freed
+    before the AIR quadrature runs.
     """
     points = make_uniform(cfg.family, cfg.order).points
-    energy = np.abs(points) ** 2
     snr_in = cfg.gain_var / cfg.noise_var
     if cfg.filt.kind is FilterType.WF and not math.isclose(cfg.filt.snr_in, snr_in, rel_tol=1e-9):
         warnings.warn(
@@ -253,52 +262,55 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
             "the MSE budget assumes the matched value",
             stacklevel=2,
         )
-    fpen = penalty_f(points, cfg.filt, snr_in)
+    h = complex(cfg.comm.channel_gain)
+    reps, sizes, orbit_of = symmetry_orbits(points, h)
+    log_sizes = np.log(sizes)
+    energy = np.abs(points[reps]) ** 2
+    fpen = penalty_f(points[reps], cfg.filt, snr_in)
     scale = cfg.dims.size * cfg.noise_var
     c0_eff, _, _ = effective_budget(cfg)
     budget_norm = c0_eff / scale
 
     var = cfg.comm.comm_noise_var
-    centers = complex(cfg.comm.channel_gain) * points
-    y, node_w = gauss_hermite_outputs(centers, var, BANK_NODES)
-    ll = log_likelihood_table(y, centers, var)
-    own_idx = np.repeat(np.arange(cfg.order), node_w.size)
+    y, node_w = gauss_hermite_outputs(h * points[reps], var, BANK_NODES)
+    ll = log_likelihood_table(y, h * points, var)
+    own_idx = np.repeat(reps, node_w.size)
     own_ll = ll[np.arange(ll.shape[0]), own_idx]
 
     work = np.empty_like(ll)  # ll + log p, overwritten by each posterior step
-    p = np.full(cfg.order, 1.0 / cfg.order)
+    mass = sizes / cfg.order
     trace: list[float] = []
     rows: list[tuple] = []
     l1 = l2 = 0.0
     converged = False
     iters = 0
     for iters in range(1, cfg.max_outer_iters + 1):
-        logp = np.log(np.clip(p, P_FLOOR, None))
+        logp = np.log(np.clip(mass / sizes, P_FLOOR, None))[orbit_of]
         lse = logsumexp(np.add(ll, logp, out=work))
-        t = (logp[own_idx] + own_ll - lse).reshape(cfg.order, -1) @ node_w
-        p_next, l1, l2 = _constrained_update(t, fpen, energy, budget_norm)
+        t = (logp[own_idx] + own_ll - lse).reshape(reps.size, -1) @ node_w
+        mass_next, l1, l2 = _constrained_update(t + log_sizes, fpen, energy, budget_norm)
         # surrogate of the updated (always feasible) iterate against the current
         # posterior; this sequence is non-decreasing even when the uniform seed
         # violates the budget
-        objective = float(p_next @ (t - np.log(np.clip(p_next, P_FLOOR, None))))
+        objective = float(mass_next @ (t - np.log(np.clip(mass_next / sizes, P_FLOOR, None))))
         trace.append(objective)
         rows.append(
-            (iters, objective, scale * float(p_next @ fpen), float(p_next @ energy), l1, l2)
+            (iters, objective, scale * float(mass_next @ fpen), float(mass_next @ energy), l1, l2)
         )
-        delta = float(((p_next - p) ** 2).sum())
-        p = p_next
+        delta = float(((mass_next - mass) ** 2 / sizes).sum())
+        mass = mass_next
         if delta <= cfg.tol:
             converged = True
             break
 
     del ll, own_ll, work  # free the bank before the quadrature allocates its blocks
-    sensing_mse = scale * float(p @ fpen)
+    p = (mass / sizes)[orbit_of]
     shaped = make_shaped(cfg.family, cfg.order, p)
     air_bits = air_quadrature(shaped, cfg.comm)
     return PcsSolution(
         probs=p,
         air_bits=air_bits,
-        sensing_mse=sensing_mse,
+        sensing_mse=scale * float(mass @ fpen),
         lambda1=l1,
         lambda2=l2,
         outer_iters=iters,
@@ -313,8 +325,9 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
 def tradeoff_sweep(cfg: PcsConfig, c0_grid) -> list[TradeoffPoint]:
     """One independent solve per budget, in increasing order; errors do not stop the sweep.
 
-    Each solve rebuilds the same quadrature bank and recomputes the budget
-    bounds; nothing is carried from one budget to the next. The
+    Each solve rebuilds the same orbit bank (the Gauss-Hermite outputs around
+    each symmetry orbit's representative) and recomputes the budget bounds;
+    nothing is carried from one budget to the next. The
     ``tradeoff`` command then passes every solved codebook to one
     ``detection_probability`` call, so every budget's P_d comes from one shared
     trial set and differences along the frontier come from the codebooks, not

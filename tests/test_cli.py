@@ -438,6 +438,32 @@ class TestRejectedValues:
         with pytest.raises(cli.ConfigError, match="bad config field 'snr_db_step'"):
             cli._resolve("dr-sweep", payload)
 
+    @pytest.mark.parametrize(
+        "payload, rows",
+        [
+            ({"snr_db_start": 0.0, "snr_db_stop": 0.0, "snr_db_step": 1e-20}, 10**11),
+            ({"snr_db_start": 0.0, "snr_db_stop": 1000.0, "snr_db_step": 1e-3}, cli.MAX_SWEEP_ROWS + 1),
+            ({"snr_db_start": 0.0, "snr_db_stop": 999.999, "snr_db_step": 1e-3}, cli.MAX_SWEEP_ROWS),
+        ],
+    )
+    def test_dr_sweep_row_count_bounded(self, payload, rows):
+        if rows <= cli.MAX_SWEEP_ROWS:
+            cli._resolve("dr-sweep", payload)
+        else:
+            with pytest.raises(cli.ConfigError, match="bad config field 'snr_db_step'.*at most 1000000 rows"):
+                cli._resolve("dr-sweep", payload)
+
+    def test_dr_sweep_with_too_many_rows_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("dr-sweep computed a row of a sweep it should refuse")
+
+        monkeypatch.setattr(cli, "closed_form_metrics", no_rows)
+        cfg = write_cfg(tmp_path, "bad.json", {"snr_db_start": 0, "snr_db_stop": 0, "snr_db_step": 1e-20})
+        out = tmp_path / "out"
+        assert main(["dr-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "bad config field 'snr_db_step'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_tradeoff_weak_bin_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_solves(*args, **kwargs):
             raise AssertionError("tradeoff_sweep ran on a config that detection rejects")

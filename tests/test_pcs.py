@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from ofdm_isac import pcs
-from ofdm_isac.air import AirConfig, air_quadrature
+from ofdm_isac.air import AirConfig, air_quadrature, symmetry_orbits
 from ofdm_isac.channel import FrameDims, complex_normal
 from ofdm_isac.constellation import make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, wiener
@@ -166,7 +166,7 @@ class TestSolver:
         + [pytest.param(wiener(SNR), 1.0, "psk", 8, id="psk8")],
     )
     def test_constraints_satisfied(self, monkeypatch, filt, fraction, family, order):
-        """The solution meets its constraints, and the last multiplier step its KKT conditions."""
+        """The solution meets its constraints, and the last multiplier step its KKT conditions on the orbits."""
         update, steps = pcs._constrained_update, []
 
         def recording(*args):
@@ -179,19 +179,25 @@ class TestSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sol = mba_solve(quick_cfg(filt, c0, family=family, order=order))
-        energy = np.abs(make_uniform(family, order).points) ** 2
+        points = make_uniform(family, order).points
+        energy = np.abs(points) ** 2
         assert abs(float(sol.probs.sum()) - 1.0) < 1e-10
         assert np.all(sol.probs >= 0)
         assert abs(float(sol.probs @ energy) - 1.0) <= 1e-12
         assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-12)
         if sol.lambda1 > 0:
             assert abs(sol.sensing_mse / sol.c0_effective - 1.0) <= 1e-12
-        (t, fpen, _, budget_norm), (p, l1, l2) = steps[-1]
-        assert p is sol.probs and (l1, l2) == (sol.lambda1, sol.lambda2)
+        # the update runs on the orbit masses P(O), with t + log|O| and each representative's features
+        reps, sizes, orbit_of = symmetry_orbits(points, COMM.channel_gain)
+        (t_orbit, fpen, energy_rep, budget_norm), (mass, l1, l2) = steps[-1]
+        np.testing.assert_array_equal(fpen, penalty_f(points[reps], filt, SNR))
+        np.testing.assert_array_equal(energy_rep, energy[reps])
+        assert (l1, l2) == (sol.lambda1, sol.lambda2)
+        np.testing.assert_array_equal(sol.probs, (mass / sizes)[orbit_of])
         # complementary slackness: l1 = 0 exactly when the power-only law meets the budget
-        power_only = _softmax(t - _power_multiplier(t, energy) * energy)
+        power_only = _softmax(t_orbit - _power_multiplier(t_orbit, energy_rep) * energy_rep)
         assert (l1 == 0.0) == (float(power_only @ fpen) <= budget_norm * (1.0 + 1e-12))
-        np.testing.assert_allclose(p, _softmax(t - l1 * fpen - l2 * energy), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(mass, _softmax(t_orbit - l1 * fpen - l2 * energy_rep), rtol=1e-12, atol=0.0)
 
     def test_multiplier_step_at_the_alphabet_floor(self):
         """A budget just above the LP floor is met with equality; one below it raises with diagnostics."""

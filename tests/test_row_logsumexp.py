@@ -82,23 +82,34 @@ def test_solver_posterior_runs_the_kernel():
 # Recorded on the 10x10 Gauss-Hermite bank under numpy 2.4 on x86-64: the
 # benchmark's six shaping solves (64-QAM, 64x32, 4 dB, comm noise variance
 # 0.02, default tolerance), with the multipliers solved by Newton's method on
-# the dual. To re-record, run each solve as test_shaping_solves_pinned does and
-# print the four values.
+# the dual and the iteration and its AIR quadrature run on the alphabet's
+# symmetry orbits. To re-record, run this file as a script
+# (PYTHONPATH=src python tests/test_row_logsumexp.py) and paste the dict it prints.
 # Per (filter, budget fraction): sha256 of the probs bytes, air_bits,
 # sha256 of repr(trace_rows), outer_iters.
 PINNED_SOLVES = {
-    ("wf", 0.2): ("5c431953d8b327a8cb1a496d5a62d24bc758b409efd038283b269ba4e1ba355e", 4.69174319484745,
-                  "940deb60fab99c8970463b910b94745acde07e8c354b0fedb6c1baf095e0e36a", 3),
-    ("wf", 0.5): ("27b70a74486faf216b561d6aa488fbb2f635d0f3ab27d5c96b099c14d8e10da4", 5.073030879091987,
-                  "8b88391a2065251f8850126122d8bfa1c0d54a66f31f3a3e101a52366a0ad1ef", 2),
-    ("wf", 0.8): ("96c1cc756672a24b565988f6665268951743debc281e7c0bc9d34c42ffe47422", 5.200030113160443,
-                  "e5d1e8e208e893ae7e2083c8113f0ed671b72a7838c4bc9b77e2963270ffc9d8", 2),
-    ("rf", 0.2): ("4cc6f616c2c0f5eb0b199b56bc54b57ed713839d13afa098e8ce3ead82bf5a88", 5.048466049086006,
-                  "a86db088cc277a9b9a6e0cfe77653f48b1b9a3fc1ae452ce0888b78475806b6d", 2),
-    ("rf", 0.5): ("952444183e7d05095a2a88cab279ac38e47442355774136ec0aa72a84c0ce093", 5.186208816964971,
-                  "72fc2ec582983cf62961264bf60ae03a0c6715b4d69bb3ef65b7776f76994ca8", 3),
-    ("rf", 0.8): ("dca8cb7bb567339d40560f74bd09dc45a37172976e2bec370b417c1be836c823", 5.21744403520648,
-                  "3dc3ff07ea75510c0fdcc07856c1465e7677aeaf8e491df20d110a1aa560e681", 2),
+    ("wf", 0.2): ("df5502af708a2c43e29a556f9a29073ee9028f7fd4c452a8ce12cdc9eb94f81d", 4.691743194847447,
+                  "d3286930fafb69442942f3d5c4ceb9536b0a2edaec44b62d5290359b480788df", 3),
+    ("wf", 0.5): ("c0261e569baf2ae69e067ec60722b1dfd3246635e06410a1e69b31a30cab7a24", 5.073030879091987,
+                  "2c41d473be5aa514bc1d61e3a09646d4ee0926b4705ca4417acae4247e3a608d", 2),
+    ("wf", 0.8): ("c7d4d7a6d438792df12d8a3ae6325ecc8d8985c2078f12945a7ae609ea0134f7", 5.2000301131604445,
+                  "29c5a22d54afc585625547247e38835136426b9b956044f6480fe7a5d8558ed9", 2),
+    ("rf", 0.2): ("7b66e86388b6c245aa21e463af9a4d41e835dc32f45064cb8324b99445f7bbd9", 5.048466049086006,
+                  "787a2c12c5f304025a892864cdb78d6d1f9f709126423b5a3b83f0097435c5d4", 2),
+    ("rf", 0.5): ("755d0e01b62d7ee31620206818d18a335352743865df1238331e0dfda1bbef47", 5.186208816964971,
+                  "57d05452ab50afdf32bc9c2fcfa063fe8b4896059df34ab4e36140a1da859463", 3),
+    ("rf", 0.8): ("25f4087921bf34515325634befd2fae2178ad187a59201dff366feb4b0ac3391", 5.21744403520648,
+                  "21ade33289a2160b4a1ca88f032f3eea6484817a100afb41232406cc9204525b", 2),
+}
+# The same solves' air_bits when the iteration and its quadrature ran on every
+# point of the alphabet; the orbit solve may differ from them only by rounding.
+FULL_ALPHABET_AIR = {
+    ("wf", 0.2): 4.69174319484745,
+    ("wf", 0.5): 5.073030879091987,
+    ("wf", 0.8): 5.200030113160443,
+    ("rf", 0.2): 5.048466049086006,
+    ("rf", 0.5): 5.186208816964971,
+    ("rf", 0.8): 5.21744403520648,
 }
 # The same solves' air_bits when the budget multiplier was bisected: the
 # bisection stopped 3-8e-8 short of each active budget, so these are floors.
@@ -129,16 +140,17 @@ def _shaping_solve(filt, fraction):
         return mba_solve(cfg)
 
 
+def _pins(sol):
+    return (hashlib.sha256(sol.probs.tobytes()).hexdigest(), sol.air_bits,
+            hashlib.sha256(repr(sol.trace_rows).encode()).hexdigest(), sol.outer_iters)
+
+
 @pinned_numpy
 @pytest.mark.parametrize("filt, fraction", sorted(PINNED_SOLVES))
 def test_shaping_solves_pinned(filt, fraction):
     sol = _shaping_solve(filt, fraction)
-    probs_sha, air_bits, rows_sha, iters = PINNED_SOLVES[filt, fraction]
     assert sol.converged
-    assert sol.outer_iters == iters
-    assert sol.air_bits == air_bits
-    assert hashlib.sha256(sol.probs.tobytes()).hexdigest() == probs_sha
-    assert hashlib.sha256(repr(sol.trace_rows).encode()).hexdigest() == rows_sha
+    assert _pins(sol) == PINNED_SOLVES[filt, fraction]
 
 
 @pytest.mark.parametrize("filt, fraction", sorted(BISECTION_AIR))
@@ -146,8 +158,21 @@ def test_shaping_solves_reach_bisection_air(filt, fraction):
     assert _shaping_solve(filt, fraction).air_bits >= BISECTION_AIR[filt, fraction] - 1e-12
 
 
+@pytest.mark.parametrize("filt, fraction", sorted(FULL_ALPHABET_AIR))
+def test_shaping_solves_reach_full_alphabet_air(filt, fraction):
+    assert _shaping_solve(filt, fraction).air_bits >= FULL_ALPHABET_AIR[filt, fraction] - 1e-12
+
+
 @pinned_numpy
 @pytest.mark.parametrize("noise_var, gain", sorted(PINNED_QUADRATURE, key=lambda k: k[0]))
 def test_air_quadrature_pinned(noise_var, gain):
     c = make_shaped("qam", 64, np.arange(64) % 7 + 0.0)
     assert air_quadrature(c, AirConfig(noise_var, gain)) == PINNED_QUADRATURE[noise_var, gain]
+
+
+if __name__ == "__main__":
+    print("PINNED_SOLVES = {")
+    for key in sorted(FULL_ALPHABET_AIR, key=lambda k: (k[0] != "wf", k[1])):
+        probs_sha, air_bits, rows_sha, iters = _pins(_shaping_solve(*key))
+        print(f'    ("{key[0]}", {key[1]!r}): ("{probs_sha}", {air_bits!r},\n                  "{rows_sha}", {iters}),')
+    print("}")

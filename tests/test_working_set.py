@@ -42,7 +42,7 @@ def test_table_equals_whole_array_expression(rows, n_centers):
 def test_wf_solve_peak_bounded():
     """The benchmark's WF 64-QAM solve: 29.4 MiB before chunking and early release, 14.1 after,
     10.1 on the 6,400-row Gauss-Hermite bank in place of 12,800 Monte Carlo rows (the quadrature's
-    9.85 now sets the peak)."""
+    9.85 then set the peak), 3.35 on the 1,000-row orbit bank with the orbit quadrature."""
     snr = 10.0 ** 0.4
     dims = FrameDims(64, 32)
     filt = wiener(snr)
@@ -50,11 +50,12 @@ def test_wf_solve_peak_bounded():
     cfg = PcsConfig("qam", 64, filt, dims, 1.0, 1.0 / snr, AirConfig(0.02), lo + 0.5 * (hi - lo))
     sol, peak = _traced_peak(mba_solve, cfg)
     assert sol.converged
-    assert peak < 11.5 * MIB, f"peak {peak / MIB:.2f} MiB"
+    assert peak < 3.8 * MIB, f"peak {peak / MIB:.2f} MiB"
 
 
 def test_quadrature_peak_below_11_mib():
-    """Uniform 64-QAM: 16.6 MiB with whole-block complex differences, 9.85 with chunks."""
+    """Uniform 64-QAM: 16.6 MiB with whole-block complex differences, 9.85 with chunks, 3.30 on the
+    orbit representatives' 4,000 rows (one block) in place of 25,600."""
     bits, peak = _traced_peak(air_quadrature, make_uniform("qam", 64), AirConfig(0.02))
     assert 5.0 < bits <= 6.0
-    assert peak < 11 * MIB, f"peak {peak / MIB:.2f} MiB"
+    assert peak < 3.7 * MIB, f"peak {peak / MIB:.2f} MiB"
