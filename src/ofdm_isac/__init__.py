@@ -30,7 +30,6 @@ from .pcs import (
     PcsConfig,
     PcsSolution,
     SolverError,
-    TradeoffPoint,
     c0_bounds,
     mba_solve,
     penalty_f,

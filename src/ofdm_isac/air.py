@@ -8,12 +8,14 @@ the log-sum-exp stabilized mixture likelihood is computed two ways:
   shaping solver reports this. Its nodes come from ``gauss_hermite_outputs``
   and its log-sum-exp is ``row_logsumexp``; the solver's posterior bank uses
   all three, at fewer nodes.
-- ``air_estimate``: Monte Carlo with a fixed seed, kept as an independent check
-  of the quadrature; it keeps ``scipy.special.logsumexp``.
+- ``air_estimate``: Monte Carlo, its sample count and seed given as arguments,
+  kept as an independent check of the quadrature; it keeps
+  ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,18 +36,16 @@ LL_CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class AirConfig:
-    """Communication-channel settings for the mutual-information estimate."""
+    """The communication channel y = h x + n, n ~ CN(0, comm_noise_var), of the AIR."""
 
     comm_noise_var: float
     channel_gain: complex = 1.0 + 0.0j
-    mc_samples: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.comm_noise_var > 0:  # also rejects nan
             raise ValueError(f"comm_noise_var must be > 0, got {self.comm_noise_var}")
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if not cmath.isfinite(self.channel_gain):
+            raise ValueError(f"channel_gain must be finite, got {self.channel_gain}")
 
 
 def row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -146,13 +146,15 @@ def noise_entropy(comm_noise_var: float) -> float:
     return math.log2(math.pi * math.e * comm_noise_var)
 
 
-def air_estimate(c: ShapedConstellation, cfg: AirConfig) -> float:
+def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000, seed: int = 0) -> float:
     """Per-symbol mutual information in bits, clamped to [0, H(p)].
 
-    Draws y = h*x + n with x ~ p(x), then averages
-    -log2 sum_x p(y|h,x) p(x) and subtracts the Gaussian noise entropy.
+    Draws ``samples`` outputs y = h*x + n with x ~ p(x) from ``seed``, then
+    averages -log2 sum_x p(y|h,x) p(x) and subtracts the Gaussian noise entropy.
     """
-    rng = np.random.default_rng(cfg.seed)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
     var = cfg.comm_noise_var
     h = complex(cfg.channel_gain)
     log_p = np.log(np.clip(c.probs, 1e-300, None))
@@ -160,7 +162,7 @@ def air_estimate(c: ShapedConstellation, cfg: AirConfig) -> float:
 
     # E[ln sum_x p(x) exp(-|y - h x|^2 / var)] accumulated in chunks
     lse_total = 0.0
-    remaining = cfg.mc_samples
+    remaining = samples
     while remaining > 0:
         size = min(_CHUNK, remaining)
         x = c.points[draw_symbols(c, rng, size)]
@@ -169,7 +171,7 @@ def air_estimate(c: ShapedConstellation, cfg: AirConfig) -> float:
         lse_total += float(logsumexp(log_p[None, :] - sq_dist / var, axis=1).sum())
         remaining -= size
 
-    mean_lse = lse_total / cfg.mc_samples
+    mean_lse = lse_total / samples
     bits = (-mean_lse - 1.0) / math.log(2.0)
     return min(max(bits, 0.0), c.entropy_bits())
 
@@ -182,8 +184,7 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     x of each ``symmetry_orbits`` class O with P(O) = |O| p(x) > 0, weighted by
     P(O): the inner sum is the same at every point of an orbit. A law that is
     not exactly constant on the orbits is summed over singleton classes, which is
-    the sum over every point with p(x) > 0. Deterministic: the Monte Carlo
-    settings ``mc_samples`` and ``seed`` are not used.
+    the sum over every point with p(x) > 0. Deterministic: it draws nothing.
     """
     var = cfg.comm_noise_var
     h = complex(cfg.channel_gain)

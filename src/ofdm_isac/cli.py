@@ -423,6 +423,7 @@ def _cmd_pcs(args, v: dict) -> int:
         path = args.out / "pcs_error.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"error": str(exc), "diagnostics": exc.diagnostics}, fh, indent=2)
+            fh.write("\n")
         print(f"solver failed: {exc} (diagnostics in {path})", file=sys.stderr)
         return 1
     shaped = make_shaped(pcfg.family, pcfg.order, sol.probs)
@@ -446,23 +447,24 @@ def _cmd_tradeoff(args, v: dict) -> int:
     grid, cfar, det_trials = v["grid"], v["cfar"], v["detection.trials"]
     pcfg = _problem(v, grid[0])  # tradeoff_sweep sets each solve's own budget
     det_seed = _derived_seeds(v["master_seed"])[3]
-    points = tradeoff_sweep(pcfg, grid)
-    shaped = {i: make_shaped(pcfg.family, pcfg.order, pt.probs) for i, pt in enumerate(points) if pt.error is None}
+    sweep = tradeoff_sweep(pcfg, grid)
+    solved = {i: sol for i, (_, sol) in enumerate(sweep) if not isinstance(sol, SolverError)}
+    shaped = {i: make_shaped(pcfg.family, pcfg.order, sol.probs) for i, sol in solved.items()}
     # one call, so every budget's pd comes from the same trial set
     pds = detection_probability(
         pcfg.dims, v["scene"], list(shaped.values()), pcfg.filt, cfar, det_trials, det_seed, threads=args.threads
     ) if shaped else ()
     pd_of = dict(zip(shaped, pds))
-    rows, unconverged = [], sum(pt.error is None and not pt.converged for pt in points)
-    for i, pt in enumerate(points):
-        if pt.error is not None:
-            rows.append((pt.c0, math.nan, math.nan, math.nan, pt.error))
+    rows, unconverged = [], sum(not sol.converged for sol in solved.values())
+    for i, (c0, sol) in enumerate(sweep):
+        if i not in solved:
+            rows.append((c0, math.nan, math.nan, math.nan, str(sol)))
             continue
-        pd, status = pd_of[i], "" if pt.converged else f"not converged after {pt.outer_iters} iterations"
-        rows.append((pt.c0, pt.air_bits, pt.sensing_mse, pd, status))
+        pd, status = pd_of[i], "" if sol.converged else f"not converged after {sol.outer_iters} iterations"
+        rows.append((c0, sol.air_bits, sol.sensing_mse, pd, status))
         save_codebook(args.out / f"codebook_{i:02d}.json", shaped[i], snr_in=pcfg.gain_var / pcfg.noise_var,
-                      filter_kind=pcfg.filt.kind.value, c0=pt.c0,
-                      provenance=f"tradeoff point {i}: air_bits={pt.air_bits:.6f} pd={pd:.4f}")
+                      filter_kind=pcfg.filt.kind.value, c0=c0,
+                      provenance=f"tradeoff point {i}: air_bits={sol.air_bits:.6f} pd={pd:.4f}")
     path = _write_table(args.out / "tradeoff", args.format, [
         "units: c0 and sensing_mse linear power; air_bits bits/symbol; pd probability",
         f"provenance: empirical pd trials={det_trials} seed={det_seed}; "
@@ -472,7 +474,7 @@ def _cmd_tradeoff(args, v: dict) -> int:
     ], ["c0", "air_bits", "sensing_mse", "pd", "error"], rows)
     print(f"wrote {path}")
     if unconverged:
-        print(f"not converged: {unconverged} of {len(points)} budgets (see the error column)")
+        print(f"not converged: {unconverged} of {len(sweep)} budgets (see the error column)")
         return 3  # artifacts written; some solves hit max_outer_iters
     return 0
 

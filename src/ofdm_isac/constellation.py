@@ -114,10 +114,7 @@ def _psk_circle(order: int) -> np.ndarray:
 
 def make_uniform(family: Family | str, order: int) -> ShapedConstellation:
     """Uniform-probability PSK or square-QAM alphabet with unit average power."""
-    family = Family(family)
-    points = _psk_circle(order) if family is Family.PSK else _qam_grid(order)
-    probs = np.full(order, 1.0 / order)
-    return ShapedConstellation(points, probs, family, order)
+    return make_shaped(family, order, np.full(order, 1 / order))
 
 
 def make_shaped(family: Family | str, order: int, probs) -> ShapedConstellation:

@@ -16,6 +16,8 @@ l2 alone first, with l1 = 0 accepted whenever that law meets the MSE budget
 (complementary slackness), else both, so the budget holds with equality. The
 bank needs no seed, so a solve is deterministic; the reported AIR of the final
 distribution is the finer Gauss-Hermite quadrature ``air.air_quadrature``.
+A solve's one result type is ``PcsSolution``; ``tradeoff_sweep`` pairs each
+budget with its solution or the ``SolverError`` its solve raised.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class PcsConfig:
             raise ValueError(f"gain_var must be > 0, got {self.gain_var}")
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        if math.isnan(self.c0):  # an infinite budget is clamped, with a warning, by the solve
+            raise ValueError("c0 must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -90,22 +94,9 @@ class PcsSolution:
     lambda1: float
     lambda2: float
     outer_iters: int
-    objective_trace: list[float]
-    trace_rows: list[tuple]
-    c0_requested: float
+    trace_rows: list[tuple]  # (iter, objective, mse, power, lambda1, lambda2) per iteration
     c0_effective: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    c0: float
-    air_bits: float
-    sensing_mse: float
-    probs: np.ndarray | None
-    error: str | None = None
-    converged: bool = False
-    outer_iters: int = 0
 
 
 def penalty_f(points, f: FilterKind, snr_in: float) -> np.ndarray:
@@ -222,14 +213,14 @@ def _constrained_update(t, fpen, energy, budget_norm):
     return p, float(l1), float(l2)
 
 
-def effective_budget(cfg: PcsConfig) -> tuple[float, float, float]:
-    """Clamp the requested budget into the achievable range; returns (c0_eff, c_lo, c_hi)."""
+def effective_budget(cfg: PcsConfig) -> float:
+    """The requested budget clamped into the achievable range."""
     snr_in = cfg.gain_var / cfg.noise_var
     points = make_uniform(cfg.family, cfg.order).points
     fpen = penalty_f(points, cfg.filt, snr_in)
     energy = np.abs(points) ** 2
     scale = cfg.dims.size * cfg.noise_var
-    c_lo, c_hi = c0_bounds(cfg.order, cfg.filt, cfg.dims, cfg.gain_var, cfg.noise_var, cfg.family)
+    _, c_hi = c0_bounds(cfg.order, cfg.filt, cfg.dims, cfg.gain_var, cfg.noise_var, cfg.family)
     lp_val, _ = min_penalty_on_simplex(fpen, energy)
     lower = min(scale * lp_val * (1.0 + 1e-3), c_hi)
     c0_eff = min(max(cfg.c0, lower), c_hi)
@@ -239,7 +230,7 @@ def effective_budget(cfg: PcsConfig) -> tuple[float, float, float]:
             f"[{lower:g}, {c_hi:g}]; clamped to {c0_eff:g}",
             stacklevel=2,
         )
-    return c0_eff, c_lo, c_hi
+    return c0_eff
 
 
 def mba_solve(cfg: PcsConfig) -> PcsSolution:
@@ -268,7 +259,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     energy = np.abs(points[reps]) ** 2
     fpen = penalty_f(points[reps], cfg.filt, snr_in)
     scale = cfg.dims.size * cfg.noise_var
-    c0_eff, _, _ = effective_budget(cfg)
+    c0_eff = effective_budget(cfg)
     budget_norm = c0_eff / scale
 
     var = cfg.comm.comm_noise_var
@@ -279,7 +270,6 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
 
     work = np.empty_like(ll)  # ll + log p, overwritten by each posterior step
     mass = sizes / cfg.order
-    trace: list[float] = []
     rows: list[tuple] = []
     l1 = l2 = 0.0
     converged = False
@@ -293,7 +283,6 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
         # posterior; this sequence is non-decreasing even when the uniform seed
         # violates the budget
         objective = float(mass_next @ (t - np.log(np.clip(mass_next / sizes, P_FLOOR, None))))
-        trace.append(objective)
         rows.append(
             (iters, objective, scale * float(mass_next @ fpen), float(mass_next @ energy), l1, l2)
         )
@@ -314,16 +303,16 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
         lambda1=l1,
         lambda2=l2,
         outer_iters=iters,
-        objective_trace=trace,
         trace_rows=rows,
-        c0_requested=cfg.c0,
         c0_effective=c0_eff,
         converged=converged,
     )
 
 
-def tradeoff_sweep(cfg: PcsConfig, c0_grid) -> list[TradeoffPoint]:
-    """One independent solve per budget, in increasing order; errors do not stop the sweep.
+def tradeoff_sweep(cfg: PcsConfig, c0_grid) -> list[tuple[float, PcsSolution | SolverError]]:
+    """One independent solve per budget: ``(c0, solution or the SolverError it raised)`` pairs in
+    increasing budget order, so one budget's failure does not stop the sweep. A nan budget
+    raises ValueError before the first solve.
 
     Each solve rebuilds the same orbit bank (the Gauss-Hermite outputs around
     each symmetry orbit's representative) and recomputes the budget bounds;
@@ -333,16 +322,11 @@ def tradeoff_sweep(cfg: PcsConfig, c0_grid) -> list[TradeoffPoint]:
     trial set and differences along the frontier come from the codebooks, not
     from the draw.
     """
-    points: list[TradeoffPoint] = []
-    for c0 in sorted(float(v) for v in c0_grid):
+    problems = [dataclasses.replace(cfg, c0=c0) for c0 in sorted(float(v) for v in c0_grid)]
+    sweep: list[tuple[float, PcsSolution | SolverError]] = []
+    for problem in problems:
         try:
-            sol = mba_solve(dataclasses.replace(cfg, c0=c0))
-            points.append(
-                TradeoffPoint(
-                    c0, sol.air_bits, sol.sensing_mse, sol.probs,
-                    converged=sol.converged, outer_iters=sol.outer_iters,
-                )
-            )
+            sweep.append((problem.c0, mba_solve(problem)))
         except SolverError as exc:
-            points.append(TradeoffPoint(c0, math.nan, math.nan, None, error=str(exc)))
-    return points
+            sweep.append((problem.c0, exc))
+    return sweep

@@ -65,45 +65,45 @@ class TestNoiseEntropy:
 class TestAirEstimate:
     def test_degenerate_input_carries_no_information(self):
         c = ShapedConstellation(np.array([1 + 0j, 3 + 0j]), np.array([1.0, 0.0]), "qam", 2)
-        assert air_estimate(c, AirConfig(0.5, mc_samples=20_000, seed=1)) == 0.0
+        assert air_estimate(c, AirConfig(0.5), samples=20_000, seed=1) == 0.0
 
     def test_qam64_entropy_ceiling(self):
         c = make_uniform("qam", 64)
-        bits = air_estimate(c, AirConfig(1e-6, mc_samples=200_000, seed=0))
+        bits = air_estimate(c, AirConfig(1e-6), samples=200_000, seed=0)
         assert bits == pytest.approx(6.0, abs=0.01)
 
     def test_bpsk_matches_gauss_hermite(self):
         # complex noise CN(0, 2) puts unit variance in the signal dimension
-        bits = air_estimate(make_uniform("psk", 2), AirConfig(2.0, mc_samples=300_000, seed=0))
+        bits = air_estimate(make_uniform("psk", 2), AirConfig(2.0), samples=300_000, seed=0)
         oracle = bpsk_mi_bits_gh(1.0)
         assert oracle == pytest.approx(0.486, abs=1e-3)
         assert bits == pytest.approx(oracle, abs=0.01)
 
     def test_rotation_invariant(self):
         # the half-step PSK phase convention cannot matter over circular noise
-        a = air_estimate(make_uniform("psk", 2), AirConfig(1.0, mc_samples=100_000, seed=3))
+        a = air_estimate(make_uniform("psk", 2), AirConfig(1.0), samples=100_000, seed=3)
         rotated = ShapedConstellation(np.array([1 + 0j, -1 + 0j]), np.array([0.5, 0.5]), "psk", 2)
-        b = air_estimate(rotated, AirConfig(1.0, mc_samples=100_000, seed=3))
+        b = air_estimate(rotated, AirConfig(1.0), samples=100_000, seed=3)
         assert a == pytest.approx(b, abs=0.01)
 
     def test_monotone_in_snr(self):
         c = make_uniform("qam", 16)
-        low = air_estimate(c, AirConfig(1.0, mc_samples=100_000, seed=4))
-        high = air_estimate(c, AirConfig(0.1, mc_samples=100_000, seed=4))
+        low = air_estimate(c, AirConfig(1.0), samples=100_000, seed=4)
+        high = air_estimate(c, AirConfig(0.1), samples=100_000, seed=4)
         assert high > low + 0.02  # far beyond 3 sigma of MC error
 
     def test_bounded_by_entropy_and_capacity(self):
         probs = np.linspace(1, 3, 16)
         c = make_shaped("qam", 16, probs / probs.sum())
         for var in (0.05, 0.5, 2.0):
-            bits = air_estimate(c, AirConfig(var, mc_samples=50_000, seed=6))
+            bits = air_estimate(c, AirConfig(var), samples=50_000, seed=6)
             assert 0.0 <= bits <= c.entropy_bits() + 1e-12
             assert bits <= math.log2(1.0 + 1.0 / var) + 0.05
 
     def test_error_decays_with_sample_count(self):
         c = make_uniform("qam", 16)
-        small = [air_estimate(c, AirConfig(0.5, mc_samples=4_000, seed=s)) for s in range(10)]
-        large = [air_estimate(c, AirConfig(0.5, mc_samples=16_000, seed=s + 100)) for s in range(10)]
+        small = [air_estimate(c, AirConfig(0.5), samples=4_000, seed=s) for s in range(10)]
+        large = [air_estimate(c, AirConfig(0.5), samples=16_000, seed=s + 100) for s in range(10)]
         ratio = np.std(small) / np.std(large)
         assert 1.2 < ratio < 3.3  # ~2 expected for a 4x sample increase
 
@@ -150,5 +150,5 @@ class TestAirQuadrature:
 
     def test_agrees_with_monte_carlo(self):
         c = make_shaped("qam", 64, np.linspace(1, 3, 64))
-        cfg = AirConfig(0.02, mc_samples=1_000_000, seed=12)
-        assert air_quadrature(c, cfg) == pytest.approx(air_estimate(c, cfg), abs=5e-3)
+        cfg = AirConfig(0.02)
+        assert air_quadrature(c, cfg) == pytest.approx(air_estimate(c, cfg, samples=1_000_000, seed=12), abs=5e-3)

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ofdm_isac import cli
+from ofdm_isac import cli, pcs
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import load_codebook
+from ofdm_isac.pcs import SolverError
 
 
 def read_csv(path):
@@ -138,7 +139,43 @@ class TestPcsCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+    def test_solver_error_writes_error_artifact_only(self, tmp_path, capsys, monkeypatch):
+        def stuck(cfg):
+            raise SolverError("multiplier Newton iteration did not converge", {"gap": [0.5]})
+
+        monkeypatch.setattr(cli, "mba_solve", stuck)
+        cfg = write_cfg(tmp_path, "pcs.json", {"order": 16, "comm": {"noise_var": 0.05}})
+        out = tmp_path / "out"
+        assert main(["pcs", "--config", cfg, "--out", str(out)]) == 1
+        assert "solver failed: multiplier Newton" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["pcs_error.json"]
+        text = (out / "pcs_error.json").read_text()
+        assert json.loads(text) == {"error": "multiplier Newton iteration did not converge", "diagnostics": {"gap": [0.5]}}
+        assert text.endswith("}\n")
+
+
 class TestTradeoffCommand:
+    def test_solver_error_fills_its_row_only(self, tmp_path, capsys, monkeypatch):
+        """A budget whose solve raises reads NaNs and the message; the other rows keep their codebooks."""
+        solve = pcs.mba_solve
+
+        def stuck_at_620(cfg):
+            if cfg.c0 == 620.0:
+                raise SolverError("multiplier Newton iteration did not converge", {"gap": [0.5]})
+            return solve(cfg)
+
+        monkeypatch.setattr(pcs, "mba_solve", stuck_at_620)
+        cfg = write_cfg(tmp_path, "t.json", {"order": 16, "comm": {"noise_var": 0.05},
+                                             "c0_grid": [650.0, 600.0, 620.0], "detection": {"trials": 40}})
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "2"]) == 0
+        _, _, rows = read_csv(tmp_path / "out" / "tradeoff.csv")
+        assert [row[0] for row in rows] == ["600.0", "620.0", "650.0"]
+        assert rows[1][1:] == ["nan", "nan", "nan", "multiplier Newton iteration did not converge"]
+        for row in (rows[0], rows[2]):
+            assert 0.0 < float(row[1]) and 0.0 <= float(row[3]) <= 1.0 and row[4] == ""
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["codebook_00.json", "codebook_02.json", "tradeoff.csv"]
+
     def test_sweep_with_pd(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

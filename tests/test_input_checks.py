@@ -9,7 +9,7 @@ from ofdm_isac.air import AirConfig, noise_entropy
 from ofdm_isac.channel import FrameDims, Scene, Target, scene_from_dict
 from ofdm_isac.cli import main
 from ofdm_isac.filtering import MF, FilterKind, FilterType, wiener
-from ofdm_isac.pcs import PcsConfig, penalty_f
+from ofdm_isac.pcs import PcsConfig, mba_solve, penalty_f
 
 NAN = float("nan")
 
@@ -30,17 +30,29 @@ class TestLibraryRejectsNan:
             lambda: wiener(NAN),
             lambda: FilterKind(FilterType.WF, NAN),
             lambda: AirConfig(NAN),
+            lambda: AirConfig(0.1, complex(NAN, 0.0)),
+            lambda: AirConfig(0.1, complex(0.0, math.inf)),
             lambda: _pcs_config(tol=NAN),
             lambda: _pcs_config(gain_var=NAN),
             lambda: _pcs_config(noise_var=NAN),
+            lambda: _pcs_config(c0=NAN),
             lambda: noise_entropy(NAN),
             lambda: penalty_f(np.ones(4), MF, NAN),
         ],
         ids=["target-gain_var", "scene-noise_var", "wiener", "filterkind-wf", "air-comm_noise_var",
-             "pcs-tol", "pcs-gain_var", "pcs-noise_var", "noise_entropy", "penalty_f"],
+             "air-channel_gain", "air-channel_gain-inf", "pcs-tol", "pcs-gain_var", "pcs-noise_var", "pcs-c0",
+             "noise_entropy", "penalty_f"],
     )
     def test_nan_raises(self, build):
         with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: AirConfig(0.1, complex(NAN, 0.0)), "channel_gain"),
+        (lambda: _pcs_config(c0=NAN), "c0"),
+    ], ids=["air-channel_gain", "pcs-c0"])
+    def test_error_names_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
             build()
 
     def test_scene_file_with_nan_rejected(self):
@@ -55,6 +67,12 @@ class TestLibraryRejectsNan:
         assert wiener(math.inf).snr_in == math.inf
         assert AirConfig(math.inf).comm_noise_var == math.inf
         assert _pcs_config(tol=math.inf).tol == math.inf
+        assert _pcs_config(c0=math.inf).c0 == math.inf  # the solve clamps it, with a warning
+
+    def test_infinite_budget_clamped(self):
+        with pytest.warns(UserWarning, match="clamped"):
+            sol = mba_solve(_pcs_config(c0=math.inf, max_outer_iters=1))
+        assert math.isfinite(sol.c0_effective)
 
 
 class TestThreadsFlag:

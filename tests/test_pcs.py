@@ -1,6 +1,5 @@
 """Shaping solver: penalties, budget bounds, constraint satisfaction, BA oracle."""
 
-import dataclasses
 import math
 import warnings
 
@@ -16,6 +15,7 @@ from ofdm_isac.constellation import make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, wiener
 from ofdm_isac.pcs import (
     PcsConfig,
+    PcsSolution,
     SolverError,
     c0_bounds,
     mba_solve,
@@ -27,7 +27,7 @@ from ofdm_isac.pcs import (
 DIMS = FrameDims(64, 32)
 SNR = 10.0**0.4
 NOISE = 1.0 / SNR
-COMM = AirConfig(comm_noise_var=0.02, mc_samples=50_000, seed=11)
+COMM = AirConfig(comm_noise_var=0.02)
 
 
 def quick_cfg(filt, c0, **kw):
@@ -216,7 +216,7 @@ class TestSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sol = mba_solve(quick_cfg(f, lo, tol=1e-9, max_outer_iters=80))
-        diffs = np.diff(sol.objective_trace)
+        diffs = np.diff([row[1] for row in sol.trace_rows])
         assert diffs.min() >= -1e-3
 
     def test_loose_budget_matches_power_only_ba(self):
@@ -266,8 +266,6 @@ class TestSolver:
         cfg = quick_cfg(f, lo + 0.5 * (hi - lo))
         sol = mba_solve(cfg)
         assert sol.air_bits == air_quadrature(make_shaped("qam", 64, sol.probs), COMM)
-        other = dataclasses.replace(COMM, seed=COMM.seed + 1, mc_samples=1000)
-        assert mba_solve(dataclasses.replace(cfg, comm=other)).air_bits == sol.air_bits
 
     def test_trace_rows_schema(self):
         f = MF
@@ -284,10 +282,10 @@ class TestSweep:
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            points = tradeoff_sweep(quick_cfg(f, hi), np.linspace(lo, hi, 5))
-        assert all(pt.error is None for pt in points)
-        airs = [pt.air_bits for pt in points]
-        mses = [pt.sensing_mse for pt in points]
+            sweep = tradeoff_sweep(quick_cfg(f, hi), np.linspace(lo, hi, 5))
+        assert all(isinstance(sol, PcsSolution) for _, sol in sweep)
+        airs = [sol.air_bits for _, sol in sweep]
+        mses = [sol.sensing_mse for _, sol in sweep]
         assert all(b >= a - 5e-3 for a, b in zip(airs, airs[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(mses, mses[1:]))
         assert airs[0] <= airs[-1]
@@ -297,14 +295,40 @@ class TestSweep:
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         grid = [lo + 0.5 * (hi - lo), hi]
         done = tradeoff_sweep(quick_cfg(f, hi), grid)
-        assert all(pt.converged and pt.outer_iters > 1 for pt in done)
+        assert all(sol.converged and sol.outer_iters > 1 for _, sol in done)
         cut = tradeoff_sweep(quick_cfg(f, hi, max_outer_iters=1), grid)
-        assert all(not pt.converged and pt.outer_iters == 1 and pt.error is None for pt in cut)
+        assert all(isinstance(sol, PcsSolution) and not sol.converged and sol.outer_iters == 1 for _, sol in cut)
 
     def test_output_sorted_by_budget(self):
         f = RF
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            points = tradeoff_sweep(quick_cfg(f, hi), [hi, lo + 0.5 * (hi - lo)])
-        assert points[0].c0 < points[1].c0
+            sweep = tradeoff_sweep(quick_cfg(f, hi), [hi, lo + 0.5 * (hi - lo)])
+        assert sweep[0][0] < sweep[1][0]
+
+    def test_solver_error_paired_with_its_budget(self, monkeypatch):
+        """A budget whose solve raises SolverError keeps its place; the other budgets are still solved."""
+        solve = pcs.mba_solve
+
+        def failing_middle(cfg):
+            if cfg.c0 == 2.0:
+                raise SolverError("stuck", {"gap": [1.0]})
+            return solve(cfg)
+
+        monkeypatch.setattr(pcs, "mba_solve", failing_middle)
+        _, hi = c0_bounds(64, MF, DIMS, 1.0, NOISE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sweep = tradeoff_sweep(quick_cfg(MF, hi, max_outer_iters=2), [3.0, hi, 2.0])
+        assert [c0 for c0, _ in sweep] == [2.0, 3.0, hi]
+        assert isinstance(sweep[0][1], SolverError) and sweep[0][1].diagnostics == {"gap": [1.0]}
+        assert all(isinstance(sol, PcsSolution) for _, sol in sweep[1:])
+
+    def test_nan_budget_raises_before_any_solve(self, monkeypatch):
+        def no_solve(cfg):
+            raise AssertionError("solved a budget of a grid holding nan")
+
+        monkeypatch.setattr(pcs, "mba_solve", no_solve)
+        with pytest.raises(ValueError, match="c0"):
+            tradeoff_sweep(quick_cfg(MF, 1.0), [1.0, math.nan])

@@ -50,7 +50,7 @@ def full_solve(cfg):
     points = make_uniform(cfg.family, cfg.order).points
     energy = np.abs(points) ** 2
     fpen = penalty_f(points, cfg.filt, cfg.gain_var / cfg.noise_var)
-    c0_eff, _, _ = effective_budget(cfg)
+    c0_eff = effective_budget(cfg)
     budget_norm = c0_eff / (cfg.dims.size * cfg.noise_var)
     var = cfg.comm.comm_noise_var
     centers = complex(cfg.comm.channel_gain) * points
