@@ -139,13 +139,6 @@ def symmetry_orbits(points: np.ndarray, gain: complex) -> tuple[np.ndarray, np.n
     return reps, sizes, orbit_of
 
 
-def noise_entropy(comm_noise_var: float) -> float:
-    """Differential entropy of CN(0, var) in bits: log2(pi e var)."""
-    if not comm_noise_var > 0:
-        raise ValueError(f"comm_noise_var must be > 0, got {comm_noise_var}")
-    return math.log2(math.pi * math.e * comm_noise_var)
-
-
 def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000, seed: int = 0) -> float:
     """Per-symbol mutual information in bits, clamped to [0, H(p)].
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .air import GH_NODES, AirConfig
-from .channel import FrameDims, Scene, Target
+from .channel import FrameDims, Scene, Target, steering_vectors
 from .constellation import Family, ShapedConstellation, make_shaped, make_uniform, save_codebook
 from .detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_cell, detection_probability
 from .filtering import MF, RF, FilterKind, wiener
@@ -126,7 +126,9 @@ def _cfar(v: dict) -> CfarConfig:
 
 def _detection_scene(v: dict) -> Scene:
     scene = default_tradeoff_scene(v["noise_var"], v["detection.weak_delay_bin"], v["detection.weak_rel_power_db"])
-    detection_cell(v["dims"], scene)  # checked before the solves, not after them
+    for target in scene.targets:  # checked before the solves, not after them
+        steering_vectors(v["dims"], target)
+    detection_cell(v["dims"], scene)
     return scene
 
 
@@ -210,13 +212,12 @@ _TABLES: dict[str, dict] = {
         **_LINK,
         "filter": ("mf", str),
         "trials": (2000, _count),
-        "kernel": (_defaults(expected_dd_power)["kernel"], str),
         "target.delay_bin": (0.0, _finite),
         "target.doppler_bin": (0.0, _finite),
         "dims_list": ([FrameDims(16, 16), FrameDims(64, 32)], _list_of(lambda nm: FrameDims(*map(_integer, nm)))),
-        # run the kernel once, so that a bad one is caught before the Monte Carlo, not after it
-        "kernel_check": _Derived("kernel", lambda v: expected_dd_power(
-            0, 0, (0.0, 0.0), v["alphabet"], v["filt"], v["dims_list"][0], v["gain_var"], v["noise_var"], v["kernel"])),
+        # the target must lie inside every frame, checked before the first frame's Monte Carlo
+        "target": _Derived("target", lambda v: [steering_vectors(dims, Target(
+            v["gain_var"], v["target.delay_bin"], v["target.doppler_bin"])) for dims in v["dims_list"]]),
         **_SEED,
     },
     "pcs": {**_SOLVE, "c0": (None, _finite), "c0_fraction": (1.0, _finite)},
@@ -381,7 +382,7 @@ def _profile_rows(expected: np.ndarray, empirical: np.ndarray):
 
 
 def _cmd_profiles(args, v: dict) -> int:
-    c, f, kernel, trials = v["alphabet"], v["filt"], v["kernel"], v["trials"]
+    c, f, trials = v["alphabet"], v["filt"], v["trials"]
     gain_var, noise_var = v["gain_var"], v["noise_var"]
     delay_bin, doppler_bin = v["target.delay_bin"], v["target.doppler_bin"]
     seed = _derived_seeds(v["master_seed"])[0]
@@ -392,7 +393,7 @@ def _cmd_profiles(args, v: dict) -> int:
         tp = int(round(doppler_bin)) % dims.n_symbols
         comments = [
             "units: *_norm_db in dB below the slice peak; *_power linear",
-            f"provenance: expected closed-form ({kernel} kernel); empirical trials={trials} seed={seed}",
+            f"provenance: expected closed-form (dirichlet kernel); empirical trials={trials} seed={seed}",
             f"constellation: uniform {c.order}-{c.family.value}; filter={f.kind.value}; snr_in_db={v['snr_in_db']}",
             f"dims: N={dims.n_subcarriers} M={dims.n_symbols}; target=({delay_bin},{doppler_bin})",
         ]
@@ -401,7 +402,7 @@ def _cmd_profiles(args, v: dict) -> int:
             ("delay", ks, np.full(ks.shape, float(tp)), mean_map[:, tp]),
             ("doppler", np.full(ps.shape, float(tk)), ps, mean_map[tk, :]),
         ):
-            expected = expected_dd_power(k, p, (delay_bin, doppler_bin), c, f, dims, gain_var, noise_var, kernel)
+            expected = expected_dd_power(k, p, (delay_bin, doppler_bin), c, f, dims, gain_var, noise_var)
             path = _write_table(
                 args.out / f"profile_{axis}_{dims.n_subcarriers}x{dims.n_symbols}", args.format, comments,
                 [f"{axis}_bin", "expected_norm_db", "empirical_norm_db", "expected_power", "empirical_power"],

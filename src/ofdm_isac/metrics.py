@@ -128,22 +128,13 @@ def expected_dd_power(
     dims: FrameDims,
     gain_var: float,
     noise_var: float,
-    kernel: str = "dirichlet",
 ) -> np.ndarray:
-    """Expected DD-profile power at hypothesis bins (k, p) for a single target.
-
-    ``kernel`` selects the exact Dirichlet kernel or the sinc approximation of
-    the mainlobe shape; both agree on integer bins.
-    """
+    """Expected DD-profile power at hypothesis bins (k, p) for a single target,
+    with the exact Dirichlet mainlobe shape."""
     s = chi_stats(c, f)
     kk, pp = target_bins
     n, m = dims.shape
-    if kernel == "dirichlet":
-        shape = dirichlet_kernel(np.asarray(k) - kk, n) ** 2 * dirichlet_kernel(np.asarray(p) - pp, m) ** 2
-    elif kernel == "sinc":
-        shape = np.sinc(np.asarray(k) - kk) ** 2 * np.sinc(np.asarray(p) - pp) ** 2
-    else:
-        raise ValueError(f"kernel must be 'dirichlet' or 'sinc', got {kernel!r}")
+    shape = dirichlet_kernel(np.asarray(k) - kk, n) ** 2 * dirichlet_kernel(np.asarray(p) - pp, m) ** 2
     peak = dims.size * gain_var * s.mean_chi**2
     return pedestal_power(s, gain_var, noise_var) + peak * shape
 

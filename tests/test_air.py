@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from ofdm_isac.air import (
-    AirConfig,
-    air_estimate,
-    air_quadrature,
-    noise_entropy,
-)
+from ofdm_isac.air import AirConfig, air_estimate, air_quadrature
 from ofdm_isac.channel import FrameDims
 from ofdm_isac.constellation import ShapedConstellation, make_shaped, make_uniform
 from ofdm_isac.filtering import wiener
@@ -44,22 +39,6 @@ def gh_product_air_bits(c, noise_var, nodes=64):
         dist = np.abs(y[:, None] - centers[None, :]) ** 2
         mean_lse += c.probs[i] * float(weights @ logsumexp(log_p - dist / noise_var, axis=1))
     return (-mean_lse - 1.0) / math.log(2.0)
-
-
-class TestNoiseEntropy:
-    def test_zero_bits(self):
-        assert noise_entropy(1.0 / (math.pi * math.e)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_one_bit(self):
-        assert noise_entropy(2.0 / (math.pi * math.e)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_doubling_adds_one_bit(self):
-        for var in (0.01, 0.7, 5.0):
-            assert noise_entropy(2 * var) - noise_entropy(var) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            noise_entropy(0.0)
 
 
 class TestAirEstimate:

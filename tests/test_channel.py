@@ -1,22 +1,11 @@
-"""Frame geometry, steering vectors, the kernel's CSI and echo, and scene files."""
+"""Frame geometry, steering vectors, the kernel's CSI and echo, and the complex normal draw."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ofdm_isac.channel import (
-    FrameDims,
-    Scene,
-    Target,
-    bins_from_physical,
-    complex_normal,
-    load_scene,
-    save_scene,
-    scene_from_dict,
-    scene_to_dict,
-    steering_vectors,
-)
+from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors
 from ofdm_isac.constellation import make_shaped, make_uniform
 from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
 from ofdm_isac.metrics import empirical_metrics
@@ -152,45 +141,6 @@ class TestFrames:
                 scale = max(1.0, float(np.max(np.abs(chi))))
                 assert float(np.max(np.abs(chi.imag))) <= 1e-9 * scale
                 np.testing.assert_allclose(chi.real, point_chi(c.points, f), rtol=1e-12)
-
-
-class TestSceneConfig:
-    def test_roundtrip(self):
-        dims = FrameDims(32, 16)
-        scene = Scene((Target(1.0, 3.0, 2.0), Target(0.1, 9.0, 0.0)), 0.25)
-        dims2, scene2 = scene_from_dict(scene_to_dict(dims, scene))
-        assert dims2 == dims
-        assert scene2 == scene
-
-    def test_file_roundtrip(self, tmp_path):
-        dims = FrameDims(16, 8)
-        scene = Scene((Target(0.5, 2.5, 1.0), Target(2.0, 0.0, 7.0)), 0.1)
-        path = tmp_path / "scene.json"
-        save_scene(path, dims, scene)
-        assert load_scene(path) == (dims, scene)
-
-    @pytest.mark.parametrize("field", ["gain_re", "gain_im"])
-    def test_pinned_gain_rejected(self, field):
-        data = {"N": 8, "M": 4, "noise_var": 0.1, "targets": [{"gain_var": 1.0, "delay_bin": 1, "doppler_bin": 0}]}
-        data["targets"][0][field] = 0.5
-        with pytest.raises(ValueError, match=field):
-            scene_from_dict(data)
-
-    def test_missing_field(self):
-        with pytest.raises(ValueError, match="missing field"):
-            scene_from_dict({"N": 8, "M": 4, "targets": []})
-
-    def test_missing_gain_var(self):
-        data = {"N": 8, "M": 4, "noise_var": 0.1, "targets": [{"delay_bin": 1, "doppler_bin": 0}]}
-        with pytest.raises(ValueError, match="missing field 'gain_var'"):
-            scene_from_dict(data)
-
-    def test_bins_from_physical(self):
-        dims = FrameDims(64, 32)
-        # 120 kHz spacing, ~8.9 us symbols, 1 us delay, 2 kHz Doppler
-        k, p = bins_from_physical(dims, 120e3, 8.9e-6, delay_s=1e-6, doppler_hz=2e3)
-        assert k == pytest.approx(64 * 120e3 * 1e-6)
-        assert p == pytest.approx(32 * 8.9e-6 * 2e3)
 
 
 class TestComplexNormal:

@@ -418,7 +418,7 @@ class TestRejectedValues:
             ("tradeoff", {"order": 16, "detection": 3}, "detection"),
             ("tradeoff", {"order": 16, "detection": {"cfar": 1e-3}}, "detection.cfar"),
             ("profiles", {"target": 5}, "target"),
-            ("profiles", {"kernel": "gauss"}, "kernel"),
+            ("profiles", {"target": {"delay_bin": -1}}, "target"),  # a negative bin lies outside every frame
             # integer fields refuse bools and fractions instead of truncating them
             ("dr-sweep", {"dims": {"N": 16.9, "M": 8.5}}, "dims.N"),
             ("verify", {"dims": {"M": 8.5}}, "dims.M"),
@@ -521,7 +521,8 @@ COMMANDS = ["verify", "dr-sweep", "profiles", "pcs", "tradeoff", "codebook"]
 
 
 class TestStrictFields:
-    """A field the command does not read, or both fields of an exclusive pair, exits 2 before any work."""
+    """A field the command does not read, both fields of an exclusive pair, or a target bin outside the frame
+    exits 2 before any work."""
 
     @pytest.mark.parametrize(
         "command, payload, named",
@@ -539,6 +540,15 @@ class TestStrictFields:
             ("tradeoff", {"order": 16, "detection": {"cfar": {"gaurd": 2}}}, ["did you mean 'detection.cfar.guard'?"]),
             ("pcs", {"order": 16, "c0": 600.0, "c0_fraction": 0.5}, ["'c0' or 'c0_fraction', not both"]),
             ("tradeoff", {"order": 16, "c0_grid": [600.0], "n_grid": 2}, ["'c0_grid' or 'n_grid', not both"]),
+            ("profiles", {"kernel": "gauss"}, ["unknown config field 'kernel' for profiles"]),
+            # the frame kernel's steering vectors need 0 <= bin < N (or M): checked before any solve or trial
+            *[("tradeoff", {"order": 16, "dims": {"N": 16, "M": 8},
+                           "detection": {"weak_delay_bin": k, "cfar": {"train": 4}}},
+               ["bad config field 'detection.weak_delay_bin'", f"delay_bin {k:.1f} outside [0, 16)"]) for k in (-3, 21)],
+            ("profiles", {"dims_list": [[32, 16], [8, 8]], "target": {"delay_bin": 12}},
+             ["bad config field 'target'", "delay_bin 12.0 outside [0, 8)"]),
+            ("profiles", {"dims_list": [[32, 16], [8, 8]], "target": {"doppler_bin": 10}},
+             ["bad config field 'target'", "doppler_bin 10.0 outside [0, 8)"]),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, command, payload, named):

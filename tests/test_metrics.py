@@ -180,13 +180,6 @@ class TestExpectedDdPower:
         total = np.sum(dirichlet_kernel(np.arange(n) - u, n) ** 2)
         assert total == pytest.approx(1.0, rel=1e-9)
 
-    def test_sinc_kernel_toggle(self):
-        c = make_uniform("qam", 64)
-        on_grid = expected_dd_power(3.0, 2.0, (3.0, 2.0), c, MF, DIMS, 1.0, 0.1, kernel="sinc")
-        assert on_grid == pytest.approx(
-            expected_dd_power(3.0, 2.0, (3.0, 2.0), c, MF, DIMS, 1.0, 0.1), rel=1e-12
-        )
-
     def test_pedestal_scaling_nine_db(self):
         # pedestal is dims-independent while the peak accumulates NM-fold
         c = make_uniform("qam", 64)

@@ -53,7 +53,7 @@ def test_wf_solve_peak_bounded():
     assert peak < 3.8 * MIB, f"peak {peak / MIB:.2f} MiB"
 
 
-def test_quadrature_peak_below_11_mib():
+def test_quadrature_peak_bounded():
     """Uniform 64-QAM: 16.6 MiB with whole-block complex differences, 9.85 with chunks, 3.30 on the
     orbit representatives' 4,000 rows (one block) in place of 25,600."""
     bits, peak = _traced_peak(air_quadrature, make_uniform("qam", 64), AirConfig(0.02))
