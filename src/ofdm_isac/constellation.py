@@ -143,14 +143,31 @@ def chi_stats(c: ShapedConstellation, f: FilterKind) -> ChiStats:
 
 
 def symbol_index(c: ShapedConstellation, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF point indices of uniforms ``u``: min(searchsorted(cumsum(p), u, 'right'), Q-1).
+    """Inverse-CDF point indices of uniforms ``u``: min(searchsorted(cumsum(p), u, 'right'), Q-1)."""
+    return _guide_search(_cdf_cuts(c), u)
 
-    Exact guide-table search (Chen & Asau 1974): bucket floor(u K), K >= 8Q a
-    power of two, gives a start that never overshoots; passes step the rest.
+
+def _cdf_cuts(c: ShapedConstellation) -> np.ndarray:
+    """cumsum(p) with the last cut at inf: the clip to Q-1, as the last point takes every u past the others."""
+    return np.append(np.cumsum(c.probs)[:-1], np.inf)
+
+
+def _cell_tables(books) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Cells of [0, 1) cut at every codebook's CDF cuts, and each codebook's point index per cell:
+    ``table[_guide_search(cuts, u)]`` equals ``symbol_index(c, u)`` for every codebook, from one search."""
+    book_cuts = [_cdf_cuts(c) for c in books]
+    cuts = np.unique(np.concatenate(book_cuts))
+    lowest = np.concatenate(([-np.inf], cuts[:-1]))  # each cell's least u
+    return cuts, [np.searchsorted(cut, lowest, side="right") for cut in book_cuts]
+
+
+def _guide_search(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count of ``cut`` entries <= each u, for nondecreasing cuts ending at inf and u in [0, 1).
+
+    Exact guide-table search (Chen & Asau 1974): bucket floor(u K), K >= 8 len(cut)
+    a power of two, gives a start that never overshoots; passes step the rest.
     """
-    cut = np.cumsum(c.probs)
-    cut[-1] = np.inf  # the clip to Q-1: the last point takes every u past the other cuts
-    k = 1 << (8 * c.order - 1).bit_length()
+    k = 1 << (8 * cut.size - 1).bit_length()
     start = np.searchsorted(cut, np.arange(k) / k, side="right")
     flat = u.reshape(-1)
     idx = start[(flat * k).astype(np.intp)]

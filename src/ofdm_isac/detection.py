@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .channel import FrameDims, Scene, Target, complex_normal  # noqa: F401
-from .constellation import ShapedConstellation, draw_symbols  # noqa: F401
+from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors  # noqa: F401
+from .constellation import ShapedConstellation, _cell_tables, _guide_search, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
-from .metrics import _run_batches
+from .metrics import _block_frames, _draw_batch, _run_batches
 
 DETECTION_BATCH = 128
 
@@ -98,33 +98,53 @@ def detection_probability(
 ) -> float | tuple[float, ...]:
     """Probability that the weaker of two targets is detected on its delay profile.
 
-    Each trial runs the shared frame kernel on fresh symbols, target gains and
-    noise and runs CA-CFAR over the delay profile at the weak target's Doppler
-    bin (the zero-Doppler slice in the stock scenario). That profile is one
-    column of the DD map, |IFFT_N(hhat @ w_p)|^2 N/M with w_p[m] = e^{-j2 pi m p/M},
-    so the full map is never formed.
+    Each trial takes the frame kernel's draw of symbols, target gains and noise
+    and runs CA-CFAR over the delay profile at the weak target's Doppler bin p:
+    column p of the DD map, |IFFT_N(hhat @ w_p)|^2 N/M with w_p[m] = e^{-j2 pi m p/M}.
+    Neither hhat nor the map is formed: with h = sum_t alpha_t b_t c_t^H and chi = x g,
+
+        (hhat @ w_p)[n] = sum_t alpha_t b_t[n] (chi[n, :] . (conj(c_t) w_p)) + sum_m z[n, m] g[n, m] w_p[m].
 
     A sequence of codebooks on one alphabet gets a tuple of P_d from one shared
     trial set: every codebook sees the same uniforms, target gains and noise,
     so the P_d differ only through the codebooks, never through the draw. Each
-    entry equals a single call's.
+    entry equals a single call's. One symbol search per block of frames serves
+    every codebook, which gathers its g and chi from per-cell tables.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
     single = isinstance(c, ShapedConstellation)
-    books = (c,) if single else tuple(c)
+    codebooks = (c,) if single else tuple(c)
     n, m = dims.shape
     w_p = np.exp(-2j * np.pi * np.arange(m) * doppler_bin / m)
-    scale = np.sqrt(n / m)
+    vectors = [steering_vectors(dims, t) for t in scene.targets]
+    b = np.array([bv for bv, _ in vectors]).T  # (N, targets)
+    # (M, 2 targets) reals, so that the real matmul chi @ weights views as the complex chi @ (conj(c_t) w_p)
+    weights = np.array([np.conj(cv) * w_p for _, cv in vectors]).T.copy().view(np.float64)
+    block = _block_frames(dims)
 
-    def reduce(h, g, chi, hhat):
-        column = np.fft.ifft(hhat @ w_p, axis=-1)
-        column *= scale
-        profiles = np.abs(column) ** 2
-        thresholds = cfar_thresholds(profiles, cfg)
-        return {"hits": profiles[:, weak_bin] > thresholds[:, weak_bin]}
+    def chain(index, size, books):
+        cuts, cell_index = _cell_tables([book for book, _ in books])
+        tables = {arm: (g_tab[t], chi_tab[t])
+                  for t, (_, arms) in zip(cell_index, books) for arm, g_tab, chi_tab in arms}
+        u, alphas, z = _draw_batch(index, size, dims, scene, seed)
+        columns = np.empty((len(tables), size, n), dtype=np.complex128)
+        for lo in range(0, size, block):
+            frames = slice(lo, lo + block)
+            cell = _guide_search(cuts, u[frames])
+            gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
+            for arm, (g_cells, chi_cells) in tables.items():
+                terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
+                column = np.add(terms[..., 0], terms[..., 1], out=columns[arm, frames])  # the two targets
+                if z is not None:
+                    column += (g_cells[cell] * z[frames]) @ w_p
+        columns = np.fft.ifft(columns, axis=-1)
+        columns *= np.sqrt(n / m)
+        profiles = np.abs(columns) ** 2
+        hits = profiles[..., weak_bin] > cfar_thresholds(profiles, cfg)[..., weak_bin]
+        return [{"hits": float(k)} for k in hits.sum(axis=1)]
 
-    arms = tuple((book, f) for book in books)
-    sums = _run_batches(arms, dims, scene, trials, seed, batch_size, threads, reduce)
+    arms = tuple((book, f) for book in codebooks)
+    sums = _run_batches(arms, dims, scene, trials, seed, batch_size, threads, chain=chain)
     pds = tuple(s["hits"] / trials for s in sums)
     return pds[0] if single else pds
 

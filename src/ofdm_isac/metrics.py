@@ -181,6 +181,20 @@ def _join_frames(key: str, blocks: list[np.ndarray]):
     return float(total) if total.ndim == 0 else total
 
 
+def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int):
+    """Batch ``index``'s uniforms, each target's gains and the noise (None without noise), in stream order."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    shape = (size, *dims.shape)
+    u = rng.random(shape)
+    alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
+    z = complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
+    return u, alphas, z
+
+
+def _block_frames(dims: FrameDims) -> int:
+    return max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
+
+
 def _simulate_batch(
     index: int,
     size: int,
@@ -203,12 +217,8 @@ def _simulate_batch(
     arrays, frames first; each key's blocks are joined in frame order and summed
     over frames once per batch (``_max`` keys: the maximum), whatever the block size.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    shape = (size, *dims.shape)
-    u = rng.random(shape)
-    alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
-    z = complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
-    block = max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
+    u, alphas, z = _draw_batch(index, size, dims, scene, seed)
+    block = _block_frames(dims)
     per_frame: list[dict] = [{} for _ in range(n_arms)]
     for lo in range(0, size, block):
         frames = slice(lo, lo + block)
@@ -238,14 +248,15 @@ def _run_batches(
     seed: int,
     batch_size: int,
     threads: int,
-    reduce,
+    reduce=None,
+    chain=None,
 ) -> list[dict]:
     """One dict of partials per (codebook, filter) arm over one shared trial set.
 
     The arms' codebooks must share one alphabet (the same points up to the
     unit-power scale); equal codebooks map the uniforms once. ``reduce`` returns
-    per-frame arrays (``_simulate_batch``); batches add up in plan order, and
-    ``_max`` keys keep the maximum.
+    per-frame arrays (``_simulate_batch``); a ``chain(index, size, books)`` on ``_draw_batch``
+    may run in its place. Batches add up in plan order, and ``_max`` keys keep the maximum.
     """
     plan = _batch_plan(trials, batch_size)
     alphabet = arms[0][0].points / arms[0][0].points[0]
@@ -261,6 +272,8 @@ def _run_batches(
 
     def work(job):
         index, size = job
+        if chain is not None:
+            return chain(index, size, books)
         return _simulate_batch(index, size, books, len(arms), dims, scene, seed, steering, reduce)
 
     if threads > 1:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from ofdm_isac.constellation import (
     Family,
     ShapedConstellation,
+    _cell_tables,
+    _guide_search,
     chi_stats,
     draw_symbols,
     load_codebook,
@@ -295,3 +297,41 @@ class TestSymbolIndex:
         want = draw_symbols(c, np.random.default_rng(seed), shape)
         assert got.shape == want.shape == shape
         np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def laws_on_one_alphabet(draw):
+    """1-8 laws on one alphabet: zero masses, masses at the solver's 1e-300 floor, and cuts that coincide."""
+    q = draw(st.integers(2, 64))
+    weight = st.one_of(st.just(0.0), st.just(1e-300), st.floats(1e-12, 1.0))
+    laws = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new", "repeat", "permuted tail"])) if laws else "new"
+        if kind == "new":
+            weights = draw(st.lists(weight, min_size=q, max_size=q))
+            weights[draw(st.integers(0, q - 1))] = draw(st.floats(0.5, 1.0))
+        else:
+            weights = list(draw(st.sampled_from(laws)))
+            if kind == "permuted tail":  # same total, so the cuts before the tail coincide exactly
+                head = draw(st.integers(0, q - 1))
+                weights[head:] = draw(st.permutations(weights[head:]))
+        laws.append(weights)
+    return laws
+
+
+class TestCellSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(laws=laws_on_one_alphabet(), seed=st.integers(0, 2**32 - 1))
+    @example(laws=[[1.0] * 10, [1.0] * 10], seed=0)  # cumsum ends just below 1, twice
+    @example(laws=[[1.0] * 49], seed=0)  # cumsum ends just above 1
+    @example(laws=[[0.0, 1.0, 1e-300, 0.0], [1.0, 1e-300, 0.0, 1.0], [0.0, 1.0, 1e-300, 0.0]], seed=1)
+    def test_one_search_gives_each_laws_index(self, laws, seed):
+        """One guide-table search over every law's cuts, then a per-law cell table, equals symbol_index."""
+        books = [circle(weights) for weights in laws]
+        cut = np.concatenate([np.cumsum(c.probs) for c in books])
+        u = np.concatenate([cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf), [0.0, 1.0 - 2.0**-53]])
+        u = np.concatenate([u[(u >= 0.0) & (u < 1.0)], np.random.default_rng(seed).random(500)])
+        cuts, tables = _cell_tables(books)
+        cell = _guide_search(cuts, u)
+        for c, table in zip(books, tables):
+            np.testing.assert_array_equal(table[cell], symbol_index(c, u))

@@ -102,6 +102,27 @@ def test_detection_probability_pinned(seed, threads):
     assert pd == PINNED_PD[seed]
 
 
+# Taken from the commit whose detection formed hhat and projected it onto w_p:
+# four 16-QAM codebooks (two with zero-probability points), WF at 4 dB, targets
+# at fractional Doppler bins, the weak one read on Doppler column 6, 500 trials.
+PINNED_PD_COLUMN = (0.584, 0.594, 0.576, 0.588)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_detection_probability_pinned_on_a_nonzero_column(threads):
+    points = make_uniform("qam", 16).points
+    holed = np.arange(16) % 5 + 1.0
+    holed[3] = 0.0
+    falling = np.arange(16, 0, -1.0)
+    falling[[0, 9]] = 0.0
+    books = [make_uniform("qam", 16)] + [
+        make_shaped("qam", 16, w) for w in (holed, np.exp(-0.6 * np.abs(points) ** 2), falling)
+    ]
+    scene = Scene((Target(1.0, 0.0, 1.4), Target(10**-2.1, 7.0, 5.6)), 1.0 / SNR)
+    pds = detection_probability(DIMS, scene, books, wiener(SNR), CfarConfig(2, 8, 1e-2), 500, 31, threads=threads)
+    assert pds == PINNED_PD_COLUMN
+
+
 # sha256 of verify_report.json for a 16x16, 1024-trial verify at seed 3, from
 # the same commit under numpy 2.4 on x86-64. The report holds rounding-level
 # residuals, so another numpy build can change these bytes without a bug.
