@@ -70,10 +70,11 @@ class Scene:
         return sum(t.gain_var for t in self.targets)
 
 
-def complex_normal(rng: np.random.Generator, var: float, shape) -> np.ndarray:
-    """Circularly symmetric complex Gaussian CN(0, var): real parts drawn first, then imaginary."""
+def complex_normal(rng: np.random.Generator, var: float, shape, real: np.ndarray | None = None) -> np.ndarray:
+    """Circularly symmetric complex Gaussian CN(0, var): real parts drawn first, then imaginary.
+    Given the standard normal real parts drawn before, as ``real``, it draws only the imaginary parts."""
     out = np.empty(shape, dtype=np.complex128)
-    out.real = rng.standard_normal(shape)
+    out.real = rng.standard_normal(shape) if real is None else real
     out.imag = rng.standard_normal(shape)
     out *= math.sqrt(var / 2.0)
     return out

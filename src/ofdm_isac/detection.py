@@ -20,7 +20,7 @@ from scipy.ndimage import uniform_filter1d
 from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors  # noqa: F401
 from .constellation import ShapedConstellation, _cell_tables, _guide_search, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
-from .metrics import _block_frames, _draw_batch, _run_batches
+from .metrics import _draw_batch, _run_batches
 
 DETECTION_BATCH = 128
 
@@ -120,28 +120,30 @@ def detection_probability(
     b = np.array([bv for bv, _ in vectors]).T  # (N, targets)
     # (M, 2 targets) reals, so that the real matmul chi @ weights views as the complex chi @ (conj(c_t) w_p)
     weights = np.array([np.conj(cv) * w_p for _, cv in vectors]).T.copy().view(np.float64)
-    block = _block_frames(dims)
 
-    def chain(index, size, books):
+    def chain(books):
         cuts, cell_index = _cell_tables([book for book, _ in books])
         tables = {arm: (g_tab[t], chi_tab[t])
                   for t, (_, arms) in zip(cell_index, books) for arm, g_tab, chi_tab in arms}
-        u, alphas, z = _draw_batch(index, size, dims, scene, seed)
-        columns = np.empty((len(tables), size, n), dtype=np.complex128)
-        for lo in range(0, size, block):
-            frames = slice(lo, lo + block)
-            cell = _guide_search(cuts, u[frames])
-            gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
-            for arm, (g_cells, chi_cells) in tables.items():
-                terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
-                column = np.add(terms[..., 0], terms[..., 1], out=columns[arm, frames])  # the two targets
-                if z is not None:
-                    column += (g_cells[cell] * z[frames]) @ w_p
-        columns = np.fft.ifft(columns, axis=-1)
-        columns *= np.sqrt(n / m)
-        profiles = np.abs(columns) ** 2
-        hits = profiles[..., weak_bin] > cfar_thresholds(profiles, cfg)[..., weak_bin]
-        return [{"hits": float(k)} for k in hits.sum(axis=1)]
+
+        def run(index, size):
+            alphas, blocks = _draw_batch(index, size, dims, scene, seed)
+            columns = np.empty((len(tables), size, n), dtype=np.complex128)
+            for frames, u, z in blocks:
+                cell = _guide_search(cuts, u)
+                gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
+                for arm, (g_cells, chi_cells) in tables.items():
+                    terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
+                    column = np.add(terms[..., 0], terms[..., 1], out=columns[arm, frames])  # the two targets
+                    if z is not None:
+                        column += (g_cells[cell] * z) @ w_p
+            columns = np.fft.ifft(columns, axis=-1)
+            columns *= np.sqrt(n / m)
+            profiles = np.abs(columns) ** 2
+            hits = profiles[..., weak_bin] > cfar_thresholds(profiles, cfg)[..., weak_bin]
+            return [{"hits": float(k)} for k in hits.sum(axis=1)]
+
+        return run
 
     arms = tuple((book, f) for book in codebooks)
     sums = _run_batches(arms, dims, scene, trials, seed, batch_size, threads, chain=chain)

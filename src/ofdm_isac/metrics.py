@@ -174,25 +174,48 @@ def _energy(a: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(a) ** 2, axis=(1, 2))
 
 
-def _join_frames(key: str, blocks: list[np.ndarray]):
-    """Reduce one key's per-frame blocks, joined in frame order, to the batch's partial."""
-    frames = np.concatenate(blocks)
-    total = frames.max() if key.endswith("_max") else frames.sum(axis=0)  # summed block by block, it would round apart
-    return float(total) if total.ndim == 0 else total
+def _join_frames(parts: dict, key: str, block: np.ndarray) -> None:
+    """Take one block of ``key``'s per-frame values into ``parts``, in frame order. Maps fold into a
+    running total frame by frame: numpy sums a stack's leading axis in sequence from zero, so this
+    gives the stack's ``sum(axis=0)`` without holding the stack. Scalars wait for ``_batch_partial``."""
+    if block.ndim == 1:
+        parts.setdefault(key, []).append(block)
+    else:
+        if key not in parts:
+            parts[key] = np.zeros(block.shape[1:], dtype=block.dtype)
+        for frame in block:
+            parts[key] += frame
+
+
+def _batch_partial(key: str, value):
+    """A folded map as it is; per-frame scalars joined and reduced once, as block sums would round apart."""
+    if isinstance(value, np.ndarray):
+        return value
+    frames = np.concatenate(value)
+    return float(frames.max() if key.endswith("_max") else frames.sum())
 
 
 def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int):
-    """Batch ``index``'s uniforms, each target's gains and the noise (None without noise), in stream order."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    shape = (size, *dims.shape)
-    u = rng.random(shape)
+    """Batch ``index``'s target gains, and its draw as ``(frames, u, z)`` blocks of frames within
+    ``FRAME_BLOCK_BYTES`` (``z`` None without noise), with the bits of drawing the whole batch's
+    uniforms, then each target's gains, then the noise. The uniforms come from a second generator
+    on the batch's seed, which the first skips (``random`` takes one 64-bit output per float64).
+    The stream puts every real part of the noise before its first imaginary part: those are batch-sized.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    uniforms, rng = np.random.default_rng(seq), np.random.default_rng(seq)
+    rng.bit_generator.advance(size * dims.size)
     alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
-    z = complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
-    return u, alphas, z
+    real = rng.standard_normal((size, *dims.shape)) if scene.noise_var > 0 else None
+    block = max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
 
+    def blocks():
+        for lo in range(0, size, block):
+            frames = slice(lo, min(lo + block, size))
+            u = uniforms.random((frames.stop - lo, *dims.shape))
+            yield frames, u, None if real is None else complex_normal(rng, scene.noise_var, u.shape, real[frames])
 
-def _block_frames(dims: FrameDims) -> int:
-    return max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
+    return alphas, blocks()
 
 
 def _simulate_batch(
@@ -206,38 +229,35 @@ def _simulate_batch(
     steering: list[np.ndarray],
     reduce,
 ) -> list[dict]:
-    """Draw one batch of uniforms, gains and noise; ``reduce(h, g, chi, hhat)`` it per arm.
+    """Run the chain on one batch's draw, block by block; ``reduce(h, g, chi, hhat)`` it per arm.
 
     Every arm sees the same trial set, so the arms' results (say, the P_d of
     each trade-off budget) differ through their codebooks and filters, never
-    through the draw. The uniforms are mapped to symbol indices once per
+    through the draw. Each block's uniforms are mapped to symbol indices once per
     codebook in ``books``; each of that codebook's arms ``(arm, g_tab, chi_tab)``
-    gathers g and chi from its filter's per-point tables. The chain runs over
-    blocks of frames within ``FRAME_BLOCK_BYTES``. ``reduce`` returns per-frame
-    arrays, frames first; each key's blocks are joined in frame order and summed
-    over frames once per batch (``_max`` keys: the maximum), whatever the block size.
+    gathers g and chi from its filter's per-point tables. ``reduce`` returns per-frame
+    arrays, frames first, which ``_join_frames`` takes in frame order: maps fold into
+    a running total, and scalars are summed over frames once per batch (``_max`` keys:
+    the maximum), whatever the block size.
     """
-    u, alphas, z = _draw_batch(index, size, dims, scene, seed)
-    block = _block_frames(dims)
+    alphas, blocks = _draw_batch(index, size, dims, scene, seed)
     per_frame: list[dict] = [{} for _ in range(n_arms)]
-    for lo in range(0, size, block):
-        frames = slice(lo, lo + block)
-        u_b = u[frames]
-        h = np.zeros(u_b.shape, dtype=np.complex128)
+    for frames, u, z in blocks:
+        h = np.zeros(u.shape, dtype=np.complex128)
         for alpha, s_q in zip(alphas, steering):
             h += alpha[frames, None, None] * s_q[None, :, :]
         for c, book_arms in books:
-            idx = symbol_index(c, u_b)
+            idx = symbol_index(c, u)
             x = c.points[idx]
             y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
             del x  # not needed by the reducers; freeing it keeps the block's peak memory down
             if z is not None:
-                y += z[frames]
+                y += z
             for arm, g_tab, chi_tab in book_arms:
                 g = g_tab[idx]
                 for key, value in reduce(h, g, chi_tab[idx], y * g).items():
-                    per_frame[arm].setdefault(key, []).append(value)
-    return [{key: _join_frames(key, values) for key, values in parts.items()} for parts in per_frame]
+                    _join_frames(per_frame[arm], key, value)
+    return [{key: _batch_partial(key, value) for key, value in parts.items()} for parts in per_frame]
 
 
 def _run_batches(
@@ -255,8 +275,10 @@ def _run_batches(
 
     The arms' codebooks must share one alphabet (the same points up to the
     unit-power scale); equal codebooks map the uniforms once. ``reduce`` returns
-    per-frame arrays (``_simulate_batch``); a ``chain(index, size, books)`` on ``_draw_batch``
-    may run in its place. Batches add up in plan order, and ``_max`` keys keep the maximum.
+    per-frame arrays (``_simulate_batch``). A ``chain(books)`` may run in its place: it
+    returns the ``(index, size)`` function that runs one batch on ``_draw_batch``, so what it
+    builds from the books is built once per call. Batches add up in plan order, and
+    ``_max`` keys keep the maximum.
     """
     plan = _batch_plan(trials, batch_size)
     alphabet = arms[0][0].points / arms[0][0].points[0]
@@ -270,11 +292,10 @@ def _run_batches(
     books = list(groups.values())
     steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
 
+    run = chain(books) if chain is not None else None
+
     def work(job):
-        index, size = job
-        if chain is not None:
-            return chain(index, size, books)
-        return _simulate_batch(index, size, books, len(arms), dims, scene, seed, steering, reduce)
+        return run(*job) if run else _simulate_batch(*job, books, len(arms), dims, scene, seed, steering, reduce)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

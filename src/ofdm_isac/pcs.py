@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -213,6 +214,14 @@ def _constrained_update(t, fpen, energy, budget_norm):
     return p, float(l1), float(l2)
 
 
+def _caller_stacklevel() -> int:
+    """``warnings.warn``'s stacklevel, from the function that warns, of the first frame outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def effective_budget(cfg: PcsConfig) -> float:
     """The requested budget clamped into the achievable range."""
     snr_in = cfg.gain_var / cfg.noise_var
@@ -228,7 +237,7 @@ def effective_budget(cfg: PcsConfig) -> float:
         warnings.warn(
             f"c0={cfg.c0:g} outside the achievable range "
             f"[{lower:g}, {c_hi:g}]; clamped to {c0_eff:g}",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return c0_eff
 
@@ -251,7 +260,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
         warnings.warn(
             f"WF snr_in={cfg.filt.snr_in:g} differs from the scene value {snr_in:g}; "
             "the MSE budget assumes the matched value",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     h = complex(cfg.comm.channel_gain)
     reps, sizes, orbit_of = symmetry_orbits(points, h)

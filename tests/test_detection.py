@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ofdm_isac import detection
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_uniform
 from ofdm_isac.detection import (
@@ -177,6 +178,13 @@ class TestSharedTrialSet:
         assert list(pds) == singles
         assert pds[0] == pds[2] == pds[3]
         assert pds[0] != pds[1]  # the codebooks, not the draw, set the difference
+
+    def test_cell_tables_built_once_per_call(self, monkeypatch):
+        built = []
+        cell_tables = detection._cell_tables
+        monkeypatch.setattr(detection, "_cell_tables", lambda books: built.append(len(books)) or cell_tables(books))
+        detection_probability(DIMS, self.SCENE, self.books(), MF, self.CFAR, 100, 4, batch_size=16, threads=2)
+        assert built == [2]  # seven batches, two distinct codebooks
 
     def test_different_alphabets_rejected(self):
         scene = self.SCENE

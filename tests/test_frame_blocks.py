@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ofdm_isac import metrics
-from ofdm_isac.channel import FrameDims, Scene, Target
+from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import make_shaped, make_uniform
 from ofdm_isac.detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_probability
@@ -75,6 +75,48 @@ def test_kernel_calls_reducer_once_per_block(monkeypatch):
     (sums,) = metrics._run_batches(((c, MF),), DIMS, SCENE, 23, 1, 12, 1, reduce)
     assert sizes == [5, 5, 2, 5, 5, 1]
     assert sums == {"n": 23.0, "n_max": 4.0}
+
+
+def _whole_batch_draw(index, size, scene, seed):
+    """The batch's draw in one piece: uniforms, then each target's gains, then the noise."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    shape = (size, *DIMS.shape)
+    u = rng.random(shape)
+    alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
+    return u, alphas, complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
+
+
+@pytest.mark.parametrize("batch", [(0, BATCH), (2, TRIALS % BATCH)], ids=["full-batch", "partial-batch"])
+@pytest.mark.parametrize("block", [1, 7, BATCH + 1])
+@pytest.mark.parametrize("n_targets", [1, 2])
+@pytest.mark.parametrize("noise_var", [0.0, 1.0 / SNR])
+def test_streamed_draw_equals_whole_batch_draw(monkeypatch, batch, block, n_targets, noise_var):
+    monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", block * FRAME_BYTES)
+    index, size = batch
+    scene = Scene(SCENE.targets[:n_targets], noise_var)
+    u, alphas, z = _whole_batch_draw(index, size, scene, 5)
+    got_alphas, blocks = metrics._draw_batch(index, size, DIMS, scene, 5)
+    assert [a.tobytes() for a in got_alphas] == [a.tobytes() for a in alphas]
+    frames, u_blocks, z_blocks = zip(*blocks)
+    assert [(f.start, f.stop) for f in frames] == [(lo, min(lo + block, size)) for lo in range(0, size, block)]
+    assert np.concatenate(u_blocks).tobytes() == u.tobytes()
+    if z is None:
+        assert set(z_blocks) == {None}
+    else:
+        assert np.concatenate(z_blocks).tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(256, 64, 32), (256, 16, 16), (7, 64, 32), (256, 3), (256,)])
+def test_joined_blocks_equal_stacked_sum(shape):
+    """Maps fold frame by frame and scalars join once per batch; both give the stack's sum over frames."""
+    rng = np.random.default_rng(sum(shape))
+    stack = np.abs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) ** 2
+    blocks = np.array_split(stack, [1, 5, 37])
+    parts = {}
+    for block in blocks:
+        metrics._join_frames(parts, "power", block)
+    got = metrics._batch_partial("power", parts["power"])
+    assert np.asarray(got).tobytes() == np.concatenate(blocks).sum(axis=0).tobytes()
 
 
 def test_dd_transform_matches_out_of_place_form():

@@ -254,6 +254,16 @@ class TestSolver:
             sol = mba_solve(quick_cfg(f, hi * 10))
         assert sol.c0_effective == pytest.approx(hi)
 
+    @pytest.mark.parametrize("filt, match", [(RF, "clamped"), (wiener(SNR * 4), "matched")], ids=["clamp", "wf"])
+    @pytest.mark.parametrize("entry", ["mba_solve", "tradeoff_sweep"])
+    def test_warning_names_the_caller(self, filt, match, entry):
+        """A warning points at the first frame outside the package, not at the solver's own lines."""
+        lo, hi = c0_bounds(64, filt, DIMS, 1.0, NOISE)
+        cfg = quick_cfg(filt, lo + 0.01 * (hi - lo) if match == "clamped" else hi, max_outer_iters=3)
+        with pytest.warns(UserWarning, match=match) as record:
+            mba_solve(cfg) if entry == "mba_solve" else tradeoff_sweep(cfg, [cfg.c0])
+        assert [w.filename for w in record] == [__file__]
+
     def test_wf_snr_mismatch_warns(self):
         f = wiener(SNR * 4)
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)

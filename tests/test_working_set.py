@@ -1,4 +1,5 @@
-"""The shaping solver's working set: chunked likelihood tables with unchanged bits, bounded peaks."""
+"""Working sets with unchanged bits and bounded peaks: the shaping solver's chunked likelihood
+tables, and the frame kernel's draw streamed block by block."""
 
 import tracemalloc
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from ofdm_isac.air import LL_CHUNK_BYTES, AirConfig, air_quadrature, log_likelihood_table
-from ofdm_isac.channel import FrameDims
-from ofdm_isac.constellation import make_uniform
-from ofdm_isac.filtering import wiener
+from ofdm_isac.channel import FrameDims, Scene, Target
+from ofdm_isac.constellation import make_shaped, make_uniform
+from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
+from ofdm_isac.filtering import MF, RF, wiener
+from ofdm_isac.metrics import empirical_dd_profile, identity_checks
 from ofdm_isac.pcs import PcsConfig, c0_bounds, mba_solve
 
 MIB = 1 << 20
@@ -59,3 +62,33 @@ def test_quadrature_peak_bounded():
     bits, peak = _traced_peak(air_quadrature, make_uniform("qam", 64), AirConfig(0.02))
     assert 5.0 < bits <= 6.0
     assert peak < 3.7 * MIB, f"peak {peak / MIB:.2f} MiB"
+
+
+SNR = 10.0**0.4
+DIMS = FrameDims(64, 32)
+SCENE = Scene((Target(1.0, 0.0, 0.0),), 1.0 / SNR)
+
+
+def test_identity_batch_peak_bounded():
+    """One 256-frame batch of the verify chain, MF/RF/WF on 64-QAM at 64x32: 19.6 MiB with the
+    batch's uniforms and noise drawn at once, 13.1 with them drawn block by block."""
+    filters = (MF, RF, wiener(SNR))
+    _, peak = _traced_peak(identity_checks, make_uniform("qam", 64), filters, DIMS, SCENE, 256, 1)
+    assert peak < 14.5 * MIB, f"peak {peak / MIB:.2f} MiB"
+
+
+def test_dd_profile_peak_bounded():
+    """The profiles chain, WF, one 256-frame batch: 23.6 MiB with the batch-sized draw and the 256
+    per-frame maps joined before the sum, 12.6 with the draw streamed and the maps folded."""
+    _, peak = _traced_peak(empirical_dd_profile, make_uniform("qam", 64), wiener(SNR), DIMS, SCENE, 256, 1)
+    assert peak < 14.0 * MIB, f"peak {peak / MIB:.2f} MiB"
+
+
+def test_detection_peak_bounded():
+    """Detection on 8 shaped codebooks, one 128-frame batch on 1 thread: 11.4 MiB with the
+    batch-sized draw, 7.3 with it streamed."""
+    points = make_uniform("qam", 64).points
+    books = [make_shaped("qam", 64, np.exp(-s * np.abs(points) ** 2)) for s in np.linspace(0.0, 0.7, 8)]
+    scene = default_tradeoff_scene(1.0 / SNR)
+    _, peak = _traced_peak(detection_probability, DIMS, scene, books, wiener(SNR), CfarConfig(), 128, 1)
+    assert peak < 8.1 * MIB, f"peak {peak / MIB:.2f} MiB"
