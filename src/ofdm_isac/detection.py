@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors  # noqa: F401
 from .constellation import ShapedConstellation, _cell_tables, _guide_search, draw_symbols  # noqa: F401
@@ -23,6 +22,9 @@ from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
 from .metrics import _draw_batch, _run_batches
 
 DETECTION_BATCH = 128
+# the column chain's block of frames, as one complex array: 32 frames at 64x32. Its per-block work is
+# light and each block makes a few Python calls per codebook, so it keeps blocks larger than the frame kernel's
+DETECTION_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,20 @@ def cfar_thresholds(profiles: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     span = cfg.guard_cells + cfg.train_cells
     if n <= 2 * span:
         raise ValueError(f"profile length {n} must exceed 2*(guard+train) = {2 * span}")
-    full = uniform_filter1d(profiles, size=2 * span + 1, axis=-1, mode="wrap") * (2 * span + 1)
-    cut = uniform_filter1d(profiles, size=2 * cfg.guard_cells + 1, axis=-1, mode="wrap") * (
-        2 * cfg.guard_cells + 1
-    )
-    noise = (full - cut) / (2 * cfg.train_cells)
-    alpha = cfar_threshold_factor(2 * cfg.train_cells, cfg.pfa)
-    return alpha * noise
+    padded = np.concatenate((profiles[..., n - span :], profiles, profiles[..., :span]), axis=-1)
+    # Each side's training cells as a fixed-order sum of shifted copies: a running or prefix sum would
+    # take a strong peak back out by a difference and leave its rounding error in the cells beyond it.
+    # The copies shift along the flattened rows, so each add runs over one contiguous array; runs[..., i]
+    # sums train_cells cells from padded cell i, within its row for every i read below.
+    flat = padded.reshape(-1)
+    runs = flat.copy()
+    for k in range(1, cfg.train_cells):
+        runs[:-k] += flat[k:]
+    runs = runs.reshape(padded.shape)
+    right = span + cfg.guard_cells + 1
+    noise = runs[..., :n] + runs[..., right : right + n]
+    noise /= 2 * cfg.train_cells
+    return np.multiply(noise, cfar_threshold_factor(2 * cfg.train_cells, cfg.pfa), out=noise)
 
 
 def ca_cfar_1d(profile, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +136,7 @@ def detection_probability(
                   for t, (_, arms) in zip(cell_index, books) for arm, g_tab, chi_tab in arms}
 
         def run(index, size):
-            alphas, blocks = _draw_batch(index, size, dims, scene, seed)
+            alphas, blocks = _draw_batch(index, size, dims, scene, seed, DETECTION_BLOCK_BYTES)
             columns = np.empty((len(tables), size, n), dtype=np.complex128)
             for frames, u, z in blocks:
                 cell = _guide_search(cuts, u)

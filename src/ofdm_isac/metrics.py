@@ -28,7 +28,9 @@ from .constellation import draw_symbols  # noqa: F401 -- stays importable: perfb
 from .filtering import FilterKind, dd_transform, point_gain
 
 DEFAULT_BATCH = 256
-FRAME_BLOCK_BYTES = 1 << 20  # the kernel's complex block of frames (32 at 64x32) stays within L2
+# one complex array of a block (8 frames at 64x32): the chain holds about ten such arrays at once, so
+# the block's whole working set (~2.5 MiB) sits near L2, and its temporaries below glibc's mmap threshold
+FRAME_BLOCK_BYTES = 1 << 18
 FAR_DISTANCE = 4
 
 
@@ -195,9 +197,9 @@ def _batch_partial(key: str, value):
     return float(frames.max() if key.endswith("_max") else frames.sum())
 
 
-def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int):
-    """Batch ``index``'s target gains, and its draw as ``(frames, u, z)`` blocks of frames within
-    ``FRAME_BLOCK_BYTES`` (``z`` None without noise), with the bits of drawing the whole batch's
+def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int, block_bytes: int):
+    """Batch ``index``'s target gains, and its draw as ``(frames, u, z)`` blocks of frames whose complex
+    array fits ``block_bytes`` (``z`` None without noise), with the bits of drawing the whole batch's
     uniforms, then each target's gains, then the noise. The uniforms come from a second generator
     on the batch's seed, which the first skips (``random`` takes one 64-bit output per float64).
     The stream puts every real part of the noise before its first imaginary part: those are batch-sized.
@@ -207,7 +209,7 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int)
     rng.bit_generator.advance(size * dims.size)
     alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
     real = rng.standard_normal((size, *dims.shape)) if scene.noise_var > 0 else None
-    block = max(1, FRAME_BLOCK_BYTES // (16 * dims.size))
+    block = max(1, block_bytes // (16 * dims.size))
 
     def blocks():
         for lo in range(0, size, block):
@@ -240,7 +242,7 @@ def _simulate_batch(
     a running total, and scalars are summed over frames once per batch (``_max`` keys:
     the maximum), whatever the block size.
     """
-    alphas, blocks = _draw_batch(index, size, dims, scene, seed)
+    alphas, blocks = _draw_batch(index, size, dims, scene, seed, FRAME_BLOCK_BYTES)
     per_frame: list[dict] = [{} for _ in range(n_arms)]
     for frames, u, z in blocks:
         h = np.zeros(u.shape, dtype=np.complex128)

@@ -196,7 +196,11 @@ def _gibbs_law(t, F, b):
             lam[free] = x
             return p, lam
         centered = F - (F @ p)[:, None]
-        step = np.linalg.lstsq((centered * p) @ centered.T, gap, rcond=None)[0]
+        try:
+            step = np.linalg.lstsq((centered * p) @ centered.T, gap, rcond=None)[0]
+        except np.linalg.LinAlgError as exc:  # "SVD did not converge": this budget's solve fails, not the run
+            diagnostics = {"lambda": x.tolist(), "gap": gap.tolist()}
+            raise SolverError(f"multiplier Newton step failed: {exc}", diagnostics) from exc
         s = 1.0
         while (trial := law(x - s * step))[1] @ trial[1] >= gap @ gap and s > 2.0**-40:
             s *= 0.5

@@ -1,8 +1,15 @@
 """CA-CFAR behavior and Monte Carlo detection probability."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ofdm_isac
 from ofdm_isac import detection
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_uniform
@@ -10,6 +17,7 @@ from ofdm_isac.detection import (
     CfarConfig,
     ca_cfar_1d,
     cfar_threshold_factor,
+    cfar_thresholds,
     default_tradeoff_scene,
     detection_probability,
 )
@@ -59,6 +67,37 @@ class TestCaCfar:
     def test_profile_too_short(self):
         with pytest.raises(ValueError, match="must exceed"):
             ca_cfar_1d(np.ones(36), CfarConfig(2, 16, 1e-3))
+
+    @pytest.mark.parametrize("guard, train", [(2, 16), (0, 1), (3, 5)])
+    def test_thresholds_match_window_filters(self, guard, train):
+        """The circular training-cell sums agree with scipy's running-mean window filters, and with
+        an exact per-cell sum to a few ulps beside a strong peak, where a running sum keeps the
+        peak's rounding error in every cell it has passed."""
+        from scipy.ndimage import uniform_filter1d
+
+        rng = np.random.default_rng(guard + train)
+        profiles = rng.exponential(1.0, (3, 5, 64))
+        profiles[..., 7] *= 1e6
+        cfg = CfarConfig(guard, train, 1e-3)
+        span = guard + train
+        alpha = cfar_threshold_factor(2 * train, cfg.pfa)
+        got = cfar_thresholds(profiles, cfg)
+
+        full = uniform_filter1d(profiles, 2 * span + 1, axis=-1, mode="wrap") * (2 * span + 1)
+        cut = uniform_filter1d(profiles, 2 * guard + 1, axis=-1, mode="wrap") * (2 * guard + 1)
+        np.testing.assert_allclose(got, alpha * (full - cut) / (2 * train), rtol=1e-8)
+        offsets = [d for d in range(-span, span + 1) if abs(d) > guard]
+        exact = [[math.fsum(row[(i + d) % 64] for d in offsets) for i in range(64)] for row in profiles.reshape(-1, 64)]
+        np.testing.assert_allclose(got, alpha * np.reshape(exact, got.shape) / (2 * train), rtol=2e-14)
+        assert np.array_equal(cfar_thresholds(profiles[1, 2], cfg), got[1, 2])
+
+    def test_cli_import_leaves_ndimage_unloaded(self):
+        """The thresholds need no scipy.ndimage, whose import cost every command's set-up."""
+        src = str(Path(ofdm_isac.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, ofdm_isac.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
     def test_threshold_factor_formula(self):
         t = 32

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ofdm_isac import metrics
+from ofdm_isac import detection, metrics
 from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import make_shaped, make_uniform
@@ -14,8 +14,8 @@ from ofdm_isac.detection import CfarConfig, cfar_thresholds, default_tradeoff_sc
 from ofdm_isac.filtering import MF, RF, dd_transform, wiener
 from ofdm_isac.metrics import empirical_dd_profile, empirical_metrics, identity_checks
 
-DIMS = FrameDims(64, 32)  # 32 frames to a default block
-BATCH = 48  # two blocks per batch by default: 32 frames and 16
+DIMS = FrameDims(64, 32)  # 8 frames to a default frame-kernel block, 32 to a detection block
+BATCH = 44  # six kernel blocks per batch by default, five of 8 frames and one of 4; two detection blocks, 32 and 12
 TRIALS = 100  # three batches, the last a partial one
 FRAME_BYTES = 16 * DIMS.size
 SNR = 10.0**0.4
@@ -55,11 +55,13 @@ def default_outputs():
 )
 def test_block_size_invariance(monkeypatch, default_outputs, block_bytes):
     monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(detection, "DETECTION_BLOCK_BYTES", block_bytes)
     _assert_same(_outputs(), default_outputs)
 
 
 def test_block_size_invariance_threads(monkeypatch, default_outputs):
     monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", FRAME_BYTES)
+    monkeypatch.setattr(detection, "DETECTION_BLOCK_BYTES", FRAME_BYTES)
     _assert_same(_outputs(threads=2), default_outputs)
 
 
@@ -87,15 +89,14 @@ def _whole_batch_draw(index, size, scene, seed):
 
 
 @pytest.mark.parametrize("batch", [(0, BATCH), (2, TRIALS % BATCH)], ids=["full-batch", "partial-batch"])
-@pytest.mark.parametrize("block", [1, 7, BATCH + 1])
+@pytest.mark.parametrize("block", [1, 7, 49])  # 49: one block holds the whole batch
 @pytest.mark.parametrize("n_targets", [1, 2])
 @pytest.mark.parametrize("noise_var", [0.0, 1.0 / SNR])
-def test_streamed_draw_equals_whole_batch_draw(monkeypatch, batch, block, n_targets, noise_var):
-    monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", block * FRAME_BYTES)
+def test_streamed_draw_equals_whole_batch_draw(batch, block, n_targets, noise_var):
     index, size = batch
     scene = Scene(SCENE.targets[:n_targets], noise_var)
     u, alphas, z = _whole_batch_draw(index, size, scene, 5)
-    got_alphas, blocks = metrics._draw_batch(index, size, DIMS, scene, 5)
+    got_alphas, blocks = metrics._draw_batch(index, size, DIMS, scene, 5, block * FRAME_BYTES)
     assert [a.tobytes() for a in got_alphas] == [a.tobytes() for a in alphas]
     frames, u_blocks, z_blocks = zip(*blocks)
     assert [(f.start, f.stop) for f in frames] == [(lo, min(lo + block, size)) for lo in range(0, size, block)]

@@ -268,14 +268,16 @@ class TestEmpiricalProfile:
 
 
 class TestFrameKernel:
-    def test_tables_match_per_entry_chain(self):
+    def test_tables_match_per_entry_chain(self, monkeypatch):
         """The kernel's table gathers give the bits of the per-entry chain X -> G -> (H o X + Z) o G.
 
         Two codebooks on one alphabet share the uniforms, gains and noise; each maps
         the uniforms to its own symbols.
         """
         books = (make_shaped("qam", 16, np.arange(16) % 5 + 1.0), make_uniform("qam", 16))
-        dims = FrameDims(16, 16)  # 512 KiB batches: big enough for numpy's temporary elision
+        dims = FrameDims(16, 16)
+        # the 128-frame batch as one 512 KiB block: big enough for numpy's temporary elision
+        monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", 128 * 16 * dims.size)
         scene = Scene((Target(1.0, 2.0, 1.0), Target(0.3, 6.0, 3.0)), 0.4)
         filters = (MF, RF, wiener(2.5))
         steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]

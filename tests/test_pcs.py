@@ -335,6 +335,35 @@ class TestSweep:
         assert isinstance(sweep[0][1], SolverError) and sweep[0][1].diagnostics == {"gap": [1.0]}
         assert all(isinstance(sol, PcsSolution) for _, sol in sweep[1:])
 
+    def test_linalg_error_is_a_solver_error(self, monkeypatch):
+        """A multiplier step whose least-squares solve fails raises SolverError with the iterate's
+        multipliers and gap; the sweep records it for that budget and solves the others."""
+        lstsq, solve, broken = np.linalg.lstsq, pcs.mba_solve, [True]
+
+        def failing_lstsq(*args, **kwargs):
+            if broken[0]:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return lstsq(*args, **kwargs)
+
+        def solve_breaking_middle(cfg):
+            broken[0] = cfg.c0 == 2.0
+            return solve(cfg)
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+        _, hi = c0_bounds(64, MF, DIMS, 1.0, NOISE)
+        with pytest.raises(SolverError, match="SVD did not converge") as exc:
+            mba_solve(quick_cfg(MF, hi))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        assert set(exc.value.diagnostics) == {"lambda", "gap"}
+
+        monkeypatch.setattr(pcs, "mba_solve", solve_breaking_middle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sweep = tradeoff_sweep(quick_cfg(MF, hi, max_outer_iters=2), [3.0, hi, 2.0])
+        assert [c0 for c0, _ in sweep] == [2.0, 3.0, hi]
+        assert isinstance(sweep[0][1], SolverError) and "SVD did not converge" in str(sweep[0][1])
+        assert all(isinstance(sol, PcsSolution) for _, sol in sweep[1:])
+
     def test_nan_budget_raises_before_any_solve(self, monkeypatch):
         def no_solve(cfg):
             raise AssertionError("solved a budget of a grid holding nan")
