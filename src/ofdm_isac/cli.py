@@ -508,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        sp.add_argument("--threads", type=int, default=1, help="worker thread cap (>= 1)")
+        sp.add_argument("--threads", type=int, default=1, help="threads, the caller's included (>= 1)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.set_defaults(func=func)
     return parser

@@ -22,9 +22,10 @@ from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
 from .metrics import _draw_batch, _run_batches
 
 DETECTION_BATCH = 128
-# the column chain's block of frames, as one complex array: 32 frames at 64x32. Its per-block work is
-# light and each block makes a few Python calls per codebook, so it keeps blocks larger than the frame kernel's
-DETECTION_BLOCK_BYTES = 1 << 20
+# the column chain's block of frames, as one complex array: 16 frames at 64x32. Each thread finishes a
+# block (columns, IFFT, CA-CFAR, hits) before drawing the next; the block is twice the frame kernel's, as
+# its per-block work is light and each block makes a few Python calls per codebook
+DETECTION_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,19 @@ def cfar_threshold_factor(train_total: int, pfa: float) -> float:
     return train_total * (pfa ** (-1.0 / train_total) - 1.0)
 
 
+def _check_window(n: int, cfg: CfarConfig) -> int:
+    """The window's half-width guard + train; raises unless a profile of length ``n`` is longer than the window."""
+    span = cfg.guard_cells + cfg.train_cells
+    if n <= 2 * span:
+        raise ValueError(f"profile length {n} must exceed 2*(guard+train) = {2 * span}")
+    return span
+
+
 def cfar_thresholds(profiles: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     """Per-cell thresholds with circular windows; operates on the last axis."""
     profiles = np.asarray(profiles, dtype=np.float64)
     n = profiles.shape[-1]
-    span = cfg.guard_cells + cfg.train_cells
-    if n <= 2 * span:
-        raise ValueError(f"profile length {n} must exceed 2*(guard+train) = {2 * span}")
+    span = _check_window(n, cfg)
     padded = np.concatenate((profiles[..., n - span :], profiles, profiles[..., :span]), axis=-1)
     # Each side's training cells as a fixed-order sum of shifted copies: a running or prefix sum would
     # take a strong peak back out by a difference and leave its rounding error in the cells beyond it.
@@ -121,9 +128,12 @@ def detection_probability(
     every codebook, which gathers its g and chi from per-cell tables.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
+    n, m = dims.shape
+    span = _check_window(n, cfg)
+    # the weak cell's window: its threshold reads no cell outside it, so |.|^2 and CA-CFAR run on these cells only
+    window = (weak_bin - span + np.arange(2 * span + 1)) % n
     single = isinstance(c, ShapedConstellation)
     codebooks = (c,) if single else tuple(c)
-    n, m = dims.shape
     w_p = np.exp(-2j * np.pi * np.arange(m) * doppler_bin / m)
     vectors = [steering_vectors(dims, t) for t in scene.targets]
     b = np.array([bv for bv, _ in vectors]).T  # (N, targets)
@@ -137,20 +147,24 @@ def detection_probability(
 
         def run(index, size):
             alphas, blocks = _draw_batch(index, size, dims, scene, seed, DETECTION_BLOCK_BYTES)
-            columns = np.empty((len(tables), size, n), dtype=np.complex128)
-            for frames, u, z in blocks:
+            hits = np.zeros(len(tables), dtype=np.int64)
+            for frames, u, z in blocks:  # each block is finished, and its arrays dropped, before the next draw
                 cell = _guide_search(cuts, u)
                 gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
+                columns = np.empty((len(tables), len(u), n), dtype=np.complex128)
+                del u
                 for arm, (g_cells, chi_cells) in tables.items():
                     terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
-                    column = np.add(terms[..., 0], terms[..., 1], out=columns[arm, frames])  # the two targets
+                    column = np.add(terms[..., 0], terms[..., 1], out=columns[arm])  # the two targets
                     if z is not None:
                         column += (g_cells[cell] * z) @ w_p
-            columns = np.fft.ifft(columns, axis=-1)
-            columns *= np.sqrt(n / m)
-            profiles = np.abs(columns) ** 2
-            hits = profiles[..., weak_bin] > cfar_thresholds(profiles, cfg)[..., weak_bin]
-            return [{"hits": float(k)} for k in hits.sum(axis=1)]
+                del cell, z
+                np.fft.ifft(columns, axis=-1, out=columns)
+                columns *= np.sqrt(n / m)
+                profiles = np.abs(columns[..., window]) ** 2  # the weak cell at the centre, span
+                del columns
+                hits += (profiles[..., span] > cfar_thresholds(profiles, cfg)[..., span]).sum(axis=1)
+            return [{"hits": float(k)} for k in hits]
 
         return run
 

@@ -17,6 +17,7 @@ bit-for-bit and independent of the thread count.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -211,11 +212,12 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
     real = rng.standard_normal((size, *dims.shape)) if scene.noise_var > 0 else None
     block = max(1, block_bytes // (16 * dims.size))
 
-    def blocks():
+    def blocks():  # binds no block array, so none outlives its block in this frame
         for lo in range(0, size, block):
             frames = slice(lo, min(lo + block, size))
-            u = uniforms.random((frames.stop - lo, *dims.shape))
-            yield frames, u, None if real is None else complex_normal(rng, scene.noise_var, u.shape, real[frames])
+            shape = (frames.stop - lo, *dims.shape)
+            yield frames, uniforms.random(shape), None if real is None else complex_normal(
+                rng, scene.noise_var, shape, real[frames])
 
     return alphas, blocks()
 
@@ -279,8 +281,9 @@ def _run_batches(
     unit-power scale); equal codebooks map the uniforms once. ``reduce`` returns
     per-frame arrays (``_simulate_batch``). A ``chain(books)`` may run in its place: it
     returns the ``(index, size)`` function that runs one batch on ``_draw_batch``, so what it
-    builds from the books is built once per call. Batches add up in plan order, and
-    ``_max`` keys keep the maximum.
+    builds from the books is built once per call. ``threads`` counts the calling thread: it
+    runs batches beside at most ``threads - 1`` pool helpers, one batch per thread at a time.
+    Batches add up in plan order, and ``_max`` keys keep the maximum.
     """
     plan = _batch_plan(trials, batch_size)
     alphabet = arms[0][0].points / arms[0][0].points[0]
@@ -299,9 +302,25 @@ def _run_batches(
     def work(job):
         return run(*job) if run else _simulate_batch(*job, books, len(arms), dims, scene, seed, steering, reduce)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, plan))
+    helpers = min(threads, len(plan)) - 1
+    if helpers:
+        # the calling thread drains the plan beside the helpers; results land by plan index
+        partials: list = [None] * len(plan)
+        jobs, lock = enumerate(plan), threading.Lock()
+
+        def drain():
+            while True:
+                with lock:
+                    i, job = next(jobs, (None, None))
+                if job is None:
+                    return
+                partials[i] = work(job)
+
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+        for future in futures:
+            future.result()
     else:
         partials = [work(job) for job in plan]
 

@@ -91,6 +91,20 @@ class TestCaCfar:
         np.testing.assert_allclose(got, alpha * np.reshape(exact, got.shape) / (2 * train), rtol=2e-14)
         assert np.array_equal(cfar_thresholds(profiles[1, 2], cfg), got[1, 2])
 
+    @pytest.mark.parametrize("guard, train", [(2, 16), (0, 1), (3, 5), (0, 31)])
+    def test_window_thresholds_equal_full_profile(self, guard, train):
+        """Detection's CA-CFAR on the 2 span + 1 cells around one cell gives that cell's threshold of the
+        whole profile bit for bit, at every cell, beside strong peaks and across gains."""
+        rng = np.random.default_rng(10 * guard + train)
+        profiles = rng.exponential(1.0, (3, 5, 64)) * np.logspace(0, 6, 3)[:, None, None]
+        profiles[..., [7, 40]] *= 1e6
+        cfg = CfarConfig(guard, train, 1e-3)
+        span = guard + train
+        full = cfar_thresholds(profiles, cfg)
+        for cell in range(64):
+            window = (cell - span + np.arange(2 * span + 1)) % 64
+            assert cfar_thresholds(profiles[..., window], cfg)[..., span].tobytes() == full[..., cell].tobytes()
+
     def test_cli_import_leaves_ndimage_unloaded(self):
         """The thresholds need no scipy.ndimage, whose import cost every command's set-up."""
         src = str(Path(ofdm_isac.__file__).parents[1])
@@ -154,6 +168,14 @@ class TestDetectionProbability:
         coincident = Scene((Target(1.0, 3.0, 0.0), Target(0.1, 3.2, 0.0)), 0.1)
         with pytest.raises(ValueError, match="coincident"):
             detection_probability(DIMS, coincident, c, MF, CfarConfig(), 10, 0)
+
+    def test_profile_too_short_fails_before_any_batch(self, monkeypatch):
+        """The weak cell's window never wraps onto itself: a profile no longer than 2 (guard + train) is
+        rejected before anything is drawn, as CA-CFAR on the whole profile rejects it."""
+        monkeypatch.setattr(detection, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
+        scene = default_tradeoff_scene(1.0 / SNR)
+        with pytest.raises(ValueError, match=r"profile length 16 must exceed 2\*\(guard\+train\) = 36"):
+            detection_probability(FrameDims(16, 8), scene, make_uniform("qam", 16), MF, CfarConfig(2, 16), 10, 0)
 
     def test_threads_do_not_change_result(self):
         scene = default_tradeoff_scene(1.0 / SNR)

@@ -14,8 +14,8 @@ from ofdm_isac.detection import CfarConfig, cfar_thresholds, default_tradeoff_sc
 from ofdm_isac.filtering import MF, RF, dd_transform, wiener
 from ofdm_isac.metrics import empirical_dd_profile, empirical_metrics, identity_checks
 
-DIMS = FrameDims(64, 32)  # 8 frames to a default frame-kernel block, 32 to a detection block
-BATCH = 44  # six kernel blocks per batch by default, five of 8 frames and one of 4; two detection blocks, 32 and 12
+DIMS = FrameDims(64, 32)  # 8 frames to a default frame-kernel block, 16 to a detection block
+BATCH = 44  # six kernel blocks per batch by default, five of 8 frames and one of 4; detection blocks of 16, 16 and 12
 TRIALS = 100  # three batches, the last a partial one
 FRAME_BYTES = 16 * DIMS.size
 SNR = 10.0**0.4

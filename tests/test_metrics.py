@@ -1,6 +1,10 @@
 """Closed-form metrics, expected profiles, crossover, and Monte Carlo agreement."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -304,3 +308,82 @@ class TestFrameKernel:
                 assert np.array_equal(g_k, g)
                 assert np.array_equal(chi_k, (x * g).real)
                 assert np.array_equal(hhat_k, (h * x + z) * g)
+
+
+class TestThreadPool:
+    """``_run_batches`` runs batches on the calling thread beside at most ``threads - 1`` pool helpers."""
+
+    ARMS = ((make_uniform("qam", 16), MF),)
+    SCENE = Scene((Target(1.0, 0.0, 0.0),), 0.1)
+
+    def _run(self, threads, run, trials=16):
+        return metrics._run_batches(self.ARMS, FrameDims(4, 4), self.SCENE, trials, 0, 1, threads,
+                                    chain=lambda books: run)
+
+    def test_helpers_capped_by_plan_without_starting_threads(self, monkeypatch):
+        """--threads 1000 on a 16-batch plan asks for 15 helpers; the stand-in pool runs them inline."""
+        asked, idents = [], set()
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", InlinePool)
+
+        def run(index, size):
+            idents.add(threading.get_ident())
+            return [{"n": float(index)}]
+
+        assert self._run(1000, run) == [{"n": float(sum(range(16)))}]
+        assert asked == [15]
+        assert idents == {threading.get_ident()}
+
+    def test_caller_runs_a_batch(self):
+        idents = []
+
+        def run(index, size):
+            idents.append(threading.get_ident())
+            time.sleep(0.005)
+            return [{"n": 1.0}]
+
+        assert self._run(3, run) == [{"n": 16.0}]
+        assert len(idents) == 16
+        assert threading.get_ident() in idents
+
+    def test_each_batch_runs_once_under_contention(self):
+        """More threads than cores and a short switch interval: no batch is lost or run twice."""
+        seen = []
+
+        def run(index, size):
+            seen.append(index)
+            return [{"n": float(index)}]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sums = self._run(8, run, trials=400)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(400))
+        assert sums == [{"n": float(sum(range(400)))}]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_batch_error_raises(self, threads):
+        def run(index, size):
+            if index == 5:
+                raise RuntimeError("batch 5 failed")
+            return [{"n": 1.0}]
+
+        with pytest.raises(RuntimeError, match="batch 5 failed"):
+            self._run(threads, run)
