@@ -328,11 +328,14 @@ def _write_table(path_base: Path, fmt: str, comments: list[str], columns: list[s
             writer.writerows(rows)
     else:
         path = path_base.with_suffix(".json")
-        payload = {"meta": comments, "columns": columns, "rows": [list(r) for r in rows]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, {"meta": comments, "columns": columns, "rows": [list(r) for r in rows]})
     return path
+
+
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _db(x: float) -> float:
@@ -350,9 +353,7 @@ def _cmd_verify(args, v: dict) -> int:
         print(f"[{status}] {check.name}: residual={check.residual:.3e} tol={check.tolerance:.1e}")
     report = {"all_pass": all(c.passed for c in checks), "checks": [c.as_dict() for c in checks]}
     path = args.out / "verify_report.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, report)
     print(f"report written to {path}")
     return 0 if report["all_pass"] else 1
 
@@ -422,9 +423,7 @@ def _cmd_pcs(args, v: dict) -> int:
         sol = mba_solve(pcfg)
     except SolverError as exc:
         path = args.out / "pcs_error.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"error": str(exc), "diagnostics": exc.diagnostics}, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, {"error": str(exc), "diagnostics": exc.diagnostics})
         print(f"solver failed: {exc} (diagnostics in {path})", file=sys.stderr)
         return 1
     shaped = make_shaped(pcfg.family, pcfg.order, sol.probs)

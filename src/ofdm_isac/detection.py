@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors  # noqa: F401
-from .constellation import ShapedConstellation, _cell_tables, _guide_search, draw_symbols  # noqa: F401
+from .constellation import ShapedConstellation, _guide_search, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
 from .metrics import _draw_batch, _run_batches
 
@@ -104,15 +104,14 @@ def detection_cell(dims: FrameDims, scene: Scene) -> tuple[int, int]:
 def detection_probability(
     dims: FrameDims,
     scene: Scene,
-    c: ShapedConstellation | Sequence[ShapedConstellation],
+    codebooks: Sequence[ShapedConstellation],
     f: FilterKind,
     cfg: CfarConfig,
     trials: int,
     seed: int,
-    batch_size: int = DETECTION_BATCH,
     threads: int = 1,
-) -> float | tuple[float, ...]:
-    """Probability that the weaker of two targets is detected on its delay profile.
+) -> tuple[float, ...]:
+    """Probability that the weaker of two targets is detected on its delay profile, one per codebook.
 
     Each trial takes the frame kernel's draw of symbols, target gains and noise
     and runs CA-CFAR over the delay profile at the weak target's Doppler bin p:
@@ -121,29 +120,25 @@ def detection_probability(
 
         (hhat @ w_p)[n] = sum_t alpha_t b_t[n] (chi[n, :] . (conj(c_t) w_p)) + sum_m z[n, m] g[n, m] w_p[m].
 
-    A sequence of codebooks on one alphabet gets a tuple of P_d from one shared
-    trial set: every codebook sees the same uniforms, target gains and noise,
-    so the P_d differ only through the codebooks, never through the draw. Each
-    entry equals a single call's. One symbol search per block of frames serves
-    every codebook, which gathers its g and chi from per-cell tables.
+    The codebooks, on one alphabet, share one trial set: every codebook sees the
+    same uniforms, target gains and noise, so the P_d differ only through the
+    codebooks, never through the draw. Each entry equals that of a call on that
+    codebook alone. One symbol search per block of frames serves every codebook,
+    which gathers its g and chi from the per-cell tables ``_run_batches`` builds.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
     n, m = dims.shape
     span = _check_window(n, cfg)
     # the weak cell's window: its threshold reads no cell outside it, so |.|^2 and CA-CFAR run on these cells only
     window = (weak_bin - span + np.arange(2 * span + 1)) % n
-    single = isinstance(c, ShapedConstellation)
-    codebooks = (c,) if single else tuple(c)
     w_p = np.exp(-2j * np.pi * np.arange(m) * doppler_bin / m)
     vectors = [steering_vectors(dims, t) for t in scene.targets]
     b = np.array([bv for bv, _ in vectors]).T  # (N, targets)
     # (M, 2 targets) reals, so that the real matmul chi @ weights views as the complex chi @ (conj(c_t) w_p)
     weights = np.array([np.conj(cv) * w_p for _, cv in vectors]).T.copy().view(np.float64)
 
-    def chain(books):
-        cuts, cell_index = _cell_tables([book for book, _ in books])
-        tables = {arm: (g_tab[t], chi_tab[t])
-                  for t, (_, arms) in zip(cell_index, books) for arm, g_tab, chi_tab in arms}
+    def chain(cuts, books):
+        tables = [arm for _, arms in books for arm in arms]
 
         def run(index, size):
             alphas, blocks = _draw_batch(index, size, dims, scene, seed, DETECTION_BLOCK_BYTES)
@@ -153,7 +148,7 @@ def detection_probability(
                 gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
                 columns = np.empty((len(tables), len(u), n), dtype=np.complex128)
                 del u
-                for arm, (g_cells, chi_cells) in tables.items():
+                for arm, (g_cells, chi_cells) in enumerate(tables):
                     terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
                     column = np.add(terms[..., 0], terms[..., 1], out=columns[arm])  # the two targets
                     if z is not None:
@@ -168,10 +163,8 @@ def detection_probability(
 
         return run
 
-    arms = tuple((book, f) for book in codebooks)
-    sums = _run_batches(arms, dims, scene, trials, seed, batch_size, threads, chain=chain)
-    pds = tuple(s["hits"] / trials for s in sums)
-    return pds[0] if single else pds
+    sums = _run_batches(codebooks, (f,), dims, scene, trials, seed, DETECTION_BATCH, threads, chain=chain)
+    return tuple(s["hits"] / trials for s in sums)
 
 
 def default_tradeoff_scene(noise_var: float, weak_delay_bin: int = 5, weak_rel_power_db: float = -15.0):

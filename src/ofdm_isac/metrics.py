@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import FrameDims, Scene, complex_normal, steering_vectors
-from .constellation import ChiStats, ShapedConstellation, chi_stats, moment_abs_pow, symbol_index
+from .constellation import ChiStats, ShapedConstellation, _cell_tables, _guide_search, chi_stats, moment_abs_pow
 from .constellation import draw_symbols  # noqa: F401 -- stays importable: perfbench/tracing.py wraps it
 from .filtering import FilterKind, dd_transform, point_gain
 
@@ -225,8 +226,8 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
 def _simulate_batch(
     index: int,
     size: int,
-    books: list[tuple[ShapedConstellation, list[tuple[int, np.ndarray, np.ndarray]]]],
-    n_arms: int,
+    cuts: np.ndarray,
+    books: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]],
     dims: FrameDims,
     scene: Scene,
     seed: int,
@@ -235,37 +236,39 @@ def _simulate_batch(
 ) -> list[dict]:
     """Run the chain on one batch's draw, block by block; ``reduce(h, g, chi, hhat)`` it per arm.
 
-    Every arm sees the same trial set, so the arms' results (say, the P_d of
-    each trade-off budget) differ through their codebooks and filters, never
-    through the draw. Each block's uniforms are mapped to symbol indices once per
-    codebook in ``books``; each of that codebook's arms ``(arm, g_tab, chi_tab)``
-    gathers g and chi from its filter's per-point tables. ``reduce`` returns per-frame
-    arrays, frames first, which ``_join_frames`` takes in frame order: maps fold into
-    a running total, and scalars are summed over frames once per batch (``_max`` keys:
-    the maximum), whatever the block size.
+    Every arm sees the same trial set, so the arms' results (say, the MSE
+    relation of each filter) differ through their codebooks and filters, never
+    through the draw. One ``_guide_search(cuts, u)`` per block maps the uniforms
+    to cells; each codebook ``(x_cells, tables)`` in ``books`` gathers its symbols
+    by cell, and each of its arms ``(g_cells, chi_cells)`` its g and chi.
+    ``reduce`` returns per-frame arrays, frames first, which ``_join_frames`` takes
+    in frame order: maps fold into a running total, and scalars are summed over
+    frames once per batch (``_max`` keys: the maximum), whatever the block size.
     """
     alphas, blocks = _draw_batch(index, size, dims, scene, seed, FRAME_BLOCK_BYTES)
-    per_frame: list[dict] = [{} for _ in range(n_arms)]
+    per_frame: list[list[dict]] = [[{} for _ in tables] for _, tables in books]
     for frames, u, z in blocks:
         h = np.zeros(u.shape, dtype=np.complex128)
         for alpha, s_q in zip(alphas, steering):
             h += alpha[frames, None, None] * s_q[None, :, :]
-        for c, book_arms in books:
-            idx = symbol_index(c, u)
-            x = c.points[idx]
+        cell = _guide_search(cuts, u)
+        for (x_cells, tables), book_parts in zip(books, per_frame):
+            x = x_cells[cell]
             y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
             del x  # not needed by the reducers; freeing it keeps the block's peak memory down
             if z is not None:
                 y += z
-            for arm, g_tab, chi_tab in book_arms:
-                g = g_tab[idx]
-                for key, value in reduce(h, g, chi_tab[idx], y * g).items():
-                    _join_frames(per_frame[arm], key, value)
-    return [{key: _batch_partial(key, value) for key, value in parts.items()} for parts in per_frame]
+            for (g_cells, chi_cells), parts in zip(tables, book_parts):
+                g = g_cells[cell]
+                for key, value in reduce(h, g, chi_cells[cell], y * g).items():
+                    _join_frames(parts, key, value)
+    return [{key: _batch_partial(key, value) for key, value in parts.items()}
+            for book_parts in per_frame for parts in book_parts]
 
 
 def _run_batches(
-    arms: tuple[tuple[ShapedConstellation, FilterKind], ...],
+    codebooks: Sequence[ShapedConstellation],
+    filters: Sequence[FilterKind],
     dims: FrameDims,
     scene: Scene,
     trials: int,
@@ -275,56 +278,61 @@ def _run_batches(
     reduce=None,
     chain=None,
 ) -> list[dict]:
-    """One dict of partials per (codebook, filter) arm over one shared trial set.
+    """One dict of partials per arm, codebooks x filters numbered codebook-major, over one shared trial set.
 
-    The arms' codebooks must share one alphabet (the same points up to the
-    unit-power scale); equal codebooks map the uniforms once. ``reduce`` returns
-    per-frame arrays (``_simulate_batch``). A ``chain(books)`` may run in its place: it
-    returns the ``(index, size)`` function that runs one batch on ``_draw_batch``, so what it
-    builds from the books is built once per call. ``threads`` counts the calling thread: it
-    runs batches beside at most ``threads - 1`` pool helpers, one batch per thread at a time.
+    The codebooks must share one alphabet (the same points up to the unit-power
+    scale). ``_cell_tables`` cuts [0, 1) once per call at every codebook's CDF cuts, and
+    ``books`` holds, per codebook, its symbol per cell and, per filter, its g and chi per
+    cell. ``reduce`` returns per-frame arrays (``_simulate_batch``). A ``chain(cuts, books)``
+    may run in its place: it returns the ``(index, size)`` function that runs one batch on
+    ``_draw_batch``, so what it builds from the books is built once per call. ``threads``
+    counts the calling thread: it runs batches beside ``min(threads, batches) - 1`` pool
+    helpers, one batch per thread at a time; once a batch raises, no thread starts another.
     Batches add up in plan order, and ``_max`` keys keep the maximum.
     """
+    for name, items in (("codebooks", codebooks), ("filters", filters)):
+        if len(items) == 0:
+            raise ValueError(f"{name} must not be empty")
     plan = _batch_plan(trials, batch_size)
-    alphabet = arms[0][0].points / arms[0][0].points[0]
-    groups: dict[bytes, tuple[ShapedConstellation, list]] = {}
-    for arm, (c, f) in enumerate(arms):
+    alphabet = codebooks[0].points / codebooks[0].points[0]
+    for c in codebooks:
         if c.order != alphabet.size or not np.allclose(c.points / c.points[0], alphabet, rtol=1e-12, atol=0.0):
             raise ValueError("codebooks must share one alphabet (the same points up to scale)")
-        g_tab = point_gain(c.points, f)
-        book = groups.setdefault(c.points.tobytes() + c.probs.tobytes(), (c, []))
-        book[1].append((arm, g_tab, (c.points * g_tab).real))
-    books = list(groups.values())
+    cuts, cell_index = _cell_tables(codebooks)
+    books = []
+    for c, table in zip(codebooks, cell_index):
+        gains = [point_gain(c.points, f) for f in filters]
+        books.append((c.points[table], [(g_tab[table], (c.points * g_tab).real[table]) for g_tab in gains]))
     steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
+    run = chain(cuts, books) if chain is not None else (
+        lambda index, size: _simulate_batch(index, size, cuts, books, dims, scene, seed, steering, reduce))
 
-    run = chain(books) if chain is not None else None
-
-    def work(job):
-        return run(*job) if run else _simulate_batch(*job, books, len(arms), dims, scene, seed, steering, reduce)
-
+    # the calling thread drains the plan beside the helpers; results land by plan index
     helpers = min(threads, len(plan)) - 1
-    if helpers:
-        # the calling thread drains the plan beside the helpers; results land by plan index
-        partials: list = [None] * len(plan)
-        jobs, lock = enumerate(plan), threading.Lock()
+    partials: list = [None] * len(plan)
+    jobs, lock = enumerate(plan), threading.Lock()
 
-        def drain():
-            while True:
+    def drain():
+        nonlocal jobs
+        while True:
+            with lock:
+                i, job = next(jobs, (None, None))
+            if job is None:
+                return
+            try:
+                partials[i] = run(*job)
+            except BaseException:
                 with lock:
-                    i, job = next(jobs, (None, None))
-                if job is None:
-                    return
-                partials[i] = work(job)
+                    jobs = iter(())  # a failed run reports now, not after the rest of the plan
+                raise
 
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-        for future in futures:
-            future.result()
-    else:
-        partials = [work(job) for job in plan]
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:  # starts no thread until a submit
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    for future in futures:
+        future.result()
 
-    totals: list[dict] = [{} for _ in arms]
+    totals: list[dict] = [{} for _ in range(len(codebooks) * len(filters))]
     for parts in partials:  # fixed reduction order keeps outputs bit-identical
         for total, part in zip(totals, parts):
             for key, value in part.items():
@@ -342,7 +350,6 @@ def empirical_metrics(
     scene: Scene,
     trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH,
     threads: int = 1,
 ) -> MetricsReport:
     """Monte Carlo metrics over random symbols, target gains, and noise."""
@@ -370,7 +377,7 @@ def empirical_metrics(
             "far": np.cumsum(lam_power[:, far], axis=1)[:, -1] / far.sum(),
         }
 
-    (sums,) = _run_batches(((c, f),), dims, scene, trials, seed, batch_size, threads, reduce)
+    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, DEFAULT_BATCH, threads, reduce)
     mse = sums["mse"] / trials
     mean_r00_sq = sums["r00_sq"] / trials
     mean_g_energy = sums["g_energy"] / trials
@@ -389,7 +396,6 @@ def empirical_dd_profile(
     scene: Scene,
     trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH,
     threads: int = 1,
 ) -> np.ndarray:
     """Mean DD power map E|Lambda|^2 estimated over random frames."""
@@ -397,7 +403,7 @@ def empirical_dd_profile(
     def reduce(h, g, chi, hhat):
         return {"power": np.abs(dd_transform(hhat)) ** 2}
 
-    (sums,) = _run_batches(((c, f),), dims, scene, trials, seed, batch_size, threads, reduce)
+    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, DEFAULT_BATCH, threads, reduce)
     return sums["power"] / trials
 
 
@@ -427,30 +433,26 @@ def _identity_sums(h, g, chi, hhat) -> dict:
 
 def identity_checks(
     c: ShapedConstellation,
-    f: FilterKind | tuple[FilterKind, ...],
+    filters: Sequence[FilterKind],
     dims: FrameDims,
     scene: Scene,
     trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH,
     threads: int = 1,
-) -> IdentityReport | tuple[IdentityReport, ...]:
-    """Residuals of the ISLR reformulation, the MSE relation, and DD unitarity.
+) -> tuple[IdentityReport, ...]:
+    """Residuals of the ISLR reformulation, the MSE relation, and DD unitarity, one report per filter.
 
     The MSE-relation residual compares the response-side expansion
     gain_var * E{sum|r|^2 - r(0,0)^2 + NM (1 - r(0,0)/sqrt(NM))^2}
     + noise_var * E{sum|g|^2} against the directly simulated CSI MSE; both
-    sides are estimated from the same trial set. A tuple of filters shares
-    one trial set and gets a tuple of reports, each equal to a single call's.
+    sides are estimated from the same trial set. The filters share one trial
+    set, and each report equals that of a call on that filter alone.
     """
-    single = isinstance(f, FilterKind)
-    filters = (f,) if single else tuple(f)
     reports = []
-    arms = tuple((c, g) for g in filters)
-    for sums in _run_batches(arms, dims, scene, trials, seed, batch_size, threads, _identity_sums):
+    for sums in _run_batches((c,), filters, dims, scene, trials, seed, DEFAULT_BATCH, threads, _identity_sums):
         lhs = scene.total_gain_var * sums["mse_relation_lhs"] / trials + scene.noise_var * sums["g_energy"] / trials
         rhs = sums["mse"] / trials
         mse_relation = _ratio(abs(lhs - rhs), rhs)
         residuals = (sums["islr_identity_max"], mse_relation, sums["dd_unitarity_max"], sums["parseval_max"])
         reports.append(IdentityReport(*residuals, trials, seed))
-    return reports[0] if single else tuple(reports)
+    return tuple(reports)

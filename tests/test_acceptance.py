@@ -198,7 +198,7 @@ def test_criterion_04_identity_suite():
     c = make_uniform("qam", 64)
     worst = {"dd": 0.0, "islr": 0.0, "mse": 0.0}
     for fname, f in filters(SNR_4DB):
-        rep = identity_checks(c, f, DIMS, SCENE_4DB, trials=10_000, seed=3)
+        (rep,) = identity_checks(c, (f,), DIMS, SCENE_4DB, trials=10_000, seed=3)
         worst["dd"] = max(worst["dd"], rep.dd_unitarity_max_rel)
         worst["islr"] = max(worst["islr"], rep.islr_identity_max_rel)
         worst["mse"] = max(worst["mse"], rep.mse_relation_rel)
@@ -401,9 +401,9 @@ def test_criterion_11_cfar():
         scene = Scene(
             (Target(1.0, 0.0, 0.0), Target(10.0 ** (db / 10.0), 5.0, 0.0)), NOISE_4DB
         )
-        pds.append(
+        pds.extend(
             detection_probability(
-                DIMS, scene, make_uniform("qam", 64), MF, CfarConfig(2, 16, 1e-3), 800, seed=6
+                DIMS, scene, (make_uniform("qam", 64),), MF, CfarConfig(2, 16, 1e-3), 800, seed=6
             )
         )
     mono_ok = pds[0] < pds[1] < pds[2]

@@ -267,8 +267,8 @@ class TestTradeoffCommand:
         pds = [float(row[3]) for row in rows]
         for i, pd in enumerate(pds):
             c, _ = load_codebook(tmp_path / f"codebook_{i:02d}.json")
-            want = detection_probability(
-                FrameDims(64, 32), scene, c, wiener(snr), CfarConfig(2, 16, 1e-2), 600, cli._derived_seeds(6)[3]
+            (want,) = detection_probability(
+                FrameDims(64, 32), scene, (c,), wiener(snr), CfarConfig(2, 16, 1e-2), 600, cli._derived_seeds(6)[3]
             )
             assert pd == want
         assert len(set(pds)) == len(pds)  # distinct, so a row given another row's pd would show

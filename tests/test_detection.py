@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ofdm_isac
-from ofdm_isac import detection
+from ofdm_isac import detection, metrics
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_uniform
 from ofdm_isac.detection import (
@@ -135,16 +135,16 @@ class TestDetectionProbability:
         pfa = 0.05
         scene = Scene((Target(1.0, 0.0, 0.0), Target(0.0, 20.0, 0.0)), 1.0 / SNR)
         trials = 3000
-        pd = detection_probability(
-            DIMS, scene, make_uniform("psk", 4), RF, CfarConfig(2, 8, pfa), trials, seed=4
+        (pd,) = detection_probability(
+            DIMS, scene, (make_uniform("psk", 4),), RF, CfarConfig(2, 8, pfa), trials, seed=4
         )
         sigma = np.sqrt(pfa * (1 - pfa) / trials)
         assert abs(pd - pfa) < 3 * sigma
 
     def test_noise_free_rf_always_detects(self):
         scene = Scene((Target(1.0, 0.0, 0.0), Target(0.01, 9.0, 0.0)), 0.0)
-        pd = detection_probability(
-            DIMS, scene, make_uniform("qam", 16), RF, CfarConfig(2, 4, 1e-4), 200, seed=5
+        (pd,) = detection_probability(
+            DIMS, scene, (make_uniform("qam", 16),), RF, CfarConfig(2, 4, 1e-4), 200, seed=5
         )
         assert pd == 1.0
 
@@ -152,15 +152,15 @@ class TestDetectionProbability:
         pds = []
         for db in (-25.0, -15.0, -5.0):
             scene = default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=db)
-            pds.append(
+            pds.extend(
                 detection_probability(
-                    DIMS, scene, make_uniform("qam", 64), MF, CfarConfig(2, 16, 1e-3), 800, seed=6
+                    DIMS, scene, (make_uniform("qam", 64),), MF, CfarConfig(2, 16, 1e-3), 800, seed=6
                 )
             )
         assert pds[0] < pds[1] < pds[2]
 
     def test_requires_two_distinct_targets(self):
-        c = make_uniform("qam", 16)
+        c = (make_uniform("qam", 16),)
         with pytest.raises(ValueError, match="two targets"):
             detection_probability(
                 DIMS, Scene((Target(1.0, 0.0, 0.0),), 0.1), c, MF, CfarConfig(), 10, 0
@@ -175,11 +175,11 @@ class TestDetectionProbability:
         monkeypatch.setattr(detection, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
         scene = default_tradeoff_scene(1.0 / SNR)
         with pytest.raises(ValueError, match=r"profile length 16 must exceed 2\*\(guard\+train\) = 36"):
-            detection_probability(FrameDims(16, 8), scene, make_uniform("qam", 16), MF, CfarConfig(2, 16), 10, 0)
+            detection_probability(FrameDims(16, 8), scene, (make_uniform("qam", 16),), MF, CfarConfig(2, 16), 10, 0)
 
     def test_threads_do_not_change_result(self):
         scene = default_tradeoff_scene(1.0 / SNR)
-        c = make_uniform("qam", 16)
+        c = (make_uniform("qam", 16),)
         a = detection_probability(DIMS, scene, c, MF, CfarConfig(2, 8, 1e-3), 256, 7, threads=1)
         b = detection_probability(DIMS, scene, c, MF, CfarConfig(2, 8, 1e-3), 256, 7, threads=4)
         assert a == b
@@ -206,8 +206,8 @@ class TestDetectionProbability:
         shaped = make_shaped("qam", 64, sol.probs)
         scene = Scene((Target(1.0, 0.0, 0.0), Target(10 ** (-2.2), 20.0, 0.0)), noise)
         cfar = CfarConfig(2, 8, 1e-3)
-        pd_uniform = detection_probability(DIMS, scene, make_uniform("qam", 64), f, cfar, 1500, 9)
-        pd_shaped = detection_probability(DIMS, scene, shaped, f, cfar, 1500, 9)
+        (pd_uniform,) = detection_probability(DIMS, scene, (make_uniform("qam", 64),), f, cfar, 1500, 9)
+        (pd_shaped,) = detection_probability(DIMS, scene, (shaped,), f, cfar, 1500, 9)
         assert pd_shaped >= pd_uniform
 
 
@@ -228,12 +228,13 @@ class TestSharedTrialSet:
         return (shaped, uniform, shaped, make_shaped("qam", 16, weights))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_entry_equals_a_single_call(self, threads):
+    def test_each_entry_equals_a_single_call(self, monkeypatch, threads):
+        monkeypatch.setattr(detection, "DETECTION_BATCH", 64)
         f = wiener(SNR)
         books = self.books()
-        pds = detection_probability(DIMS, self.SCENE, books, f, self.CFAR, 300, 12, batch_size=64, threads=threads)
+        pds = detection_probability(DIMS, self.SCENE, books, f, self.CFAR, 300, 12, threads=threads)
         singles = [
-            detection_probability(DIMS, self.SCENE, c, f, self.CFAR, 300, 12, batch_size=64, threads=1) for c in books
+            detection_probability(DIMS, self.SCENE, (c,), f, self.CFAR, 300, 12, threads=1)[0] for c in books
         ]
         assert isinstance(pds, tuple) and len(pds) == len(books)
         assert list(pds) == singles
@@ -241,11 +242,19 @@ class TestSharedTrialSet:
         assert pds[0] != pds[1]  # the codebooks, not the draw, set the difference
 
     def test_cell_tables_built_once_per_call(self, monkeypatch):
+        monkeypatch.setattr(detection, "DETECTION_BATCH", 16)
         built = []
-        cell_tables = detection._cell_tables
-        monkeypatch.setattr(detection, "_cell_tables", lambda books: built.append(len(books)) or cell_tables(books))
-        detection_probability(DIMS, self.SCENE, self.books(), MF, self.CFAR, 100, 4, batch_size=16, threads=2)
-        assert built == [2]  # seven batches, two distinct codebooks
+        cell_tables = metrics._cell_tables
+        monkeypatch.setattr(metrics, "_cell_tables", lambda books: built.append(len(books)) or cell_tables(books))
+        detection_probability(DIMS, self.SCENE, self.books(), MF, self.CFAR, 100, 4, threads=2)
+        assert built == [4]  # seven batches, four codebooks
+
+    def test_codebooks_must_be_a_nonempty_sequence(self, monkeypatch):
+        monkeypatch.setattr(detection, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
+        with pytest.raises(ValueError, match="codebooks must not be empty"):
+            detection_probability(DIMS, self.SCENE, (), MF, self.CFAR, 10, 0)
+        with pytest.raises(TypeError):
+            detection_probability(DIMS, self.SCENE, make_uniform("qam", 16), MF, self.CFAR, 10, 0)
 
     def test_different_alphabets_rejected(self):
         scene = self.SCENE

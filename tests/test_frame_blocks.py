@@ -25,15 +25,18 @@ SCENE = Scene((Target(1.0, 0.0, 0.0), Target(0.2, 9.0, 3.0)), 1.0 / SNR)
 def _outputs(threads=1):
     c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
     filters = (MF, RF, wiener(SNR))
-    return (
-        identity_checks(c, filters, DIMS, SCENE, TRIALS, 7, batch_size=BATCH, threads=threads),
-        empirical_metrics(c, wiener(SNR), DIMS, SCENE, TRIALS, 8, batch_size=BATCH, threads=threads),
-        empirical_dd_profile(c, MF, DIMS, SCENE, TRIALS, 9, batch_size=BATCH, threads=threads),
-        detection_probability(
-            DIMS, default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=-12.0),
-            c, wiener(SNR), CfarConfig(pfa=1e-2), TRIALS, 10, batch_size=BATCH, threads=threads,
-        ),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "DEFAULT_BATCH", BATCH)
+        mp.setattr(detection, "DETECTION_BATCH", BATCH)
+        return (
+            identity_checks(c, filters, DIMS, SCENE, TRIALS, 7, threads=threads),
+            empirical_metrics(c, wiener(SNR), DIMS, SCENE, TRIALS, 8, threads=threads),
+            empirical_dd_profile(c, MF, DIMS, SCENE, TRIALS, 9, threads=threads),
+            detection_probability(
+                DIMS, default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=-12.0),
+                (c,), wiener(SNR), CfarConfig(pfa=1e-2), TRIALS, 10, threads=threads,
+            ),
+        )
 
 
 def _assert_same(got, want):
@@ -74,9 +77,22 @@ def test_kernel_calls_reducer_once_per_block(monkeypatch):
         sizes.append(len(hhat))
         return {"n": np.ones(len(hhat)), "n_max": np.arange(len(hhat), dtype=float)}
 
-    (sums,) = metrics._run_batches(((c, MF),), DIMS, SCENE, 23, 1, 12, 1, reduce)
+    (sums,) = metrics._run_batches((c,), (MF,), DIMS, SCENE, 23, 1, 12, 1, reduce)
     assert sizes == [5, 5, 2, 5, 5, 1]
     assert sums == {"n": 23.0, "n_max": 4.0}
+
+
+def test_kernel_searches_symbols_once_per_block(monkeypatch):
+    """Two codebooks and three filters, six arms: one symbol search per block serves them all."""
+    monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", 5 * FRAME_BYTES)
+    guide_search, searched, reduced = metrics._guide_search, [], []
+    monkeypatch.setattr(metrics, "_guide_search", lambda cuts, u: searched.append(len(u)) or guide_search(cuts, u))
+    books = (make_uniform("qam", 16), make_shaped("qam", 16, np.arange(16) % 5 + 1.0))
+    sums = metrics._run_batches(books, (MF, RF, wiener(SNR)), DIMS, SCENE, 23, 1, 12, 1,
+                                lambda h, g, chi, hhat: reduced.append(len(hhat)) or {"n": np.ones(len(hhat))})
+    assert searched == [5, 5, 2, 5, 5, 1]
+    assert reduced == [size for size in searched for _ in range(6)]
+    assert sums == [{"n": 23.0}] * 6
 
 
 def _whole_batch_draw(index, size, scene, seed):
@@ -138,8 +154,8 @@ PINNED_PD = {5: 0.0712890625, 2026: 0.0751953125}
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("seed", sorted(PINNED_PD))
 def test_detection_probability_pinned(seed, threads):
-    pd = detection_probability(
-        DIMS, default_tradeoff_scene(1.0 / SNR), make_uniform("qam", 64), wiener(SNR),
+    (pd,) = detection_probability(
+        DIMS, default_tradeoff_scene(1.0 / SNR), (make_uniform("qam", 64),), wiener(SNR),
         CfarConfig(), 1024, seed, threads=threads,
     )
     assert pd == PINNED_PD[seed]
@@ -195,7 +211,7 @@ def test_detection_column_matches_full_dd_map(doppler_bin):
         thresholds = cfar_thresholds(profiles, cfar)
         return {"hits": profiles[:, 6] > thresholds[:, 6]}
 
-    (sums,) = metrics._run_batches(((c, MF),), DIMS, scene, 400, 21, 128, 1, full_map)
-    pd = detection_probability(DIMS, scene, c, MF, cfar, 400, 21)
+    (sums,) = metrics._run_batches((c,), (MF,), DIMS, scene, 400, 21, 128, 1, full_map)
+    (pd,) = detection_probability(DIMS, scene, (c,), MF, cfar, 400, 21)
     assert 0.0 < pd < 1.0
     assert pd == sums["hits"] / 400

@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -241,13 +241,13 @@ class TestEmpirical:
 class TestIdentityChecks:
     @pytest.mark.parametrize("f", [MF, RF, wiener(SNR_4DB)], ids=["mf", "rf", "wf"])
     def test_per_realization_identities(self, f):
-        rep = identity_checks(make_uniform("qam", 64), f, DIMS, scene_at(SNR_4DB), 50, seed=3)
+        (rep,) = identity_checks(make_uniform("qam", 64), (f,), DIMS, scene_at(SNR_4DB), 50, seed=3)
         assert rep.dd_unitarity_max_rel < 1e-9
         assert rep.islr_identity_max_rel < 1e-10
         assert rep.parseval_max_rel < 1e-10
 
     def test_mse_relation_small_sample(self):
-        rep = identity_checks(make_uniform("qam", 64), MF, DIMS, scene_at(SNR_4DB), 2000, seed=3)
+        (rep,) = identity_checks(make_uniform("qam", 64), (MF,), DIMS, scene_at(SNR_4DB), 2000, seed=3)
         assert rep.mse_relation_rel < 0.05
 
     def test_filter_tuple_shares_one_trial_set(self):
@@ -255,18 +255,27 @@ class TestIdentityChecks:
         filters = (MF, RF, wiener(SNR_4DB))
         scene = scene_at(SNR_4DB)
         together = identity_checks(c, filters, DIMS, scene, 300, seed=4)
-        alone = tuple(identity_checks(c, f, DIMS, scene, 300, seed=4) for f in filters)
+        alone = tuple(identity_checks(c, (f,), DIMS, scene, 300, seed=4)[0] for f in filters)
         assert isinstance(together, tuple) and len(together) == 3
         for a, b in zip(together, alone):
             assert a == b  # every field, exactly
 
+    def test_filters_must_be_a_nonempty_sequence(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
+        c = make_uniform("qam", 16)
+        with pytest.raises(ValueError, match="filters must not be empty"):
+            identity_checks(c, (), DIMS, scene_at(SNR_4DB), 10, seed=0)
+        with pytest.raises(TypeError):
+            identity_checks(c, MF, DIMS, scene_at(SNR_4DB), 10, seed=0)
+
 
 class TestEmpiricalProfile:
-    def test_thread_count_invariant(self):
+    def test_thread_count_invariant(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_BATCH", 128)
         scene = Scene((Target(1.0, 3.0, 2.0), Target(0.2, 9.0, 5.0)), 0.3)
         args = (make_uniform("qam", 16), wiener(SNR_4DB), FrameDims(16, 16), scene, 600, 8)
-        one = empirical_dd_profile(*args, batch_size=128, threads=1)
-        two = empirical_dd_profile(*args, batch_size=128, threads=2)
+        one = empirical_dd_profile(*args, threads=1)
+        two = empirical_dd_profile(*args, threads=2)
         assert one.shape == (16, 16)
         assert np.array_equal(one, two)
 
@@ -285,12 +294,13 @@ class TestFrameKernel:
         scene = Scene((Target(1.0, 2.0, 1.0), Target(0.3, 6.0, 3.0)), 0.4)
         filters = (MF, RF, wiener(2.5))
         steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
+        cuts, cell_index = metrics._cell_tables(books)
         groups = []
-        for b, c in enumerate(books):
-            tables = [(g, (c.points * g).real) for g in (point_gain(c.points, f) for f in filters)]
-            groups.append((c, [(3 * b + i, g, chi) for i, (g, chi) in enumerate(tables)]))
+        for c, table in zip(books, cell_index):
+            tables = [(g[table], (c.points * g).real[table]) for g in (point_gain(c.points, f) for f in filters)]
+            groups.append((c.points[table], tables))
         seen = []
-        metrics._simulate_batch(3, 128, groups, 6, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
+        metrics._simulate_batch(3, 128, cuts, groups, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(3,)))
         u = rng.random((128, *dims.shape))
@@ -313,12 +323,11 @@ class TestFrameKernel:
 class TestThreadPool:
     """``_run_batches`` runs batches on the calling thread beside at most ``threads - 1`` pool helpers."""
 
-    ARMS = ((make_uniform("qam", 16), MF),)
     SCENE = Scene((Target(1.0, 0.0, 0.0),), 0.1)
 
     def _run(self, threads, run, trials=16):
-        return metrics._run_batches(self.ARMS, FrameDims(4, 4), self.SCENE, trials, 0, 1, threads,
-                                    chain=lambda books: run)
+        return metrics._run_batches((make_uniform("qam", 16),), (MF,), FrameDims(4, 4), self.SCENE, trials, 0, 1,
+                                    threads, chain=lambda cuts, books: run)
 
     def test_helpers_capped_by_plan_without_starting_threads(self, monkeypatch):
         """--threads 1000 on a 16-batch plan asks for 15 helpers; the stand-in pool runs them inline."""
@@ -377,6 +386,42 @@ class TestThreadPool:
             sys.setswitchinterval(interval)
         assert sorted(seen) == list(range(400))
         assert sums == [{"n": float(sum(range(400)))}]
+
+    def test_one_thread_starts_no_helper(self, monkeypatch):
+        """At ``threads=1`` the caller runs every batch through the same drain loop; the pool gets no submit."""
+        submitted = []
+
+        class WatchedPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", WatchedPool)
+        before, counts = threading.active_count(), []
+
+        def run(index, size):
+            counts.append(threading.active_count())
+            return [{"n": 1.0}]
+
+        assert self._run(1, run) == [{"n": 16.0}]
+        assert submitted == []
+        assert set(counts) == {before} and threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_batch_error_stops_the_plan(self, threads):
+        """Once a batch raises, no thread starts another: the threads already running finish theirs."""
+        started = []
+
+        def run(index, size):
+            started.append(index)
+            if index == 0:
+                raise RuntimeError("batch 0 failed")
+            time.sleep(0.02)
+            return [{"n": 1.0}]
+
+        with pytest.raises(RuntimeError, match="batch 0 failed"):
+            self._run(threads, run)
+        assert 0 in started and len(started) <= threads
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_batch_error_raises(self, threads):

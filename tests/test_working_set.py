@@ -90,7 +90,7 @@ def _detection_peak(trials, threads):
     points = make_uniform("qam", 64).points
     books = [make_shaped("qam", 64, np.exp(-s * np.abs(points) ** 2)) for s in np.linspace(0.0, 0.7, 8)]
     scene = default_tradeoff_scene(1.0 / SNR)
-    args = (DIMS, scene, books, wiener(SNR), CfarConfig(), trials, 1, 128, threads)
+    args = (DIMS, scene, books, wiener(SNR), CfarConfig(), trials, 1, threads)
     return _traced_peak(detection_probability, *args)[1]
 
 
