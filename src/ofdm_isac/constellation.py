@@ -144,7 +144,8 @@ def chi_stats(c: ShapedConstellation, f: FilterKind) -> ChiStats:
 
 def symbol_index(c: ShapedConstellation, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF point indices of uniforms ``u``: min(searchsorted(cumsum(p), u, 'right'), Q-1)."""
-    return _guide_search(_cdf_cuts(c), u)
+    cut = _cdf_cuts(c)
+    return _guide_search(cut, _guide_table(cut), u)
 
 
 def _cdf_cuts(c: ShapedConstellation) -> np.ndarray:
@@ -152,25 +153,30 @@ def _cdf_cuts(c: ShapedConstellation) -> np.ndarray:
     return np.append(np.cumsum(c.probs)[:-1], np.inf)
 
 
-def _cell_tables(books) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Cells of [0, 1) cut at every codebook's CDF cuts, and each codebook's point index per cell:
-    ``table[_guide_search(cuts, u)]`` equals ``symbol_index(c, u)`` for every codebook, from one search."""
+def _cell_tables(books) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Cells of [0, 1) cut at every codebook's CDF cuts, their guide table, and each codebook's point
+    index per cell: ``table[_guide_search(cuts, guide, u)]`` equals ``symbol_index(c, u)`` for every
+    codebook, from one search."""
     book_cuts = [_cdf_cuts(c) for c in books]
     cuts = np.unique(np.concatenate(book_cuts))
     lowest = np.concatenate(([-np.inf], cuts[:-1]))  # each cell's least u
-    return cuts, [np.searchsorted(cut, lowest, side="right") for cut in book_cuts]
+    return cuts, _guide_table(cuts), [np.searchsorted(cut, lowest, side="right") for cut in book_cuts]
 
 
-def _guide_search(cut: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _guide_table(cut: np.ndarray) -> np.ndarray:
+    """``_guide_search``'s starts: the count of cuts <= k/K per bucket k, K >= 8 len(cut) a power of two."""
+    k = 1 << (8 * cut.size - 1).bit_length()
+    return np.searchsorted(cut, np.arange(k) / k, side="right")
+
+
+def _guide_search(cut: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Count of ``cut`` entries <= each u, for nondecreasing cuts ending at inf and u in [0, 1).
 
-    Exact guide-table search (Chen & Asau 1974): bucket floor(u K), K >= 8 len(cut)
-    a power of two, gives a start that never overshoots; passes step the rest.
+    Exact guide-table search (Chen & Asau 1974): bucket floor(u K) of ``_guide_table(cut)``
+    gives a start that never overshoots; passes step the rest.
     """
-    k = 1 << (8 * cut.size - 1).bit_length()
-    start = np.searchsorted(cut, np.arange(k) / k, side="right")
     flat = u.reshape(-1)
-    idx = start[(flat * k).astype(np.intp)]
+    idx = guide[(flat * guide.size).astype(np.intp)]
     todo = np.flatnonzero(cut[idx] <= flat)
     while todo.size:
         idx[todo] += 1

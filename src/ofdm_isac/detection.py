@@ -113,18 +113,26 @@ def detection_probability(
 ) -> tuple[float, ...]:
     """Probability that the weaker of two targets is detected on its delay profile, one per codebook.
 
-    Each trial takes the frame kernel's draw of symbols, target gains and noise
-    and runs CA-CFAR over the delay profile at the weak target's Doppler bin p:
-    column p of the DD map, |IFFT_N(hhat @ w_p)|^2 N/M with w_p[m] = e^{-j2 pi m p/M}.
+    Each trial takes the frame kernel's draw of symbols and target gains and runs
+    CA-CFAR over the delay profile at the weak target's Doppler bin p: column p of
+    the DD map, |IFFT_N(hhat @ w_p)|^2 N/M with w_p[m] = e^{-j2 pi m p/M}.
     Neither hhat nor the map is formed: with h = sum_t alpha_t b_t c_t^H and chi = x g,
 
         (hhat @ w_p)[n] = sum_t alpha_t b_t[n] (chi[n, :] . (conj(c_t) w_p)) + sum_m z[n, m] g[n, m] w_p[m].
 
+    Given the symbols, the noise term of each delay bin n is a linear map of M
+    i.i.d. CN(0, noise_var) values, so it is CN(0, noise_var sum_m |g[n, m]|^2)
+    (|w_p[m]| = 1), independently across n. The chain draws that law directly:
+    xi[n] ~ CN(0, noise_var), one value per frame and delay bin, times
+    sqrt(sum_m |g[n, m]|^2). So P_d has the law of CA-CFAR on the full map's
+    column, from N noise values per frame in place of N M; without noise the two
+    agree trial by trial.
+
     The codebooks, on one alphabet, share one trial set: every codebook sees the
-    same uniforms, target gains and noise, so the P_d differ only through the
-    codebooks, never through the draw. Each entry equals that of a call on that
-    codebook alone. One symbol search per block of frames serves every codebook,
-    which gathers its g and chi from the per-cell tables ``_run_batches`` builds.
+    same uniforms, target gains and xi, so the P_d are common-random-number paired
+    and differ only through the codebooks, never through the draw. Each entry equals
+    that of a call on that codebook alone. One symbol search per block of frames
+    serves every codebook, which gathers its |g|^2 and chi from per-cell tables.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
     n, m = dims.shape
@@ -137,23 +145,23 @@ def detection_probability(
     # (M, 2 targets) reals, so that the real matmul chi @ weights views as the complex chi @ (conj(c_t) w_p)
     weights = np.array([np.conj(cv) * w_p for _, cv in vectors]).T.copy().view(np.float64)
 
-    def chain(cuts, books):
-        tables = [arm for _, arms in books for arm in arms]
+    def chain(cuts, guide, books):
+        tables = [(np.abs(g_cells) ** 2, chi_cells) for _, arms in books for g_cells, chi_cells in arms]
 
         def run(index, size):
-            alphas, blocks = _draw_batch(index, size, dims, scene, seed, DETECTION_BLOCK_BYTES)
+            alphas, blocks = _draw_batch(index, size, dims, scene, seed, DETECTION_BLOCK_BYTES, (n,))
             hits = np.zeros(len(tables), dtype=np.int64)
-            for frames, u, z in blocks:  # each block is finished, and its arrays dropped, before the next draw
-                cell = _guide_search(cuts, u)
+            for frames, u, xi in blocks:  # each block is finished, and its arrays dropped, before the next draw
+                cell = _guide_search(cuts, guide, u)
                 gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
                 columns = np.empty((len(tables), len(u), n), dtype=np.complex128)
                 del u
-                for arm, (g_cells, chi_cells) in enumerate(tables):
+                for arm, (gain_sq_cells, chi_cells) in enumerate(tables):
                     terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
                     column = np.add(terms[..., 0], terms[..., 1], out=columns[arm])  # the two targets
-                    if z is not None:
-                        column += (g_cells[cell] * z) @ w_p
-                del cell, z
+                    if xi is not None:
+                        column += xi * np.sqrt(gain_sq_cells[cell].sum(axis=-1))
+                del cell, xi
                 np.fft.ifft(columns, axis=-1, out=columns)
                 columns *= np.sqrt(n / m)
                 profiles = np.abs(columns[..., window]) ** 2  # the weak cell at the centre, span

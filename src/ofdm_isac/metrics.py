@@ -199,26 +199,30 @@ def _batch_partial(key: str, value):
     return float(frames.max() if key.endswith("_max") else frames.sum())
 
 
-def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int, block_bytes: int):
+def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int, block_bytes: int,
+                noise_shape: tuple[int, ...]):
     """Batch ``index``'s target gains, and its draw as ``(frames, u, z)`` blocks of frames whose complex
-    array fits ``block_bytes`` (``z`` None without noise), with the bits of drawing the whole batch's
-    uniforms, then each target's gains, then the noise. The uniforms come from a second generator
-    on the batch's seed, which the first skips (``random`` takes one 64-bit output per float64).
-    The stream puts every real part of the noise before its first imaginary part: those are batch-sized.
+    array of ``dims`` fits ``block_bytes``, with the bits of drawing the whole batch's uniforms
+    ``(size, N, M)``, then each target's gains, then the noise ``(size, *noise_shape)`` CN(0, noise_var)
+    (``z`` None without noise). The frame kernel draws noise per resource element, ``dims.shape``;
+    detection one value per delay bin, ``(N,)``. The uniforms and gains do not depend on
+    ``noise_shape``. The uniforms come from a second generator on the batch's seed, which the first
+    skips (``random`` takes one 64-bit output per float64). The stream puts every real part of the
+    noise before its first imaginary part: those are batch-sized.
     """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     uniforms, rng = np.random.default_rng(seq), np.random.default_rng(seq)
     rng.bit_generator.advance(size * dims.size)
     alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
-    real = rng.standard_normal((size, *dims.shape)) if scene.noise_var > 0 else None
+    real = rng.standard_normal((size, *noise_shape)) if scene.noise_var > 0 else None
     block = max(1, block_bytes // (16 * dims.size))
 
     def blocks():  # binds no block array, so none outlives its block in this frame
         for lo in range(0, size, block):
             frames = slice(lo, min(lo + block, size))
-            shape = (frames.stop - lo, *dims.shape)
-            yield frames, uniforms.random(shape), None if real is None else complex_normal(
-                rng, scene.noise_var, shape, real[frames])
+            count = frames.stop - lo
+            yield frames, uniforms.random((count, *dims.shape)), None if real is None else complex_normal(
+                rng, scene.noise_var, (count, *noise_shape), real[frames])
 
     return alphas, blocks()
 
@@ -227,6 +231,7 @@ def _simulate_batch(
     index: int,
     size: int,
     cuts: np.ndarray,
+    guide: np.ndarray,
     books: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]],
     dims: FrameDims,
     scene: Scene,
@@ -238,20 +243,20 @@ def _simulate_batch(
 
     Every arm sees the same trial set, so the arms' results (say, the MSE
     relation of each filter) differ through their codebooks and filters, never
-    through the draw. One ``_guide_search(cuts, u)`` per block maps the uniforms
+    through the draw. One ``_guide_search(cuts, guide, u)`` per block maps the uniforms
     to cells; each codebook ``(x_cells, tables)`` in ``books`` gathers its symbols
     by cell, and each of its arms ``(g_cells, chi_cells)`` its g and chi.
     ``reduce`` returns per-frame arrays, frames first, which ``_join_frames`` takes
     in frame order: maps fold into a running total, and scalars are summed over
     frames once per batch (``_max`` keys: the maximum), whatever the block size.
     """
-    alphas, blocks = _draw_batch(index, size, dims, scene, seed, FRAME_BLOCK_BYTES)
+    alphas, blocks = _draw_batch(index, size, dims, scene, seed, FRAME_BLOCK_BYTES, dims.shape)
     per_frame: list[list[dict]] = [[{} for _ in tables] for _, tables in books]
     for frames, u, z in blocks:
         h = np.zeros(u.shape, dtype=np.complex128)
         for alpha, s_q in zip(alphas, steering):
             h += alpha[frames, None, None] * s_q[None, :, :]
-        cell = _guide_search(cuts, u)
+        cell = _guide_search(cuts, guide, u)
         for (x_cells, tables), book_parts in zip(books, per_frame):
             x = x_cells[cell]
             y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
@@ -281,14 +286,15 @@ def _run_batches(
     """One dict of partials per arm, codebooks x filters numbered codebook-major, over one shared trial set.
 
     The codebooks must share one alphabet (the same points up to the unit-power
-    scale). ``_cell_tables`` cuts [0, 1) once per call at every codebook's CDF cuts, and
-    ``books`` holds, per codebook, its symbol per cell and, per filter, its g and chi per
-    cell. ``reduce`` returns per-frame arrays (``_simulate_batch``). A ``chain(cuts, books)``
-    may run in its place: it returns the ``(index, size)`` function that runs one batch on
-    ``_draw_batch``, so what it builds from the books is built once per call. ``threads``
-    counts the calling thread: it runs batches beside ``min(threads, batches) - 1`` pool
-    helpers, one batch per thread at a time; once a batch raises, no thread starts another.
-    Batches add up in plan order, and ``_max`` keys keep the maximum.
+    scale). ``_cell_tables`` cuts [0, 1) once per call at every codebook's CDF cuts and
+    builds their guide table, and ``books`` holds, per codebook, its symbol per cell and, per
+    filter, its g and chi per cell. ``reduce`` returns per-frame arrays (``_simulate_batch``).
+    A ``chain(cuts, guide, books)`` may run in its place: it returns the ``(index, size)``
+    function that runs one batch on ``_draw_batch``, so what it builds from the books is built
+    once per call. ``threads`` counts the calling thread: it runs batches beside
+    ``min(threads, batches) - 1`` pool helpers, one batch per thread at a time; once a batch
+    raises, no thread starts another. Batches add up in plan order, and ``_max`` keys keep the
+    maximum.
     """
     for name, items in (("codebooks", codebooks), ("filters", filters)):
         if len(items) == 0:
@@ -298,14 +304,14 @@ def _run_batches(
     for c in codebooks:
         if c.order != alphabet.size or not np.allclose(c.points / c.points[0], alphabet, rtol=1e-12, atol=0.0):
             raise ValueError("codebooks must share one alphabet (the same points up to scale)")
-    cuts, cell_index = _cell_tables(codebooks)
+    cuts, guide, cell_index = _cell_tables(codebooks)
     books = []
     for c, table in zip(codebooks, cell_index):
         gains = [point_gain(c.points, f) for f in filters]
         books.append((c.points[table], [(g_tab[table], (c.points * g_tab).real[table]) for g_tab in gains]))
     steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
-    run = chain(cuts, books) if chain is not None else (
-        lambda index, size: _simulate_batch(index, size, cuts, books, dims, scene, seed, steering, reduce))
+    run = chain(cuts, guide, books) if chain is not None else (
+        lambda index, size: _simulate_batch(index, size, cuts, guide, books, dims, scene, seed, steering, reduce))
 
     # the calling thread drains the plan beside the helpers; results land by plan index
     helpers = min(threads, len(plan)) - 1

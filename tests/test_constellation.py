@@ -331,7 +331,7 @@ class TestCellSearch:
         cut = np.concatenate([np.cumsum(c.probs) for c in books])
         u = np.concatenate([cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf), [0.0, 1.0 - 2.0**-53]])
         u = np.concatenate([u[(u >= 0.0) & (u < 1.0)], np.random.default_rng(seed).random(500)])
-        cuts, tables = _cell_tables(books)
-        cell = _guide_search(cuts, u)
+        cuts, guide, tables = _cell_tables(books)
+        cell = _guide_search(cuts, guide, u)
         for c, table in zip(books, tables):
             np.testing.assert_array_equal(table[cell], symbol_index(c, u))

@@ -215,7 +215,10 @@ class TestSharedTrialSet:
     """A sequence of codebooks shares one trial set; each P_d equals a single call's."""
 
     CFAR = CfarConfig(2, 8, 1e-2)
-    SCENE = default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=-12.0)
+    # The weak target outside its reference window (bins 14-34), where P_d depends on the codebook:
+    # at 8,000 trials (seed 99), books()[0] 0.3575 and books()[1] 0.3353, the widest gap of -30 to -20 dB.
+    # At bin 5 (and -12 dB) the strong peak sits in the window and masks the weak target: 0.1511 and 0.1516.
+    SCENE = default_tradeoff_scene(1.0 / SNR, weak_delay_bin=24, weak_rel_power_db=-30.0)
 
     def books(self):
         from ofdm_isac.constellation import make_shaped
@@ -239,7 +242,7 @@ class TestSharedTrialSet:
         assert isinstance(pds, tuple) and len(pds) == len(books)
         assert list(pds) == singles
         assert pds[0] == pds[2] == pds[3]
-        assert pds[0] != pds[1]  # the codebooks, not the draw, set the difference
+        assert pds[0] != pds[1]  # every codebook sees the same draw: the codebooks set the difference
 
     def test_cell_tables_built_once_per_call(self, monkeypatch):
         monkeypatch.setattr(detection, "DETECTION_BATCH", 16)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ def test_kernel_searches_symbols_once_per_block(monkeypatch):
     """Two codebooks and three filters, six arms: one symbol search per block serves them all."""
     monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", 5 * FRAME_BYTES)
     guide_search, searched, reduced = metrics._guide_search, [], []
-    monkeypatch.setattr(metrics, "_guide_search", lambda cuts, u: searched.append(len(u)) or guide_search(cuts, u))
+    monkeypatch.setattr(metrics, "_guide_search",
+                        lambda cuts, guide, u: searched.append(len(u)) or guide_search(cuts, guide, u))
     books = (make_uniform("qam", 16), make_shaped("qam", 16, np.arange(16) % 5 + 1.0))
     sums = metrics._run_batches(books, (MF, RF, wiener(SNR)), DIMS, SCENE, 23, 1, 12, 1,
                                 lambda h, g, chi, hhat: reduced.append(len(hhat)) or {"n": np.ones(len(hhat))})
@@ -112,7 +114,7 @@ def test_streamed_draw_equals_whole_batch_draw(batch, block, n_targets, noise_va
     index, size = batch
     scene = Scene(SCENE.targets[:n_targets], noise_var)
     u, alphas, z = _whole_batch_draw(index, size, scene, 5)
-    got_alphas, blocks = metrics._draw_batch(index, size, DIMS, scene, 5, block * FRAME_BYTES)
+    got_alphas, blocks = metrics._draw_batch(index, size, DIMS, scene, 5, block * FRAME_BYTES, DIMS.shape)
     assert [a.tobytes() for a in got_alphas] == [a.tobytes() for a in alphas]
     frames, u_blocks, z_blocks = zip(*blocks)
     assert [(f.start, f.stop) for f in frames] == [(lo, min(lo + block, size)) for lo in range(0, size, block)]
@@ -121,6 +123,27 @@ def test_streamed_draw_equals_whole_batch_draw(batch, block, n_targets, noise_va
         assert set(z_blocks) == {None}
     else:
         assert np.concatenate(z_blocks).tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(0, BATCH), (2, TRIALS % BATCH)], ids=["full-batch", "partial-batch"])
+@pytest.mark.parametrize("block", [1, 7, 49])
+def test_delay_bin_noise_keeps_uniforms_and_gains(batch, block):
+    """Detection's noise shape (N,) draws the uniforms and gains of the frame kernel's (N, M) bit for bit,
+    in the same blocks of frames, then one CN(0, noise_var) value per frame and delay bin."""
+    index, size = batch
+    n = DIMS.n_subcarriers
+    kernel_alphas, kernel_blocks = metrics._draw_batch(index, size, DIMS, SCENE, 5, block * FRAME_BYTES, DIMS.shape)
+    alphas, blocks = metrics._draw_batch(index, size, DIMS, SCENE, 5, block * FRAME_BYTES, (n,))
+    assert [a.tobytes() for a in alphas] == [a.tobytes() for a in kernel_alphas]
+    kernel_frames, kernel_u, _ = zip(*kernel_blocks)
+    frames, u, xi = zip(*blocks)
+    assert frames == kernel_frames
+    assert np.concatenate(u).tobytes() == np.concatenate(kernel_u).tobytes()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(index,)))
+    rng.bit_generator.advance(size * DIMS.size)
+    for t in SCENE.targets:
+        complex_normal(rng, t.gain_var, (size,))
+    assert np.concatenate(xi).tobytes() == complex_normal(rng, SCENE.noise_var, (size, n)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(256, 64, 32), (256, 16, 16), (7, 64, 32), (256, 3), (256,)])
@@ -146,9 +169,17 @@ def test_dd_transform_matches_out_of_place_form():
             assert np.array_equal(dd_transform(a), want)
 
 
-# Taken from the commit before the kernel ran over blocks (its detection had a
-# chain and a thread pool of its own): 64-QAM, WF at 4 dB, 64x32, 1024 trials.
-PINNED_PD = {5: 0.0712890625, 2026: 0.0751953125}
+def _within_binomial_sigmas(new, old, trials):
+    """|new - old| <= 4 binomial sigmas of one estimate at ``old`` over ``trials`` trials."""
+    return abs(new - old) <= 4 * math.sqrt(old * (1.0 - old) / trials)
+
+
+# Recorded when detection began drawing one noise value per delay bin (xi, the column's
+# CN(0, noise_var sum_m |g|^2) noise term): 64-QAM, WF at 4 dB, 64x32, 1024 trials.
+PINNED_PD = {5: 0.072265625, 2026: 0.07421875}
+# The same, from the commit before: its noise term summed N M draws per frame. The old and new
+# streams estimate one P_d, so the pins may move by Monte Carlo error only.
+PINNED_PD_NM_NOISE = {5: 0.0712890625, 2026: 0.0751953125}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -159,12 +190,15 @@ def test_detection_probability_pinned(seed, threads):
         CfarConfig(), 1024, seed, threads=threads,
     )
     assert pd == PINNED_PD[seed]
+    assert _within_binomial_sigmas(pd, PINNED_PD_NM_NOISE[seed], 1024)
 
 
-# Taken from the commit whose detection formed hhat and projected it onto w_p:
-# four 16-QAM codebooks (two with zero-probability points), WF at 4 dB, targets
-# at fractional Doppler bins, the weak one read on Doppler column 6, 500 trials.
-PINNED_PD_COLUMN = (0.584, 0.594, 0.576, 0.588)
+# Recorded with the per-delay-bin noise draw: four 16-QAM codebooks (two with
+# zero-probability points), WF at 4 dB, targets at fractional Doppler bins, the
+# weak one read on Doppler column 6, 500 trials.
+PINNED_PD_COLUMN = (0.596, 0.614, 0.59, 0.606)
+# The same, from the commit whose detection formed hhat and projected it onto w_p, with N M noise draws.
+PINNED_PD_COLUMN_NM_NOISE = (0.584, 0.594, 0.576, 0.588)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -180,6 +214,7 @@ def test_detection_probability_pinned_on_a_nonzero_column(threads):
     scene = Scene((Target(1.0, 0.0, 1.4), Target(10**-2.1, 7.0, 5.6)), 1.0 / SNR)
     pds = detection_probability(DIMS, scene, books, wiener(SNR), CfarConfig(2, 8, 1e-2), 500, 31, threads=threads)
     assert pds == PINNED_PD_COLUMN
+    assert all(_within_binomial_sigmas(new, old, 500) for new, old in zip(pds, PINNED_PD_COLUMN_NM_NOISE))
 
 
 # sha256 of verify_report.json for a 16x16, 1024-trial verify at seed 3, from
@@ -198,20 +233,54 @@ def test_reduced_verify_report_pinned(tmp_path, threads):
     assert digest == PINNED_VERIFY_SHA256
 
 
+def _full_map_hits(cfar, weak_cell):
+    """The frame kernel's reducer of CA-CFAR on the full DD map's column: a hit when the weak cell passes."""
+    k, p = weak_cell
+
+    def reduce(h, g, chi, hhat):
+        profiles = (np.abs(dd_transform(hhat)) ** 2)[:, :, p]
+        return {"hits": profiles[:, k] > cfar_thresholds(profiles, cfar)[:, k]}
+
+    return reduce
+
+
 @pytest.mark.parametrize("doppler_bin", [0.0, 3.0, 29.0])
 def test_detection_column_matches_full_dd_map(doppler_bin):
-    """Detection reads one DD-map column; its P_d equals that of CA-CFAR on the full map's column."""
-    scene = Scene((Target(1.0, 0.0, 1.0), Target(10**-1.3, 6.0, doppler_bin)), 1.0 / SNR)
+    """Without noise, detection reads one DD-map column: its P_d equals that of CA-CFAR on the full map's
+    column, trial by trial."""
+    scene = Scene((Target(1.0, 0.0, 1.0), Target(10**-1.3, 6.0, doppler_bin)), 0.0)
     c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
     cfar = CfarConfig(2, 8, 1e-3)
-    p = int(doppler_bin)
-
-    def full_map(h, g, chi, hhat):
-        profiles = (np.abs(dd_transform(hhat)) ** 2)[:, :, p]
-        thresholds = cfar_thresholds(profiles, cfar)
-        return {"hits": profiles[:, 6] > thresholds[:, 6]}
-
+    full_map = _full_map_hits(cfar, (6, int(doppler_bin)))
     (sums,) = metrics._run_batches((c,), (MF,), DIMS, scene, 400, 21, 128, 1, full_map)
     (pd,) = detection_probability(DIMS, scene, (c,), MF, cfar, 400, 21)
     assert 0.0 < pd < 1.0
     assert pd == sums["hits"] / 400
+
+
+LAW_TRIALS = 2000
+# (filter, noise_var, weak target's power in dB): WF and RF at 4 dB, and MF at 20 dB, where |g|^2 = |x|^2
+# carries the shaped codebook's amplitude spread into the noise term. Each power puts P_d between 0.45 and
+# 0.65 (a 2,000-trial measurement), where a wrong noise law moves P_d most.
+LAW_CASES = {"wf-4dB": (wiener(SNR), 1.0 / SNR, -25.0), "mf-20dB": (MF, 0.01, -25.0), "rf-4dB": (RF, 1.0 / SNR, -20.0)}
+
+
+@pytest.mark.parametrize("doppler_bin", [0, 29])
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_detection_law_matches_full_dd_map(case, doppler_bin):
+    """With noise, detection's xi sqrt(sum_m |g|^2) per delay bin has the law of the full map's
+    sum_m z g w_p: the P_d of the two, on independent seeds, agree within 4 binomial sigmas of their
+    difference. The weak target sits at delay bin 24, outside its reference window (bins 14-34)."""
+    f, noise_var, weak_db = LAW_CASES[case]
+    scene = Scene((Target(1.0, 0.0, 1.0), Target(10 ** (weak_db / 10), 24.0, float(doppler_bin))), noise_var)
+    points = make_uniform("qam", 64).points
+    c = make_shaped("qam", 64, np.exp(-0.7 * np.abs(points) ** 2))
+    cfar = CfarConfig(2, 8, 1e-3)
+    full_map = _full_map_hits(cfar, (24, doppler_bin))
+    (sums,) = metrics._run_batches((c,), (f,), DIMS, scene, LAW_TRIALS, 41, 256, 1, full_map)
+    full = sums["hits"] / LAW_TRIALS
+    (pd,) = detection_probability(DIMS, scene, (c,), f, cfar, LAW_TRIALS, 42)
+    pooled = (full + pd) / 2
+    sigma = math.sqrt(pooled * (1.0 - pooled) * 2 / LAW_TRIALS)
+    assert 0.1 < pooled < 0.9
+    assert abs(pd - full) <= 4 * sigma, f"P_d {pd} against the full map's {full}, sigma {sigma:.4f}"

@@ -294,13 +294,13 @@ class TestFrameKernel:
         scene = Scene((Target(1.0, 2.0, 1.0), Target(0.3, 6.0, 3.0)), 0.4)
         filters = (MF, RF, wiener(2.5))
         steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
-        cuts, cell_index = metrics._cell_tables(books)
+        cuts, guide, cell_index = metrics._cell_tables(books)
         groups = []
         for c, table in zip(books, cell_index):
             tables = [(g[table], (c.points * g).real[table]) for g in (point_gain(c.points, f) for f in filters)]
             groups.append((c.points[table], tables))
         seen = []
-        metrics._simulate_batch(3, 128, cuts, groups, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
+        metrics._simulate_batch(3, 128, cuts, guide, groups, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(3,)))
         u = rng.random((128, *dims.shape))
@@ -327,7 +327,7 @@ class TestThreadPool:
 
     def _run(self, threads, run, trials=16):
         return metrics._run_batches((make_uniform("qam", 16),), (MF,), FrameDims(4, 4), self.SCENE, trials, 0, 1,
-                                    threads, chain=lambda cuts, books: run)
+                                    threads, chain=lambda cuts, guide, books: run)
 
     def test_helpers_capped_by_plan_without_starting_threads(self, monkeypatch):
         """--threads 1000 on a 16-batch plan asks for 15 helpers; the stand-in pool runs them inline."""
