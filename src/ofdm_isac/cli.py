@@ -85,6 +85,12 @@ def _level_db(value) -> float:
     return db
 
 
+def _below_0_db(value) -> float:
+    if (db := _level_db(value)) >= 0:
+        raise ValueError(f"must be < 0, so that the target at weak_delay_bin is the weaker one, got {db}")
+    return db
+
+
 def _list_of(cast: Callable) -> Callable:
     """The cast of a non-empty JSON list whose every entry passes ``cast``."""
 
@@ -228,7 +234,7 @@ _TABLES: dict[str, dict] = {
         "grid": _Derived("n_grid", lambda v: v["c0_grid"] or np.linspace(*v["bounds"], v["n_grid"]).tolist()),
         "detection.trials": (500, _count),
         "detection.weak_delay_bin": (_defaults(default_tradeoff_scene)["weak_delay_bin"], _integer),
-        "detection.weak_rel_power_db": (_defaults(default_tradeoff_scene)["weak_rel_power_db"], _level_db),
+        "detection.weak_rel_power_db": (_defaults(default_tradeoff_scene)["weak_rel_power_db"], _below_0_db),
         "detection.cfar.guard": (_defaults(CfarConfig)["guard_cells"], _integer),
         "detection.cfar.train": (_defaults(CfarConfig)["train_cells"], _integer),
         "detection.cfar.pfa": (_defaults(CfarConfig)["pfa"], _finite),
@@ -463,8 +469,8 @@ def _cmd_tradeoff(args, v: dict) -> int:
         pd, status = pd_of[i], "" if sol.converged else f"not converged after {sol.outer_iters} iterations"
         rows.append((c0, sol.air_bits, sol.sensing_mse, pd, status))
         save_codebook(args.out / f"codebook_{i:02d}.json", shaped[i], snr_in=pcfg.gain_var / pcfg.noise_var,
-                      filter_kind=pcfg.filt.kind.value, c0=c0,
-                      provenance=f"tradeoff point {i}: air_bits={sol.air_bits:.6f} pd={pd:.4f}")
+                      filter_kind=pcfg.filt.kind.value, c0=sol.c0_effective,
+                      provenance=f"tradeoff point {i}: air_bits={sol.air_bits:.6f}")
     path = _write_table(args.out / "tradeoff", args.format, [
         "units: c0 and sensing_mse linear power; air_bits bits/symbol; pd probability",
         f"provenance: empirical pd trials={det_trials} seed={det_seed}; "

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors  # noqa: F401
-from .constellation import ShapedConstellation, _guide_search, draw_symbols  # noqa: F401
+from .constellation import ShapedConstellation, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
-from .metrics import _draw_batch, _run_batches
+from .metrics import _run_batches
 
 DETECTION_BATCH = 128
 # the column chain's block of frames, as one complex array: 16 frames at 64x32. Each thread finishes a
@@ -97,6 +97,8 @@ def detection_cell(dims: FrameDims, scene: Scene) -> tuple[int, int]:
     bins = [int(round(t.delay_bin)) % n for t in scene.targets]
     if bins[0] == bins[1]:
         raise ValueError("targets have coincident delay bins")
+    if scene.targets[0].gain_var == scene.targets[1].gain_var:
+        raise ValueError("targets have equal powers, so neither is the weak one")
     weak = min(range(2), key=lambda i: scene.targets[i].gain_var)
     return bins[weak], int(round(scene.targets[weak].doppler_bin)) % m
 
@@ -131,8 +133,11 @@ def detection_probability(
     The codebooks, on one alphabet, share one trial set: every codebook sees the
     same uniforms, target gains and xi, so the P_d are common-random-number paired
     and differ only through the codebooks, never through the draw. Each entry equals
-    that of a call on that codebook alone. One symbol search per block of frames
-    serves every codebook, which gathers its |g|^2 and chi from per-cell tables.
+    that of a call on that codebook alone. The chain is a per-block step of the one
+    batch runner, ``metrics._simulate_batch``, in ``DETECTION_BATCH``-frame batches and
+    ``DETECTION_BLOCK_BYTES`` blocks: its one symbol search per block serves every codebook,
+    which gathers its |g|^2 and chi from per-cell tables, and each codebook's hits come back
+    as per-frame booleans, joined and summed as every per-frame scalar is.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
     n, m = dims.shape
@@ -145,33 +150,27 @@ def detection_probability(
     # (M, 2 targets) reals, so that the real matmul chi @ weights views as the complex chi @ (conj(c_t) w_p)
     weights = np.array([np.conj(cv) * w_p for _, cv in vectors]).T.copy().view(np.float64)
 
-    def chain(cuts, guide, books):
+    def chain(books):
         tables = [(np.abs(g_cells) ** 2, chi_cells) for _, arms in books for g_cells, chi_cells in arms]
 
-        def run(index, size):
-            alphas, blocks = _draw_batch(index, size, dims, scene, seed, DETECTION_BLOCK_BYTES, (n,))
-            hits = np.zeros(len(tables), dtype=np.int64)
-            for frames, u, xi in blocks:  # each block is finished, and its arrays dropped, before the next draw
-                cell = _guide_search(cuts, guide, u)
-                gains = np.stack([alpha[frames] for alpha in alphas], axis=-1)[:, None, :] * b
-                columns = np.empty((len(tables), len(u), n), dtype=np.complex128)
-                del u
-                for arm, (gain_sq_cells, chi_cells) in enumerate(tables):
-                    terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
-                    column = np.add(terms[..., 0], terms[..., 1], out=columns[arm])  # the two targets
-                    if xi is not None:
-                        column += xi * np.sqrt(gain_sq_cells[cell].sum(axis=-1))
-                del cell, xi
-                np.fft.ifft(columns, axis=-1, out=columns)
-                columns *= np.sqrt(n / m)
-                profiles = np.abs(columns[..., window]) ** 2  # the weak cell at the centre, span
-                del columns
-                hits += (profiles[..., span] > cfar_thresholds(profiles, cfg)[..., span]).sum(axis=1)
-            return [{"hits": float(k)} for k in hits]
+        def step(alphas, cell, xi):  # each block is finished, and its arrays dropped, before the next draw
+            gains = np.stack(alphas, axis=-1)[:, None, :] * b
+            columns = np.empty((len(tables), len(cell), n), dtype=np.complex128)
+            for arm, (gain_sq_cells, chi_cells) in enumerate(tables):
+                terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
+                column = np.add(terms[..., 0], terms[..., 1], out=columns[arm])  # the two targets
+                if xi is not None:
+                    column += xi * np.sqrt(gain_sq_cells[cell].sum(axis=-1))
+            del cell
+            np.fft.ifft(columns, axis=-1, out=columns)
+            columns *= np.sqrt(n / m)
+            profiles = np.abs(columns[..., window]) ** 2  # the weak cell at the centre, span
+            del columns
+            return [{"hits": hits} for hits in profiles[..., span] > cfar_thresholds(profiles, cfg)[..., span]]
 
-        return run
+        return DETECTION_BATCH, DETECTION_BLOCK_BYTES, (n,), step
 
-    sums = _run_batches(codebooks, (f,), dims, scene, trials, seed, DETECTION_BATCH, threads, chain=chain)
+    sums = _run_batches(codebooks, (f,), dims, scene, trials, seed, threads, chain)
     return tuple(s["hits"] / trials for s in sums)
 
 

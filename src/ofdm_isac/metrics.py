@@ -227,71 +227,63 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
     return alphas, blocks()
 
 
-def _simulate_batch(
-    index: int,
-    size: int,
-    cuts: np.ndarray,
-    guide: np.ndarray,
-    books: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]],
-    dims: FrameDims,
-    scene: Scene,
-    seed: int,
-    steering: list[np.ndarray],
-    reduce,
-) -> list[dict]:
-    """Run the chain on one batch's draw, block by block; ``reduce(h, g, chi, hhat)`` it per arm.
+def _simulate_batch(index: int, size: int, cuts: np.ndarray, guide: np.ndarray, dims: FrameDims, scene: Scene,
+                    seed: int, chain) -> list[dict]:
+    """The one batch runner: batch ``index`` of a built ``chain = (batch, block_bytes, noise_shape, step)``.
 
-    Every arm sees the same trial set, so the arms' results (say, the MSE
-    relation of each filter) differ through their codebooks and filters, never
-    through the draw. One ``_guide_search(cuts, guide, u)`` per block maps the uniforms
-    to cells; each codebook ``(x_cells, tables)`` in ``books`` gathers its symbols
-    by cell, and each of its arms ``(g_cells, chi_cells)`` its g and chi.
-    ``reduce`` returns per-frame arrays, frames first, which ``_join_frames`` takes
-    in frame order: maps fold into a running total, and scalars are summed over
-    frames once per batch (``_max`` keys: the maximum), whatever the block size.
+    It draws the batch by ``_draw_batch(..., block_bytes, noise_shape)``, maps each block's uniforms
+    to cells by one ``_guide_search``, and calls ``step(alphas, cell, z)`` on the block's gains: the
+    step returns, per arm, a dict of per-frame arrays, which ``_join_frames`` takes in frame order
+    (maps fold into a running total; scalars are summed, or for ``_max`` keys maxed, once per batch),
+    so no result depends on the block size. Every arm sees the same draw.
     """
-    alphas, blocks = _draw_batch(index, size, dims, scene, seed, FRAME_BLOCK_BYTES, dims.shape)
-    per_frame: list[list[dict]] = [[{} for _ in tables] for _, tables in books]
-    for frames, u, z in blocks:
-        h = np.zeros(u.shape, dtype=np.complex128)
-        for alpha, s_q in zip(alphas, steering):
-            h += alpha[frames, None, None] * s_q[None, :, :]
-        cell = _guide_search(cuts, guide, u)
-        for (x_cells, tables), book_parts in zip(books, per_frame):
-            x = x_cells[cell]
-            y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
-            del x  # not needed by the reducers; freeing it keeps the block's peak memory down
-            if z is not None:
-                y += z
-            for (g_cells, chi_cells), parts in zip(tables, book_parts):
-                g = g_cells[cell]
-                for key, value in reduce(h, g, chi_cells[cell], y * g).items():
-                    _join_frames(parts, key, value)
-    return [{key: _batch_partial(key, value) for key, value in parts.items()}
-            for book_parts in per_frame for parts in book_parts]
+    _, block_bytes, noise_shape, step = chain
+    alphas, blocks = _draw_batch(index, size, dims, scene, seed, block_bytes, noise_shape)
+    per_arm: dict[int, dict] = {}
+    for frames, u, z in blocks:  # the cells go to the step unbound here, so the step may free them
+        for arm, values in enumerate(step([alpha[frames] for alpha in alphas], _guide_search(cuts, guide, u), z)):
+            parts = per_arm.setdefault(arm, {})
+            for key, value in values.items():
+                _join_frames(parts, key, value)
+    return [{key: _batch_partial(key, value) for key, value in parts.items()} for parts in per_arm.values()]
 
 
-def _run_batches(
-    codebooks: Sequence[ShapedConstellation],
-    filters: Sequence[FilterKind],
-    dims: FrameDims,
-    scene: Scene,
-    trials: int,
-    seed: int,
-    batch_size: int,
-    threads: int,
-    reduce=None,
-    chain=None,
-) -> list[dict]:
+def _frame_chain(dims: FrameDims, scene: Scene, reduce):
+    """The chain ``X -> G -> Y = H o X + Z -> Hhat`` that ``reduce(h, g, chi, hhat)`` reads per arm, in
+    ``DEFAULT_BATCH``-frame batches and ``FRAME_BLOCK_BYTES`` blocks, with noise per resource element."""
+
+    def chain(books):
+        steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
+
+        def step(alphas, cell, z):
+            h = np.zeros(cell.shape, dtype=np.complex128)
+            for alpha, s_q in zip(alphas, steering):
+                h += alpha[:, None, None] * s_q[None, :, :]
+            for x_cells, tables in books:
+                x = x_cells[cell]
+                y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
+                del x  # not needed by the reducers; freeing it keeps the block's peak memory down
+                if z is not None:
+                    y += z
+                for g_cells, chi_cells in tables:
+                    g = g_cells[cell]
+                    yield reduce(h, g, chi_cells[cell], y * g)
+
+        return DEFAULT_BATCH, FRAME_BLOCK_BYTES, dims.shape, step
+
+    return chain
+
+
+def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[FilterKind], dims: FrameDims,
+                 scene: Scene, trials: int, seed: int, threads: int, chain) -> list[dict]:
     """One dict of partials per arm, codebooks x filters numbered codebook-major, over one shared trial set.
 
     The codebooks must share one alphabet (the same points up to the unit-power
     scale). ``_cell_tables`` cuts [0, 1) once per call at every codebook's CDF cuts and
     builds their guide table, and ``books`` holds, per codebook, its symbol per cell and, per
-    filter, its g and chi per cell. ``reduce`` returns per-frame arrays (``_simulate_batch``).
-    A ``chain(cuts, guide, books)`` may run in its place: it returns the ``(index, size)``
-    function that runs one batch on ``_draw_batch``, so what it builds from the books is built
-    once per call. ``threads`` counts the calling thread: it runs batches beside
+    filter, its g and chi per cell. ``chain(books)``, called once per call, declares the chain's
+    batch plan and step, ``(batch, block_bytes, noise_shape, step)``, which ``_simulate_batch``
+    runs. ``threads`` counts the calling thread: it runs batches beside
     ``min(threads, batches) - 1`` pool helpers, one batch per thread at a time; once a batch
     raises, no thread starts another. Batches add up in plan order, and ``_max`` keys keep the
     maximum.
@@ -299,7 +291,6 @@ def _run_batches(
     for name, items in (("codebooks", codebooks), ("filters", filters)):
         if len(items) == 0:
             raise ValueError(f"{name} must not be empty")
-    plan = _batch_plan(trials, batch_size)
     alphabet = codebooks[0].points / codebooks[0].points[0]
     for c in codebooks:
         if c.order != alphabet.size or not np.allclose(c.points / c.points[0], alphabet, rtol=1e-12, atol=0.0):
@@ -309,9 +300,9 @@ def _run_batches(
     for c, table in zip(codebooks, cell_index):
         gains = [point_gain(c.points, f) for f in filters]
         books.append((c.points[table], [(g_tab[table], (c.points * g_tab).real[table]) for g_tab in gains]))
-    steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
-    run = chain(cuts, guide, books) if chain is not None else (
-        lambda index, size: _simulate_batch(index, size, cuts, guide, books, dims, scene, seed, steering, reduce))
+    declared = chain(books)
+    plan = _batch_plan(trials, declared[0])
+    simulate = _simulate_batch  # read once, so a patched kernel serves the whole call
 
     # the calling thread drains the plan beside the helpers; results land by plan index
     helpers = min(threads, len(plan)) - 1
@@ -326,7 +317,7 @@ def _run_batches(
             if job is None:
                 return
             try:
-                partials[i] = run(*job)
+                partials[i] = simulate(*job, cuts, guide, dims, scene, seed, declared)
             except BaseException:
                 with lock:
                     jobs = iter(())  # a failed run reports now, not after the rest of the plan
@@ -383,7 +374,7 @@ def empirical_metrics(
             "far": np.cumsum(lam_power[:, far], axis=1)[:, -1] / far.sum(),
         }
 
-    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, DEFAULT_BATCH, threads, reduce)
+    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, _frame_chain(dims, scene, reduce))
     mse = sums["mse"] / trials
     mean_r00_sq = sums["r00_sq"] / trials
     mean_g_energy = sums["g_energy"] / trials
@@ -409,7 +400,7 @@ def empirical_dd_profile(
     def reduce(h, g, chi, hhat):
         return {"power": np.abs(dd_transform(hhat)) ** 2}
 
-    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, DEFAULT_BATCH, threads, reduce)
+    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, _frame_chain(dims, scene, reduce))
     return sums["power"] / trials
 
 
@@ -455,7 +446,8 @@ def identity_checks(
     set, and each report equals that of a call on that filter alone.
     """
     reports = []
-    for sums in _run_batches((c,), filters, dims, scene, trials, seed, DEFAULT_BATCH, threads, _identity_sums):
+    chain = _frame_chain(dims, scene, _identity_sums)
+    for sums in _run_batches((c,), filters, dims, scene, trials, seed, threads, chain):
         lhs = scene.total_gain_var * sums["mse_relation_lhs"] / trials + scene.noise_var * sums["g_energy"] / trials
         rhs = sums["mse"] / trials
         mse_relation = _ratio(abs(lhs - rhs), rhs)

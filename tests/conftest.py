@@ -19,7 +19,7 @@ def kernel_frames():
             blocks.append(arrays)
             return {}
 
-        metrics._run_batches((c,), (f,), dims, scene, trials, seed, metrics.DEFAULT_BATCH, 1, keep)
+        metrics._run_batches((c,), (f,), dims, scene, trials, seed, 1, metrics._frame_chain(dims, scene, keep))
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     return run

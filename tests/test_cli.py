@@ -275,6 +275,34 @@ class TestTradeoffCommand:
             assert pd == want
         assert len(set(pds)) == len(pds)  # distinct, so a row given another row's pd would show
 
+    def test_codebooks_record_the_solved_budget(self, tmp_path):
+        """Each codebook's c0 is the budget its solve met (the grid's first budget clamped to the achievable
+        floor), so its row's sensing_mse never exceeds it; the table's c0 column keeps the budget asked for.
+        The codebook's provenance holds the solver's output only, not the row's pd."""
+        cfg = write_cfg(tmp_path, "t.json", {"order": 16, "comm": {"noise_var": 0.05}, "n_grid": 3,
+                                             "detection": {"trials": 40}})
+        with pytest.warns(UserWarning, match="clamped"):
+            assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path), "--seed", "2"]) == 0
+        _, _, rows = read_csv(tmp_path / "tradeoff.csv")
+        clamped = 0
+        for i, (c0, _, mse, _, _) in enumerate(rows):
+            _, meta = load_codebook(tmp_path / f"codebook_{i:02d}.json")
+            assert meta["c0"] >= float(mse) * (1.0 - 1e-12)
+            assert "pd" not in meta["provenance"]
+            clamped += meta["c0"] != float(c0)
+        assert clamped == 1
+
+    @pytest.mark.parametrize("db", [0.0, 3.0])
+    def test_weak_target_that_is_not_weaker_exits_2(self, tmp_path, capsys, monkeypatch, db):
+        """At 0 dB or above the target at weak_delay_bin is not the weaker one, and P_d would be read at the
+        strong target's cell: refused before any solve, naming the field, with nothing written."""
+        monkeypatch.setattr(cli, "tradeoff_sweep", lambda *a: pytest.fail("a budget was solved"))
+        cfg = write_cfg(tmp_path, "bad.json", {"order": 16, "detection": {"weak_rel_power_db": db}})
+        out = tmp_path / "out"
+        assert main(["tradeoff", "--config", cfg, "--out", str(out)]) == 2
+        assert "bad config field 'detection.weak_rel_power_db': must be < 0" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize(
         "payload, field",
         [({"n_grid": 0}, "n_grid"), ({"c0_grid": []}, "c0_grid"), ({"c0_grid": ["a"]}, "c0_grid")],

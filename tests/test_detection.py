@@ -19,6 +19,7 @@ from ofdm_isac.detection import (
     cfar_threshold_factor,
     cfar_thresholds,
     default_tradeoff_scene,
+    detection_cell,
     detection_probability,
 )
 from ofdm_isac.filtering import MF, RF, wiener
@@ -169,10 +170,21 @@ class TestDetectionProbability:
         with pytest.raises(ValueError, match="coincident"):
             detection_probability(DIMS, coincident, c, MF, CfarConfig(), 10, 0)
 
+    def test_detection_cell_is_the_weaker_targets(self):
+        weak, strong = Target(0.03, 9.0, 4.0), Target(1.0, 2.0, 0.0)
+        assert detection_cell(DIMS, Scene((weak, strong), 0.1)) == (9, 4)
+        assert detection_cell(DIMS, Scene((strong, weak), 0.1)) == (9, 4)
+        assert detection_cell(DIMS, default_tradeoff_scene(0.1)) == (5, 0)
+
+    def test_equal_target_powers_rejected(self):
+        """At equal powers neither target is the weak one: no cell is picked, where the target at bin 0 was."""
+        with pytest.raises(ValueError, match="equal powers"):
+            detection_cell(DIMS, default_tradeoff_scene(0.1, weak_rel_power_db=0.0))
+
     def test_profile_too_short_fails_before_any_batch(self, monkeypatch):
         """The weak cell's window never wraps onto itself: a profile no longer than 2 (guard + train) is
         rejected before anything is drawn, as CA-CFAR on the whole profile rejects it."""
-        monkeypatch.setattr(detection, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
+        monkeypatch.setattr(metrics, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
         scene = default_tradeoff_scene(1.0 / SNR)
         with pytest.raises(ValueError, match=r"profile length 16 must exceed 2\*\(guard\+train\) = 36"):
             detection_probability(FrameDims(16, 8), scene, (make_uniform("qam", 16),), MF, CfarConfig(2, 16), 10, 0)
@@ -253,7 +265,7 @@ class TestSharedTrialSet:
         assert built == [4]  # seven batches, four codebooks
 
     def test_codebooks_must_be_a_nonempty_sequence(self, monkeypatch):
-        monkeypatch.setattr(detection, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
+        monkeypatch.setattr(metrics, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
         with pytest.raises(ValueError, match="codebooks must not be empty"):
             detection_probability(DIMS, self.SCENE, (), MF, self.CFAR, 10, 0)
         with pytest.raises(TypeError):

@@ -69,8 +69,21 @@ def test_block_size_invariance_threads(monkeypatch, default_outputs):
     _assert_same(_outputs(threads=2), default_outputs)
 
 
+def _spied(chain, sizes):
+    """``chain`` with a step that records the frame count of each block it runs."""
+
+    def spied(books):
+        *plan, step = chain(books)
+        return (*plan, lambda alphas, cell, z: sizes.append(len(cell)) or step(alphas, cell, z))
+
+    return spied
+
+
 def test_kernel_calls_reducer_once_per_block(monkeypatch):
+    """The one batch runner calls each chain's step once per block: the frame chain's reducer on blocks of
+    5 frames of 12-frame batches, and detection's step on its own blocks of 16 frames of a 44-frame batch."""
     monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", 5 * FRAME_BYTES)
+    monkeypatch.setattr(metrics, "DEFAULT_BATCH", 12)
     c = make_uniform("qam", 16)
     sizes = []
 
@@ -78,20 +91,34 @@ def test_kernel_calls_reducer_once_per_block(monkeypatch):
         sizes.append(len(hhat))
         return {"n": np.ones(len(hhat)), "n_max": np.arange(len(hhat), dtype=float)}
 
-    (sums,) = metrics._run_batches((c,), (MF,), DIMS, SCENE, 23, 1, 12, 1, reduce)
+    (sums,) = metrics._run_batches((c,), (MF,), DIMS, SCENE, 23, 1, 1, metrics._frame_chain(DIMS, SCENE, reduce))
     assert sizes == [5, 5, 2, 5, 5, 1]
     assert sums == {"n": 23.0, "n_max": 4.0}
+
+    monkeypatch.setattr(detection, "DETECTION_BATCH", BATCH)
+    run_batches, steps = metrics._run_batches, []
+    monkeypatch.setattr(detection, "_run_batches", lambda *args: run_batches(*args[:-1], _spied(args[-1], steps)))
+    scene = default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=-12.0)
+    (pd,) = detection_probability(DIMS, scene, (c,), MF, CfarConfig(pfa=1e-2), BATCH, 10)
+    assert steps == [16, 16, 12]
+    assert 0.0 < pd < 1.0
 
 
 def test_kernel_searches_symbols_once_per_block(monkeypatch):
     """Two codebooks and three filters, six arms: one symbol search per block serves them all."""
     monkeypatch.setattr(metrics, "FRAME_BLOCK_BYTES", 5 * FRAME_BYTES)
+    monkeypatch.setattr(metrics, "DEFAULT_BATCH", 12)
     guide_search, searched, reduced = metrics._guide_search, [], []
     monkeypatch.setattr(metrics, "_guide_search",
                         lambda cuts, guide, u: searched.append(len(u)) or guide_search(cuts, guide, u))
     books = (make_uniform("qam", 16), make_shaped("qam", 16, np.arange(16) % 5 + 1.0))
-    sums = metrics._run_batches(books, (MF, RF, wiener(SNR)), DIMS, SCENE, 23, 1, 12, 1,
-                                lambda h, g, chi, hhat: reduced.append(len(hhat)) or {"n": np.ones(len(hhat))})
+
+    def reduce(h, g, chi, hhat):
+        reduced.append(len(hhat))
+        return {"n": np.ones(len(hhat))}
+
+    chain = metrics._frame_chain(DIMS, SCENE, reduce)
+    sums = metrics._run_batches(books, (MF, RF, wiener(SNR)), DIMS, SCENE, 23, 1, 1, chain)
     assert searched == [5, 5, 2, 5, 5, 1]
     assert reduced == [size for size in searched for _ in range(6)]
     assert sums == [{"n": 23.0}] * 6
@@ -245,14 +272,15 @@ def _full_map_hits(cfar, weak_cell):
 
 
 @pytest.mark.parametrize("doppler_bin", [0.0, 3.0, 29.0])
-def test_detection_column_matches_full_dd_map(doppler_bin):
+def test_detection_column_matches_full_dd_map(monkeypatch, doppler_bin):
     """Without noise, detection reads one DD-map column: its P_d equals that of CA-CFAR on the full map's
     column, trial by trial."""
+    monkeypatch.setattr(metrics, "DEFAULT_BATCH", detection.DETECTION_BATCH)  # the same trials in the same batches
     scene = Scene((Target(1.0, 0.0, 1.0), Target(10**-1.3, 6.0, doppler_bin)), 0.0)
     c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
     cfar = CfarConfig(2, 8, 1e-3)
     full_map = _full_map_hits(cfar, (6, int(doppler_bin)))
-    (sums,) = metrics._run_batches((c,), (MF,), DIMS, scene, 400, 21, 128, 1, full_map)
+    (sums,) = metrics._run_batches((c,), (MF,), DIMS, scene, 400, 21, 1, metrics._frame_chain(DIMS, scene, full_map))
     (pd,) = detection_probability(DIMS, scene, (c,), MF, cfar, 400, 21)
     assert 0.0 < pd < 1.0
     assert pd == sums["hits"] / 400
@@ -277,7 +305,8 @@ def test_detection_law_matches_full_dd_map(case, doppler_bin):
     c = make_shaped("qam", 64, np.exp(-0.7 * np.abs(points) ** 2))
     cfar = CfarConfig(2, 8, 1e-3)
     full_map = _full_map_hits(cfar, (24, doppler_bin))
-    (sums,) = metrics._run_batches((c,), (f,), DIMS, scene, LAW_TRIALS, 41, 256, 1, full_map)
+    (sums,) = metrics._run_batches((c,), (f,), DIMS, scene, LAW_TRIALS, 41, 1,
+                                   metrics._frame_chain(DIMS, scene, full_map))
     full = sums["hits"] / LAW_TRIALS
     (pd,) = detection_probability(DIMS, scene, (c,), f, cfar, LAW_TRIALS, 42)
     pooled = (full + pd) / 2

@@ -300,7 +300,8 @@ class TestFrameKernel:
             tables = [(g[table], (c.points * g).real[table]) for g in (point_gain(c.points, f) for f in filters)]
             groups.append((c.points[table], tables))
         seen = []
-        metrics._simulate_batch(3, 128, cuts, guide, groups, dims, scene, 77, steering, lambda *a: seen.append(a) or {})
+        chain = metrics._frame_chain(dims, scene, lambda *a: seen.append(a) or {})(groups)
+        metrics._simulate_batch(3, 128, cuts, guide, dims, scene, 77, chain)
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(3,)))
         u = rng.random((128, *dims.shape))
@@ -326,8 +327,11 @@ class TestThreadPool:
     SCENE = Scene((Target(1.0, 0.0, 0.0),), 0.1)
 
     def _run(self, threads, run, trials=16):
-        return metrics._run_batches((make_uniform("qam", 16),), (MF,), FrameDims(4, 4), self.SCENE, trials, 0, 1,
-                                    threads, chain=lambda cuts, guide, books: run)
+        """``_run_batches`` on one-frame batches, with ``run(index, size)`` as the batch runner."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_simulate_batch", lambda index, size, *rest: run(index, size))
+            return metrics._run_batches((make_uniform("qam", 16),), (MF,), FrameDims(4, 4), self.SCENE, trials, 0,
+                                        threads, lambda books: (1, metrics.FRAME_BLOCK_BYTES, (4, 4), None))
 
     def test_helpers_capped_by_plan_without_starting_threads(self, monkeypatch):
         """--threads 1000 on a 16-batch plan asks for 15 helpers; the stand-in pool runs them inline."""
