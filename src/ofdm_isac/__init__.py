@@ -12,7 +12,6 @@ from .constellation import (
     make_shaped,
     make_uniform,
     moment_abs_pow,
-    sample_symbols,
     save_codebook,
 )
 from .detection import CfarConfig, ca_cfar_1d, detection_probability

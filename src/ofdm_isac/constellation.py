@@ -189,13 +189,6 @@ def draw_symbols(c: ShapedConstellation, rng: np.random.Generator, shape) -> np.
     return symbol_index(c, rng.random(shape))
 
 
-def sample_symbols(c: ShapedConstellation, count: int, seed: int) -> np.ndarray:
-    """Deterministic i.i.d. symbol draws for a given seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return c.points[draw_symbols(c, np.random.default_rng(seed), count)]
-
-
 def save_codebook(
     path: str | Path,
     c: ShapedConstellation,

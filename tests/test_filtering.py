@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ofdm_isac.channel import FrameDims, Scene, Target, steering_vectors
-from ofdm_isac.constellation import make_uniform, sample_symbols
+from ofdm_isac.constellation import draw_symbols, make_uniform
 from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
 from ofdm_isac.pcs import penalty_f
 
@@ -54,7 +54,8 @@ class TestChiMatrix:
         np.testing.assert_allclose(chi, 1.0, atol=1e-12)
 
     def test_psk_mf_all_ones(self):
-        x = sample_symbols(make_uniform("psk", 8), 12, 1).reshape(3, 4)
+        c = make_uniform("psk", 8)
+        x = c.points[draw_symbols(c, np.random.default_rng(1), 12)].reshape(3, 4)
         np.testing.assert_allclose(point_chi(x, MF), 1.0, atol=1e-12)
 
     def test_wf_three_quarters(self):
@@ -138,7 +139,7 @@ class TestResponseFunction:
 
     def test_rf_response_delta_per_realization(self):
         c = make_uniform("qam", 64)
-        x = sample_symbols(c, 128, 3).reshape(16, 8)
+        x = c.points[draw_symbols(c, np.random.default_rng(3), 128)].reshape(16, 8)
         power = np.abs(dd_transform(point_chi(x, RF))) ** 2
         peak = power[0, 0]
         power[0, 0] = 0.0
@@ -151,7 +152,7 @@ class TestResponseFunction:
         dims = FrameDims(16, 8)
         acc = np.zeros(dims.shape)
         for s in range(rng_frames):
-            x = sample_symbols(c, dims.size, s).reshape(dims.shape)
+            x = c.points[draw_symbols(c, np.random.default_rng(s), dims.size)].reshape(dims.shape)
             acc += np.abs(dd_transform(point_chi(x, MF))) ** 2
         acc /= rng_frames
         peak = acc[0, 0]
@@ -160,7 +161,7 @@ class TestResponseFunction:
 
     def test_wf_low_snr_equals_scaled_mf(self):
         c = make_uniform("qam", 64)
-        x = sample_symbols(c, 64, 9).reshape(8, 8)
+        x = c.points[draw_symbols(c, np.random.default_rng(9), 64)].reshape(8, 8)
         snr = 1e-6
         g_wf = point_gain(x, wiener(snr))
         g_mf = point_gain(x, MF)

@@ -12,7 +12,7 @@ import pytest
 from ofdm_isac import metrics
 from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors
 from ofdm_isac.constellation import chi_stats, make_shaped, make_uniform, moment_abs_pow
-from ofdm_isac.filtering import MF, RF, point_gain, wiener
+from ofdm_isac.filtering import MF, RF, dd_transform, point_gain, wiener
 from ofdm_isac.metrics import (
     closed_form_metrics,
     crossover_snr_in,
@@ -254,11 +254,49 @@ class TestIdentityChecks:
         c = make_uniform("qam", 64)
         filters = (MF, RF, wiener(SNR_4DB))
         scene = scene_at(SNR_4DB)
+        assert 300 > metrics.DEFAULT_BATCH  # the MSE relation spans two batches, the identities one
         together = identity_checks(c, filters, DIMS, scene, 300, seed=4)
         alone = tuple(identity_checks(c, (f,), DIMS, scene, 300, seed=4)[0] for f in filters)
         assert isinstance(together, tuple) and len(together) == 3
         for a, b in zip(together, alone):
             assert a == b  # every field, exactly
+
+    def test_identity_maxima_read_the_first_batch_only(self):
+        c = make_uniform("qam", 16)
+        filters = (MF, RF, wiener(SNR_4DB))
+        scene = scene_at(SNR_4DB)
+        first = identity_checks(c, filters, DIMS, scene, metrics.DEFAULT_BATCH, seed=6)
+        longer = identity_checks(c, filters, DIMS, scene, 600, seed=6)
+        for a, b in zip(first, longer):
+            assert b.dd_unitarity_max_rel == a.dd_unitarity_max_rel
+            assert b.islr_identity_max_rel == a.islr_identity_max_rel
+            assert b.parseval_max_rel == a.parseval_max_rel
+            assert b.mse_relation_rel != a.mse_relation_rel  # over all 600 trials
+            assert b.trials == 600
+
+    def test_mse_relation_matches_fft_energy_form(self):
+        """sum chi^2 in place of the response energy sum |r|^2 from the FFT moves the residual only at rounding."""
+        c = make_uniform("qam", 64)
+        filters = (MF, RF, wiener(SNR_4DB))
+        scene = scene_at(SNR_4DB)
+        trials = 300
+
+        def fft_form(h, g, chi, hhat):
+            nm = chi[0].size
+            r00 = chi.sum(axis=(1, 2)) / math.sqrt(nm)
+            r_energy = np.sum(np.abs(dd_transform(chi)) ** 2, axis=(1, 2))
+            return {
+                "mse": np.sum(np.abs(hhat - h) ** 2, axis=(1, 2)),
+                "g_energy": np.sum(np.abs(g) ** 2, axis=(1, 2)),
+                "lhs": r_energy - r00**2 + nm * (1.0 - r00 / math.sqrt(nm)) ** 2,
+            }
+
+        chain = metrics._frame_chain(DIMS, scene, fft_form)
+        sums = metrics._run_batches((c,), filters, DIMS, scene, trials, 4, 1, chain)
+        for rep, s in zip(identity_checks(c, filters, DIMS, scene, trials, seed=4), sums):
+            lhs = scene.total_gain_var * s["lhs"] / trials + scene.noise_var * s["g_energy"] / trials
+            want = abs(lhs - s["mse"] / trials) / (s["mse"] / trials)
+            assert rep.mse_relation_rel == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_filters_must_be_a_nonempty_sequence(self, monkeypatch):
         monkeypatch.setattr(metrics, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
