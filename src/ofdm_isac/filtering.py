@@ -56,7 +56,7 @@ def point_gain(x: np.ndarray, f: FilterKind) -> np.ndarray:
 
 
 def point_chi(x: np.ndarray, f: FilterKind) -> np.ndarray:
-    """Entrywise filtered spectrum chi = x * g (real for all three kinds)."""
+    """Entrywise filtered spectrum chi = x * g (real for all three kinds, exactly 1 for RF)."""
     x = np.asarray(x)
     if f.kind is FilterType.MF:
         return np.abs(x) ** 2

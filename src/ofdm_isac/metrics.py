@@ -27,7 +27,7 @@ import numpy as np
 from .channel import FrameDims, Scene, complex_normal, steering_vectors
 from .constellation import ChiStats, ShapedConstellation, _cell_tables, _guide_search, chi_stats, moment_abs_pow
 from .constellation import draw_symbols  # noqa: F401 -- stays importable: perfbench/tracing.py wraps it
-from .filtering import FilterKind, dd_transform, point_gain
+from .filtering import FilterKind, dd_transform, point_chi, point_gain
 
 DEFAULT_BATCH = 256
 # one complex array of a block (8 frames at 64x32): the chain holds about ten such arrays at once, so
@@ -298,8 +298,8 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     cuts, guide, cell_index = _cell_tables(codebooks)
     books = []
     for c, table in zip(codebooks, cell_index):
-        gains = [point_gain(c.points, f) for f in filters]
-        books.append((c.points[table], [(g_tab[table], (c.points * g_tab).real[table]) for g_tab in gains]))
+        tables = [(point_gain(c.points, f)[table], point_chi(c.points, f)[table]) for f in filters]
+        books.append((c.points[table], tables))
     declared = chain(books)
     plan = _batch_plan(trials, declared[0])
     simulate = _simulate_batch  # read once, so a patched kernel serves the whole call
@@ -340,6 +340,19 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     return totals
 
 
+def _moment_sums(h, g, chi, hhat) -> dict:
+    """Per-frame moments of the chain, FFT-free: the CSI error energy, sum|g|^2, r(0,0)^2, the response
+    energy (as sum chi^2, by Parseval) and sum chi."""
+    chi_sum = chi.sum(axis=(1, 2))
+    return {
+        "mse": _energy(hhat - h),
+        "g_energy": _energy(g),
+        "r00_sq": (chi_sum / math.sqrt(chi[0].size)) ** 2,
+        "r_energy": (chi**2).sum(axis=(1, 2)),
+        "chi_total": chi_sum,
+    }
+
+
 def empirical_metrics(
     c: ShapedConstellation,
     f: FilterKind,
@@ -361,14 +374,9 @@ def empirical_metrics(
     nm = dims.size
 
     def reduce(h, g, chi, hhat):
-        chi_sum = chi.sum(axis=(1, 2))
         lam_power = np.abs(dd_transform(hhat)) ** 2
         return {
-            "mse": _energy(hhat - h),
-            "g_energy": _energy(g),
-            "r00_sq": (chi_sum / math.sqrt(nm)) ** 2,
-            "r_energy": (chi**2).sum(axis=(1, 2)),  # Parseval: the response energy, without its FFT
-            "chi_total": chi_sum,
+            **_moment_sums(h, g, chi, hhat),
             "peak": lam_power[:, peak_bin[0], peak_bin[1]],
             # cell by cell, as .mean(axis=1) sums a gather of 2+ frames; on one frame it sums pairwise
             "far": np.cumsum(lam_power[:, far], axis=1)[:, -1] / far.sum(),
@@ -404,17 +412,6 @@ def empirical_dd_profile(
     return sums["power"] / trials
 
 
-def _mse_relation_sums(h, g, chi, hhat) -> dict:
-    """Per-frame terms of the MSE relation, the response energy taken as sum chi^2 (Parseval): no transform."""
-    nm = chi[0].size
-    r00 = chi.sum(axis=(1, 2)) / math.sqrt(nm)
-    return {
-        "mse": _energy(hhat - h),
-        "g_energy": _energy(g),
-        "mse_relation_lhs": (chi**2).sum(axis=(1, 2)) - r00**2 + nm * (1.0 - r00 / math.sqrt(nm)) ** 2,
-    }
-
-
 def _identity_sums(h, g, chi, hhat) -> dict:
     """Per-frame residuals of the exact identities, from the chi FFT and the error FFT."""
     sqrt_nm = math.sqrt(chi[0].size)
@@ -440,23 +437,25 @@ def identity_checks(
 ) -> tuple[IdentityReport, ...]:
     """Residuals of the ISLR reformulation, Parseval, DD unitarity and the MSE relation, one report per filter.
 
-    The MSE-relation residual compares the response-side expansion
-    gain_var * E{sum|r|^2 - r(0,0)^2 + NM (1 - r(0,0)/sqrt(NM))^2}
-    + noise_var * E{sum|g|^2} against the directly simulated CSI MSE; both
-    sides come from all ``trials`` frames, with sum|r|^2 as sum chi^2, so this
-    statistical check needs no transform. The other three hold frame by frame to
-    rounding, so a fault shows on every frame: they run their FFTs on the first
-    ``min(trials, DEFAULT_BATCH)`` frames only, by a second run whose batch 0
-    draws the same frames. The filters share one trial set, and each report
-    equals that of a call on that filter alone.
+    The MSE-relation residual compares the per-symbol law
+    gain_var * E{sum (chi - 1)^2} + noise_var * E{sum|g|^2} against the directly
+    simulated CSI MSE E||Hhat - H||^2. The chain reads chi from ``point_chi`` and
+    forms Hhat with ``point_gain``, so the check ties the closed-form chi to the
+    simulated gain. Both sides come from the ``_moment_sums`` of all ``trials``
+    frames, with E{sum (chi - 1)^2} = E{sum|r|^2} - 2 E{sum chi} + NM and sum|r|^2
+    taken as sum chi^2, so this statistical check needs no transform. The other
+    three hold frame by frame to rounding, so a fault shows on every frame: they
+    run their FFTs on the first ``min(trials, DEFAULT_BATCH)`` frames only, by a
+    second run whose batch 0 draws the same frames. The filters share one trial
+    set, and each report equals that of a call on that filter alone.
     """
-    relations = _run_batches((c,), filters, dims, scene, trials, seed, threads,
-                             _frame_chain(dims, scene, _mse_relation_sums))
+    moments = _run_batches((c,), filters, dims, scene, trials, seed, threads, _frame_chain(dims, scene, _moment_sums))
     identities = _run_batches((c,), filters, dims, scene, min(trials, DEFAULT_BATCH), seed, threads,
                               _frame_chain(dims, scene, _identity_sums))
     reports = []
-    for sums, maxima in zip(relations, identities):
-        lhs = scene.total_gain_var * sums["mse_relation_lhs"] / trials + scene.noise_var * sums["g_energy"] / trials
+    for sums, maxima in zip(moments, identities):
+        chi_error = (sums["r_energy"] - 2.0 * sums["chi_total"]) / trials + dims.size
+        lhs = scene.total_gain_var * chi_error + scene.noise_var * sums["g_energy"] / trials
         rhs = sums["mse"] / trials
         mse_relation = _ratio(abs(lhs - rhs), rhs)
         residuals = (maxima["islr_identity_max"], mse_relation, maxima["dd_unitarity_max"], maxima["parseval_max"])

@@ -10,12 +10,14 @@ of each orbit (y is continuous; 1,000 rows for 64-QAM at a real channel gain):
   1) posterior update  q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x'), x' over every point
   2) Gibbs update      P(O) ~ |O| exp(E_{y|x}[log q(x|y)] - l1 f(x) - l2 |x|^2)
 
-where f(x) is the per-point sensing-MSE penalty of the active filter and the
-multipliers (l1, l2) minimize the update's convex dual by Newton's method:
-l2 alone first, with l1 = 0 accepted whenever that law meets the MSE budget
-(complementary slackness), else both, so the budget holds with equality. The
-bank needs no seed, so a solve is deterministic; the reported AIR of the final
-distribution is the finer Gauss-Hermite quadrature ``air.air_quadrature``.
+where f(x) = snr_in (chi(x) - 1)^2 + |g(x)|^2 is the exact per-point sensing
+MSE of the active filter, normalized by NM*noise_var (for any filter, a WF
+mismatched to the scene included), and the multipliers (l1, l2) minimize the
+update's convex dual by Newton's method: l2 alone first, with l1 = 0 accepted
+whenever that law meets the MSE budget (complementary slackness), else both, so
+the budget holds with equality. The bank needs no seed, so a solve is
+deterministic; the reported AIR of the final distribution is the finer
+Gauss-Hermite quadrature ``air.air_quadrature``.
 A solve's one result type is ``PcsSolution``; ``tradeoff_sweep`` pairs each
 budget with its solution or the ``SolverError`` its solve raised.
 """
@@ -40,7 +42,7 @@ from .air import (  # noqa: F401
 from .air import row_logsumexp as logsumexp
 from .channel import FrameDims, complex_normal  # noqa: F401
 from .constellation import Family, make_shaped, make_uniform
-from .filtering import RF_MIN_MODULUS, FilterKind, FilterType
+from .filtering import RF_MIN_MODULUS, FilterKind, FilterType, point_chi, point_gain
 from .metrics import closed_form_metrics
 
 P_FLOOR = 1e-300
@@ -101,22 +103,19 @@ class PcsSolution:
 
 
 def penalty_f(points, f: FilterKind, snr_in: float) -> np.ndarray:
-    """Per-point sensing-MSE penalty, normalized by NM*noise_var.
+    """Per-point sensing-MSE penalty snr_in * (chi - 1)^2 + |g|^2, normalized by NM*noise_var.
 
-    ``snr_in`` is the scene input SNR; the WF form assumes the filter is
-    matched to it (callers scale the expectation by NM*noise_var to recover
-    the MSE budget).
+    It is the exact per-symbol CSI MSE of any filter, WF at any ``snr_in`` included:
+    ``snr_in`` is the scene input SNR, and chi and g come from ``point_chi`` and
+    ``point_gain``. Callers scale the expectation by NM*noise_var to recover the
+    MSE budget.
     """
     if not snr_in > 0:
         raise ValueError(f"snr_in must be > 0, got {snr_in}")
-    sq = np.abs(np.asarray(points)) ** 2
-    if f.kind is FilterType.MF:
-        return snr_in * (sq**2 - 1.0) + 1.0
-    if f.kind is FilterType.RF:
-        if float(np.min(sq)) < RF_MIN_MODULUS**2:
-            raise ValueError("RF division hazard: zero-modulus point")
-        return 1.0 / sq
-    return 1.0 / (sq + 1.0 / snr_in)
+    points = np.asarray(points)
+    if f.kind is FilterType.RF and float(np.min(np.abs(points))) < RF_MIN_MODULUS:
+        raise ValueError("RF division hazard: zero-modulus point")
+    return snr_in * (point_chi(points, f) - 1.0) ** 2 + np.abs(point_gain(points, f)) ** 2
 
 
 def c0_bounds(
@@ -260,12 +259,6 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     """
     points = make_uniform(cfg.family, cfg.order).points
     snr_in = cfg.gain_var / cfg.noise_var
-    if cfg.filt.kind is FilterType.WF and not math.isclose(cfg.filt.snr_in, snr_in, rel_tol=1e-9):
-        warnings.warn(
-            f"WF snr_in={cfg.filt.snr_in:g} differs from the scene value {snr_in:g}; "
-            "the MSE budget assumes the matched value",
-            stacklevel=_caller_stacklevel(),
-        )
     h = complex(cfg.comm.channel_gain)
     reps, sizes, orbit_of = symmetry_orbits(points, h)
     log_sizes = np.log(sizes)

@@ -12,7 +12,7 @@ import pytest
 from ofdm_isac import metrics
 from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors
 from ofdm_isac.constellation import chi_stats, make_shaped, make_uniform, moment_abs_pow
-from ofdm_isac.filtering import MF, RF, dd_transform, point_gain, wiener
+from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
 from ofdm_isac.metrics import (
     closed_form_metrics,
     crossover_snr_in,
@@ -320,7 +320,8 @@ class TestEmpiricalProfile:
 
 class TestFrameKernel:
     def test_tables_match_per_entry_chain(self, monkeypatch):
-        """The kernel's table gathers give the bits of the per-entry chain X -> G -> (H o X + Z) o G.
+        """The kernel's table gathers give the bits of the per-entry chain X -> G -> (H o X + Z) o G, with
+        chi = point_chi(X).
 
         Two codebooks on one alphabet share the uniforms, gains and noise; each maps
         the uniforms to its own symbols.
@@ -335,7 +336,7 @@ class TestFrameKernel:
         cuts, guide, cell_index = metrics._cell_tables(books)
         groups = []
         for c, table in zip(books, cell_index):
-            tables = [(g[table], (c.points * g).real[table]) for g in (point_gain(c.points, f) for f in filters)]
+            tables = [(point_gain(c.points, f)[table], point_chi(c.points, f)[table]) for f in filters]
             groups.append((c.points[table], tables))
         seen = []
         chain = metrics._frame_chain(dims, scene, lambda *a: seen.append(a) or {})(groups)
@@ -355,7 +356,7 @@ class TestFrameKernel:
                 g = point_gain(x, f)
                 assert np.array_equal(h_k, h)
                 assert np.array_equal(g_k, g)
-                assert np.array_equal(chi_k, (x * g).real)
+                assert np.array_equal(chi_k, point_chi(x, f))
                 assert np.array_equal(hhat_k, (h * x + z) * g)
 
 

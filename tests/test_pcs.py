@@ -13,6 +13,7 @@ from ofdm_isac.air import AirConfig, air_quadrature, symmetry_orbits
 from ofdm_isac.channel import FrameDims, complex_normal
 from ofdm_isac.constellation import make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, wiener
+from ofdm_isac.metrics import closed_form_metrics
 from ofdm_isac.pcs import (
     PcsConfig,
     PcsSolution,
@@ -108,13 +109,19 @@ class TestPenalty:
         assert penalty_f(np.array([1.0 + 0j]), wiener(1.0), 1.0)[0] == pytest.approx(0.5)
 
     def test_expected_penalty_reproduces_mse(self):
-        # scaled alphabet average equals the closed-form MSE for each filter
-        from ofdm_isac.metrics import closed_form_metrics
+        # scaled alphabet average equals the closed-form MSE for each filter and law, WF off the scene SNR too
+        for c in (make_uniform("qam", 64), make_shaped("qam", 64, np.arange(64) % 5 + 1.0)):
+            for f in (MF, RF, wiener(SNR), wiener(4 * SNR), wiener(SNR / 10)):
+                val = float(c.probs @ penalty_f(c.points, f, SNR)) * DIMS.size * NOISE
+                assert val == pytest.approx(closed_form_metrics(c, f, DIMS, 1.0, NOISE).mse, rel=1e-12)
 
-        c = make_uniform("qam", 64)
-        for f in (MF, RF, wiener(SNR)):
-            val = float(c.probs @ penalty_f(c.points, f, SNR)) * DIMS.size * NOISE
-            assert val == pytest.approx(closed_form_metrics(c, f, DIMS, 1.0, NOISE).mse, rel=1e-12)
+    def test_mf_penalty_against_the_unit_power_form(self):
+        # the exact MF penalty departs from snr (|x|^4 - 1) + 1 by a term of zero mean at unit power
+        points = make_uniform("qam", 64).points
+        sq = np.abs(points) ** 2
+        unit_power_form = SNR * (sq**2 - 1.0) + 1.0
+        np.testing.assert_allclose(penalty_f(points, MF, SNR) - unit_power_form, (1.0 - 2.0 * SNR) * (sq - 1.0),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestBudgetBounds:
@@ -199,6 +206,20 @@ class TestSolver:
         assert (l1 == 0.0) == (float(power_only @ fpen) <= budget_norm * (1.0 + 1e-12))
         np.testing.assert_allclose(mass, _softmax(t_orbit - l1 * fpen - l2 * energy_rep), rtol=1e-12, atol=0.0)
 
+    def test_mf_solve_matches_the_unit_power_penalty(self, monkeypatch):
+        """MF's exact penalty and snr (|x|^4 - 1) + 1 differ by (1 - 2 snr)(|x|^2 - 1), zero in mean at unit
+        power: the law is the same, and only l2 moves, by -l1 (1 - 2 snr)."""
+        lo, hi = c0_bounds(64, MF, DIMS, 1.0, NOISE)
+        cfg = quick_cfg(MF, lo + 0.5 * (hi - lo))
+        exact = mba_solve(cfg)
+        monkeypatch.setattr(pcs, "penalty_f", lambda points, f, snr: snr * (np.abs(points) ** 4 - 1.0) + 1.0)
+        unit_power = mba_solve(cfg)
+        assert exact.lambda1 > 0 and exact.outer_iters == unit_power.outer_iters
+        np.testing.assert_allclose(exact.probs, unit_power.probs, rtol=0.0, atol=1e-15)
+        assert abs(exact.air_bits - unit_power.air_bits) <= 1e-14
+        assert exact.lambda1 == pytest.approx(unit_power.lambda1, rel=1e-12)
+        assert exact.lambda2 == pytest.approx(unit_power.lambda2 - unit_power.lambda1 * (1.0 - 2.0 * SNR), abs=1e-12)
+
     def test_multiplier_step_at_the_alphabet_floor(self):
         """A budget just above the LP floor is met with equality; one below it raises with diagnostics."""
         points = make_uniform("qam", 64).points
@@ -254,21 +275,26 @@ class TestSolver:
             sol = mba_solve(quick_cfg(f, hi * 10))
         assert sol.c0_effective == pytest.approx(hi)
 
-    @pytest.mark.parametrize("filt, match", [(RF, "clamped"), (wiener(SNR * 4), "matched")], ids=["clamp", "wf"])
+    @pytest.mark.parametrize("filt", [RF], ids=["clamp"])
     @pytest.mark.parametrize("entry", ["mba_solve", "tradeoff_sweep"])
-    def test_warning_names_the_caller(self, filt, match, entry):
+    def test_warning_names_the_caller(self, filt, entry):
         """A warning points at the first frame outside the package, not at the solver's own lines."""
         lo, hi = c0_bounds(64, filt, DIMS, 1.0, NOISE)
-        cfg = quick_cfg(filt, lo + 0.01 * (hi - lo) if match == "clamped" else hi, max_outer_iters=3)
-        with pytest.warns(UserWarning, match=match) as record:
+        cfg = quick_cfg(filt, lo + 0.01 * (hi - lo), max_outer_iters=3)
+        with pytest.warns(UserWarning, match="clamped") as record:
             mba_solve(cfg) if entry == "mba_solve" else tradeoff_sweep(cfg, [cfg.c0])
         assert [w.filename for w in record] == [__file__]
 
-    def test_wf_snr_mismatch_warns(self):
-        f = wiener(SNR * 4)
-        lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
-        with pytest.warns(UserWarning, match="matched"):
-            mba_solve(quick_cfg(f, hi, max_outer_iters=3))
+    @pytest.mark.parametrize("filt", [wiener(4 * SNR), wiener(SNR / 10)], ids=["4snr", "snr/10"])
+    def test_mismatched_wf_solve_meets_its_budget(self, filt):
+        """A WF off the scene SNR: the reported MSE is its law's closed-form MSE, within the budget."""
+        lo, hi = c0_bounds(64, filt, DIMS, 1.0, NOISE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = mba_solve(quick_cfg(filt, lo + 0.5 * (hi - lo)))
+        law_mse = closed_form_metrics(make_shaped("qam", 64, sol.probs), filt, DIMS, 1.0, NOISE).mse
+        assert sol.sensing_mse == pytest.approx(law_mse, rel=1e-12)
+        assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-12)
 
     def test_air_is_quadrature_of_solution(self):
         f = RF

@@ -82,24 +82,36 @@ def test_solver_posterior_runs_the_kernel():
 # Recorded on the 10x10 Gauss-Hermite bank under numpy 2.4 on x86-64: the
 # benchmark's six shaping solves (64-QAM, 64x32, 4 dB, comm noise variance
 # 0.02, default tolerance), with the multipliers solved by Newton's method on
-# the dual and the iteration and its AIR quadrature run on the alphabet's
-# symmetry orbits. To re-record, run this file as a script
-# (PYTHONPATH=src python tests/test_row_logsumexp.py) and paste the dict it prints.
+# the dual, the iteration and its AIR quadrature run on the alphabet's
+# symmetry orbits, and the penalty snr (chi - 1)^2 + |g|^2. To re-record, run
+# this file as a script (PYTHONPATH=src python tests/test_row_logsumexp.py) and
+# paste the dict it prints.
 # Per (filter, budget fraction): sha256 of the probs bytes, air_bits,
 # sha256 of repr(trace_rows), outer_iters.
 PINNED_SOLVES = {
-    ("wf", 0.2): ("df5502af708a2c43e29a556f9a29073ee9028f7fd4c452a8ce12cdc9eb94f81d", 4.691743194847447,
-                  "d3286930fafb69442942f3d5c4ceb9536b0a2edaec44b62d5290359b480788df", 3),
-    ("wf", 0.5): ("c0261e569baf2ae69e067ec60722b1dfd3246635e06410a1e69b31a30cab7a24", 5.073030879091987,
-                  "2c41d473be5aa514bc1d61e3a09646d4ee0926b4705ca4417acae4247e3a608d", 2),
-    ("wf", 0.8): ("c7d4d7a6d438792df12d8a3ae6325ecc8d8985c2078f12945a7ae609ea0134f7", 5.2000301131604445,
-                  "29c5a22d54afc585625547247e38835136426b9b956044f6480fe7a5d8558ed9", 2),
-    ("rf", 0.2): ("7b66e86388b6c245aa21e463af9a4d41e835dc32f45064cb8324b99445f7bbd9", 5.048466049086006,
-                  "787a2c12c5f304025a892864cdb78d6d1f9f709126423b5a3b83f0097435c5d4", 2),
-    ("rf", 0.5): ("755d0e01b62d7ee31620206818d18a335352743865df1238331e0dfda1bbef47", 5.186208816964971,
-                  "57d05452ab50afdf32bc9c2fcfa063fe8b4896059df34ab4e36140a1da859463", 3),
-    ("rf", 0.8): ("25f4087921bf34515325634befd2fae2178ad187a59201dff366feb4b0ac3391", 5.21744403520648,
-                  "21ade33289a2160b4a1ca88f032f3eea6484817a100afb41232406cc9204525b", 2),
+    ("wf", 0.2): ("d1e85a509fc382103aa391cf451c5121d328dc4e300a80dfb8df1513968263a8", 4.691743194847451,
+                  "26a239e1e8fcd30b86f4a810bb8c95c10359bf33ece764087169a7a53f20aaed", 3),
+    ("wf", 0.5): ("8bb785cc3c966721861e6b7c74400f7079416bef089b49e351163db92e91ac93", 5.073030879091986,
+                  "0cbfae5367208d257d124ab1796db754733469f1bfaff25fae94878386f0915a", 2),
+    ("wf", 0.8): ("8d3c2cd690ecb64e5ad64f213a8ef80fd956d0e7b152d548a9aab5bc80a4dfe2", 5.2000301131604445,
+                  "0e57874b65f732962111c45ef5915bc4a255a950b13e6656b46ade91e168bc1e", 2),
+    ("rf", 0.2): ("1fc74161547862a630a0b3cf65fb3424c9034ba9683f6c225837ea68853474b3", 5.048466049086006,
+                  "b7b8128633be0db74fb03f96a4c389054a98f5febdff9d7171c6847cfafb9b32", 2),
+    ("rf", 0.5): ("e4a161a104cb743368eb8da6204a4fe912e0325b214d220302b507475a2bef26", 5.186208816964971,
+                  "ea4e937d47f72ff7bfbdf0bfc1b4a729123b40e275a1de70f5c1f82e56a9c598", 3),
+    ("rf", 0.8): ("d0ccf9acad30bb3cfbd83ce8d2d0d9330e8ab7b7048395a326867e012a2e87c5", 5.217444035206479,
+                  "905cf4d2832b6aca2b4c93a68fa26f6c50f5d8a7483b28ff4fda74294cd9d566", 2),
+}
+# The same solves' (air_bits, outer_iters) when the penalty was coded per filter
+# kind, 1/|x|^2 for RF and 1/(|x|^2 + 1/snr) for WF: the same functions up to
+# rounding, so the solves may differ only at rounding level.
+PER_KIND_PENALTY_SOLVES = {
+    ("wf", 0.2): (4.691743194847447, 3),
+    ("wf", 0.5): (5.073030879091987, 2),
+    ("wf", 0.8): (5.2000301131604445, 2),
+    ("rf", 0.2): (5.048466049086006, 2),
+    ("rf", 0.5): (5.186208816964971, 3),
+    ("rf", 0.8): (5.21744403520648, 2),
 }
 # The same solves' air_bits when the iteration and its quadrature ran on every
 # point of the alphabet; the orbit solve may differ from them only by rounding.
@@ -151,6 +163,15 @@ def test_shaping_solves_pinned(filt, fraction):
     sol = _shaping_solve(filt, fraction)
     assert sol.converged
     assert _pins(sol) == PINNED_SOLVES[filt, fraction]
+
+
+@pinned_numpy
+@pytest.mark.parametrize("filt, fraction", sorted(PER_KIND_PENALTY_SOLVES))
+def test_shaping_solves_match_per_kind_penalty(filt, fraction):
+    sol = _shaping_solve(filt, fraction)
+    air_bits, iters = PER_KIND_PENALTY_SOLVES[filt, fraction]
+    assert abs(sol.air_bits - air_bits) <= 1e-14
+    assert sol.outer_iters == iters
 
 
 @pytest.mark.parametrize("filt, fraction", sorted(BISECTION_AIR))

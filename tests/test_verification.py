@@ -1,5 +1,7 @@
 """The ``verify`` suite fails when it should: each injected fault breaks the check that covers it."""
 
+import numpy as np
+
 from ofdm_isac import filtering, metrics, verification
 from ofdm_isac.channel import FrameDims
 from ofdm_isac.filtering import MF, FilterType
@@ -39,5 +41,18 @@ def test_rf_gain_replaced_by_mf_fails_delta_response(monkeypatch):
 
     for module in (filtering, metrics, verification):
         monkeypatch.setattr(module, "point_gain", faulty)
-    assert "rf_delta_response" in _failed()
+    assert {"rf_delta_response", "mse_relation_rf"} <= _failed()  # the chain's chi stays point_chi's ones
+
+
+def test_wf_gain_overregularized_fails_mse_relation(monkeypatch):
+    exact = filtering.point_gain
+
+    def faulty(x, f):
+        if f.kind is not FilterType.WF:
+            return exact(x, f)
+        return np.conj(x) / (np.abs(x) ** 2 + 2.0 / f.snr_in)
+
+    for module in (filtering, metrics, verification):
+        monkeypatch.setattr(module, "point_gain", faulty)
+    assert "mse_relation_wf" in _failed()
 
