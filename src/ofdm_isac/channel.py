@@ -80,6 +80,12 @@ def complex_normal(rng: np.random.Generator, var: float, shape, real: np.ndarray
     return out
 
 
+def target_cell(dims: FrameDims, target: Target) -> tuple[int, int]:
+    """The grid cell (k, p) nearest the target, wrapped into the frame: delay bin 15.6 of 16 is cell 0.
+    ``round`` sends exact halves to the even bin, so 2.5 goes to 2 and 3.5 to 4."""
+    return int(round(target.delay_bin)) % dims.n_subcarriers, int(round(target.doppler_bin)) % dims.n_symbols
+
+
 def steering_vectors(dims: FrameDims, target: Target) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-domain and slow-time steering vectors for one target.
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .air import GH_NODES, AirConfig
-from .channel import FrameDims, Scene, Target, steering_vectors
+from .channel import FrameDims, Scene, Target, steering_vectors, target_cell
 from .constellation import Family, ShapedConstellation, make_shaped, make_uniform, save_codebook
 from .detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_cell, detection_probability
 from .filtering import MF, RF, FilterKind, wiener
@@ -396,8 +396,7 @@ def _cmd_profiles(args, v: dict) -> int:
     for dims in v["dims_list"]:
         scene = Scene((Target(gain_var, delay_bin, doppler_bin),), noise_var)
         mean_map = empirical_dd_profile(c, f, dims, scene, trials, seed, threads=args.threads)
-        tk = int(round(delay_bin)) % dims.n_subcarriers
-        tp = int(round(doppler_bin)) % dims.n_symbols
+        tk, tp = target_cell(dims, scene.targets[0])
         comments = [
             "units: *_norm_db in dB below the slice peak; *_power linear",
             f"provenance: expected closed-form (dirichlet kernel); empirical trials={trials} seed={seed}",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors  # noqa: F401
+from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors, target_cell  # noqa: F401
 from .constellation import ShapedConstellation, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
 from .metrics import _run_batches
@@ -93,14 +93,12 @@ def detection_cell(dims: FrameDims, scene: Scene) -> tuple[int, int]:
     """The weak target's (delay bin, Doppler bin) in a two-target scene; raises if it is not detectable."""
     if len(scene.targets) != 2:
         raise ValueError(f"scene must contain exactly two targets, got {len(scene.targets)}")
-    n, m = dims.shape
-    bins = [int(round(t.delay_bin)) % n for t in scene.targets]
-    if bins[0] == bins[1]:
+    cells = [target_cell(dims, t) for t in scene.targets]
+    if cells[0][0] == cells[1][0]:
         raise ValueError("targets have coincident delay bins")
     if scene.targets[0].gain_var == scene.targets[1].gain_var:
         raise ValueError("targets have equal powers, so neither is the weak one")
-    weak = min(range(2), key=lambda i: scene.targets[i].gain_var)
-    return bins[weak], int(round(scene.targets[weak].doppler_bin)) % m
+    return cells[min(range(2), key=lambda i: scene.targets[i].gain_var)]
 
 
 def detection_probability(

@@ -11,7 +11,8 @@ P = gain_var*Var(chi) + noise_var*E|g|^2,
 
 Empirical counterparts average over random symbols, target gains and noise,
 with per-batch seeds derived from a master seed so results are reproducible
-bit-for-bit and independent of the thread count.
+bit-for-bit and independent of the thread count. Empirical DR is read off the
+mean DD map: its power at the strongest target's cell over its far-region mean.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FrameDims, Scene, complex_normal, steering_vectors
+from .channel import FrameDims, Scene, complex_normal, steering_vectors, target_cell
 from .constellation import ChiStats, ShapedConstellation, _cell_tables, _guide_search, chi_stats, moment_abs_pow
 from .constellation import draw_symbols  # noqa: F401 -- stays importable: perfbench/tracing.py wraps it
 from .filtering import FilterKind, dd_transform, point_chi, point_gain
@@ -151,17 +152,17 @@ def crossover_snr_in(c: ShapedConstellation) -> float:
     return (moment_abs_pow(c, -2.0) - 1.0) / (fourth - 1.0)
 
 
-def far_region_mask(dims: FrameDims, scene: Scene, distance: int) -> np.ndarray:
+def far_region_mask(dims: FrameDims, scene: Scene) -> np.ndarray:
+    """Cells at least ``FAR_DISTANCE`` bins (circularly) from every target's cell on both axes: the pedestal."""
     n, m = dims.shape
     mask = np.ones((n, m), dtype=bool)
     kk = np.arange(n)[:, None]
     pp = np.arange(m)[None, :]
     for t in scene.targets:
-        tk = int(round(t.delay_bin)) % n
-        tp = int(round(t.doppler_bin)) % m
+        tk, tp = target_cell(dims, t)
         dk = np.minimum(np.abs(kk - tk), n - np.abs(kk - tk))
         dp = np.minimum(np.abs(pp - tp), m - np.abs(pp - tp))
-        mask &= (dk >= distance) & (dp >= distance)
+        mask &= (dk >= FAR_DISTANCE) & (dp >= FAR_DISTANCE)
     if not mask.any():
         raise ValueError("far region is empty; frame too small for the pedestal estimate")
     return mask
@@ -288,6 +289,8 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     raises, no thread starts another. Batches add up in plan order, and ``_max`` keys keep the
     maximum.
     """
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     for name, items in (("codebooks", codebooks), ("filters", filters)):
         if len(items) == 0:
             raise ValueError(f"{name} must not be empty")
@@ -353,6 +356,11 @@ def _moment_sums(h, g, chi, hhat) -> dict:
     }
 
 
+def _dd_power(h, g, chi, hhat) -> dict:
+    """Per-frame DD power map |DD(Hhat)|^2, which folds into the mean map's running total."""
+    return {"power": np.abs(dd_transform(hhat)) ** 2}
+
+
 def empirical_metrics(
     c: ShapedConstellation,
     f: FilterKind,
@@ -362,33 +370,23 @@ def empirical_metrics(
     seed: int,
     threads: int = 1,
 ) -> MetricsReport:
-    """Monte Carlo metrics over random symbols, target gains, and noise."""
+    """Monte Carlo metrics over random symbols, target gains, and noise, from one frame-chain pass of
+    ``_moment_sums`` and ``_dd_power``. DR is read off the mean DD map that ``empirical_dd_profile`` returns
+    for the same arguments: its power at the strongest target's ``target_cell`` over its far-region mean."""
     if not scene.targets:
         raise ValueError("scene must contain at least one target")
-    strongest = max(scene.targets, key=lambda t: t.gain_var)
-    peak_bin = (
-        int(round(strongest.delay_bin)) % dims.n_subcarriers,
-        int(round(strongest.doppler_bin)) % dims.n_symbols,
-    )
-    far = far_region_mask(dims, scene, FAR_DISTANCE)
+    peak = target_cell(dims, max(scene.targets, key=lambda t: t.gain_var))
+    far = far_region_mask(dims, scene)  # raises on an empty far region before any batch is drawn
     nm = dims.size
-
-    def reduce(h, g, chi, hhat):
-        lam_power = np.abs(dd_transform(hhat)) ** 2
-        return {
-            **_moment_sums(h, g, chi, hhat),
-            "peak": lam_power[:, peak_bin[0], peak_bin[1]],
-            # cell by cell, as .mean(axis=1) sums a gather of 2+ frames; on one frame it sums pairwise
-            "far": np.cumsum(lam_power[:, far], axis=1)[:, -1] / far.sum(),
-        }
-
-    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, _frame_chain(dims, scene, reduce))
+    chain = _frame_chain(dims, scene, lambda *frame: {**_moment_sums(*frame), **_dd_power(*frame)})
+    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, chain)
     mse = sums["mse"] / trials
     mean_r00_sq = sums["r00_sq"] / trials
     mean_g_energy = sums["g_energy"] / trials
     snr_out = _ratio(scene.total_gain_var * mean_r00_sq, scene.noise_var * mean_g_energy / nm)
     islr = _ratio(sums["r_energy"] / trials - mean_r00_sq, mean_r00_sq)
-    dr = _ratio(sums["peak"] / trials, sums["far"] / trials)
+    power = sums["power"] / trials
+    dr = _ratio(float(power[peak]), float(power[far].mean()))
     mean_chi = sums["chi_total"] / (trials * nm)
     nmse = _ratio(nm**2, dr) + _ratio((mean_chi - 1.0) ** 2, mean_chi**2)
     return MetricsReport(mse, snr_out, max(islr, 0.0), dr, nmse, "empirical", trials, seed)
@@ -404,11 +402,7 @@ def empirical_dd_profile(
     threads: int = 1,
 ) -> np.ndarray:
     """Mean DD power map E|Lambda|^2 estimated over random frames."""
-
-    def reduce(h, g, chi, hhat):
-        return {"power": np.abs(dd_transform(hhat)) ** 2}
-
-    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, _frame_chain(dims, scene, reduce))
+    (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, _frame_chain(dims, scene, _dd_power))
     return sums["power"] / trials
 
 

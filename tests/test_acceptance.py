@@ -93,7 +93,7 @@ def filters(snr):
 
 def empirical_pedestal(c, f, trials, seed):
     mean_map = empirical_dd_profile(c, f, DIMS, SCENE_4DB, trials, seed)
-    return float(mean_map[far_region_mask(DIMS, SCENE_4DB, 4)].mean())
+    return float(mean_map[far_region_mask(DIMS, SCENE_4DB)].mean())
 
 
 def ba_power_only(points, noise_var, l_y, bank_seed, iters=500, tol=1e-9):
@@ -239,8 +239,8 @@ def test_criterion_06_pedestal_scaling():
     small = empirical_dd_profile(c, MF, FrameDims(16, 16), scene_small, 2500, seed=17)
     large = empirical_dd_profile(c, MF, FrameDims(64, 32), scene_small, 2500, seed=18)
     emp_gain = 10 * math.log10(
-        (large[0, 0] / large[far_region_mask(FrameDims(64, 32), scene_small, 4)].mean())
-        / (small[0, 0] / small[far_region_mask(FrameDims(16, 16), scene_small, 4)].mean())
+        (large[0, 0] / large[far_region_mask(FrameDims(64, 32), scene_small)].mean())
+        / (small[0, 0] / small[far_region_mask(FrameDims(16, 16), scene_small)].mean())
     )
     s_qam = chi_stats(c, MF)
     s_psk = chi_stats(psk, MF)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors
+from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering_vectors, target_cell
 from ofdm_isac.constellation import make_shaped, make_uniform
 from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
-from ofdm_isac.metrics import empirical_metrics
+from ofdm_isac.detection import detection_cell
+from ofdm_isac.metrics import empirical_metrics, far_region_mask
 
 QAM16 = make_uniform("qam", 16)
 
@@ -38,6 +39,31 @@ class TestSteering:
             steering_vectors(FrameDims(8, 4), Target(1.0, 8.0, 0.0))
         with pytest.raises(ValueError, match="doppler_bin"):
             steering_vectors(FrameDims(8, 4), Target(1.0, 0.0, 4.0))
+
+
+class TestTargetCell:
+    """The one rule from a target's bins to its grid cell, and its callers' agreement with it."""
+
+    DIMS = FrameDims(16, 16)
+
+    @pytest.mark.parametrize("bins, cell", [
+        ((3.0, 5.0), (3, 5)),  # on the grid
+        ((2.4, 7.6), (2, 8)),  # off the grid: the nearest cell
+        ((15.6, 2.4), (0, 2)),  # nearest to 16, which wraps to delay cell 0
+        ((2.5, 3.5), (2, 4)),  # exact halves go to the even bin
+    ], ids=["on-grid", "off-grid", "wrapping", "halves-to-even"])
+    def test_cell(self, bins, cell):
+        assert target_cell(self.DIMS, Target(1.0, *bins)) == cell
+
+    def test_detection_cell_is_the_weak_targets_cell(self):
+        weak = Target(0.1, 15.6, 2.4)
+        assert detection_cell(self.DIMS, Scene((Target(1.0, 5.0, 9.0), weak), 0.1)) == target_cell(self.DIMS, weak)
+
+    def test_far_region_is_that_of_the_cell(self):
+        off_grid = far_region_mask(self.DIMS, Scene((Target(1.0, 15.6, 2.4),), 0.1))
+        on_grid = far_region_mask(self.DIMS, Scene((Target(1.0, 0.0, 2.0),), 0.1))
+        np.testing.assert_array_equal(off_grid, on_grid)
+        assert not off_grid[0].any() and not off_grid[:, 2].any()
 
 
 class TestBuildCsi:

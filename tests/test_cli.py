@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ofdm_isac import cli, pcs
+from ofdm_isac.channel import FrameDims, Target, target_cell
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import load_codebook
 from ofdm_isac.pcs import SolverError
@@ -80,6 +81,24 @@ class TestProfiles:
         assert (out1 / "profile_delay_16x16.csv").read_bytes() == (
             out2 / "profile_delay_16x16.csv"
         ).read_bytes()
+
+    def test_slices_through_the_target_cell(self, tmp_path, monkeypatch):
+        """The slices cross at ``channel.target_cell``: delay bin 15.6 of 16 wraps to cell 0."""
+        maps, run = [], cli.empirical_dd_profile
+
+        def keep(*args, **kwargs):
+            maps.append(run(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(cli, "empirical_dd_profile", keep)
+        target = {"delay_bin": 15.6, "doppler_bin": 2.4}
+        cfg = write_cfg(tmp_path, "p.json", {"trials": 64, "dims_list": [[16, 16]], "target": target})
+        assert main(["profiles", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]) == 0
+        (mean_map,) = maps
+        assert target_cell(FrameDims(16, 16), Target(1.0, **target)) == (0, 2)
+        for axis, expected in (("delay", mean_map[:, 2]), ("doppler", mean_map[0, :])):
+            _, _, rows = read_csv(tmp_path / f"profile_{axis}_16x16.csv")
+            assert [float(row[4]) for row in rows] == expected.tolist()
 
 
 class TestPcsCommand:

@@ -1,14 +1,19 @@
-"""Bad numbers fail loudly: nan in the library types, a thread count below 1 or a negative seed on the command line."""
+"""Bad numbers fail loudly: nan in the library types, a thread count that is not an int >= 1 in the library or
+on the command line, or a negative seed on the command line."""
 
 import math
 
 import numpy as np
 import pytest
 
+from ofdm_isac import metrics
 from ofdm_isac.air import AirConfig
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.cli import main
+from ofdm_isac.constellation import make_uniform
+from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
 from ofdm_isac.filtering import MF, FilterKind, FilterType, wiener
+from ofdm_isac.metrics import empirical_dd_profile, empirical_metrics, identity_checks
 from ofdm_isac.pcs import PcsConfig, mba_solve, penalty_f
 
 NAN = float("nan")
@@ -78,6 +83,26 @@ class TestThreadsFlag:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+
+QAM16 = make_uniform("qam", 16)
+DIMS16 = FrameDims(16, 16)
+SCENE = Scene((Target(1.0, 3.0, 2.0),), 0.5)
+
+
+class TestThreadsArgument:
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True], ids=["zero", "negative", "float", "bool"])
+    @pytest.mark.parametrize("run", [
+        lambda threads: empirical_metrics(QAM16, MF, DIMS16, SCENE, 10, 0, threads=threads),
+        lambda threads: empirical_dd_profile(QAM16, MF, DIMS16, SCENE, 10, 0, threads=threads),
+        lambda threads: identity_checks(QAM16, (MF,), DIMS16, SCENE, 10, 0, threads=threads),
+        lambda threads: detection_probability(DIMS16, default_tradeoff_scene(0.5), (QAM16,), MF, CfarConfig(1, 4),
+                                              10, 0, threads=threads),
+    ], ids=["empirical_metrics", "empirical_dd_profile", "identity_checks", "detection_probability"])
+    def test_raises_before_the_tables_are_built(self, monkeypatch, run, threads):
+        monkeypatch.setattr(metrics, "_cell_tables", lambda *a: pytest.fail("the cell tables were built"))
+        with pytest.raises(ValueError, match="threads must be an int >= 1"):
+            run(threads)
 
 
 class TestSeedFlag:

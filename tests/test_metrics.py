@@ -232,6 +232,24 @@ class TestEmpirical:
         assert a.mse == b.mse
         assert a.dr == b.dr
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_dr_is_read_off_the_mean_map(self, threads):
+        """DR is the mean DD map's power at the strongest target's cell (15.6 wraps to delay cell 0) over
+        its far-region mean, on the map that ``empirical_dd_profile`` returns for the same draw."""
+        dims = FrameDims(16, 16)
+        scene = Scene((Target(0.2, 6.0, 9.0), Target(1.0, 15.6, 2.4)), 0.3)
+        args = (make_uniform("qam", 16), wiener(SNR_4DB), dims, scene, 300, 11)
+        rep = empirical_metrics(*args, threads=threads)
+        mean_map = empirical_dd_profile(*args, threads=threads)
+        assert all(type(getattr(rep, name)) is float for name in ("mse", "snr_out", "islr", "dr", "nmse"))
+        assert rep.dr == pytest.approx(mean_map[0, 2] / mean_map[metrics.far_region_mask(dims, scene)].mean(),
+                                       rel=1e-12, abs=0.0)
+
+    def test_empty_far_region_raises_before_any_batch(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_simulate_batch", lambda *a: pytest.fail("a batch was run"))
+        with pytest.raises(ValueError, match="far region is empty"):
+            empirical_metrics(make_uniform("qam", 16), MF, FrameDims(6, 6), scene_at(SNR_4DB), 10, seed=0)
+
     def test_off_grid_target_runs(self):
         scene = Scene((Target(1.0, 10.6, 7.3),), 0.5)
         rep = empirical_metrics(make_uniform("qam", 16), MF, DIMS, scene, 20, seed=1)
