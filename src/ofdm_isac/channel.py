@@ -15,6 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
+def check_int(name: str, value, least: int) -> int:
+    """``value`` as an int; raises unless it is an integer (a numpy integer too, a bool not) at or above ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FrameDims:
     """OFDM frame geometry: N subcarriers (fast time) x M symbols (slow time)."""
@@ -23,10 +31,8 @@ class FrameDims:
     n_symbols: int
 
     def __post_init__(self):
-        if self.n_subcarriers < 2:
-            raise ValueError(f"n_subcarriers must be >= 2, got {self.n_subcarriers}")
-        if self.n_symbols < 1:
-            raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
+        for name, least in (("n_subcarriers", 2), ("n_symbols", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
 
     @property
     def shape(self) -> tuple[int, int]:

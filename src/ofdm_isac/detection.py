@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FrameDims, Scene, Target, complex_normal, steering_vectors, target_cell  # noqa: F401
+from .channel import FrameDims, Scene, Target, check_int, complex_normal, steering_vectors, target_cell  # noqa: F401
 from .constellation import ShapedConstellation, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
 from .metrics import _run_batches
@@ -35,10 +35,8 @@ class CfarConfig:
     pfa: float = 1e-4
 
     def __post_init__(self):
-        if self.guard_cells < 0:
-            raise ValueError(f"guard_cells must be >= 0, got {self.guard_cells}")
-        if self.train_cells < 1:
-            raise ValueError(f"train_cells must be >= 1, got {self.train_cells}")
+        for name, least in (("guard_cells", 0), ("train_cells", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         if not 0.0 < self.pfa < 1.0:
             raise ValueError(f"pfa must lie in (0, 1), got {self.pfa}")
 
@@ -157,8 +155,7 @@ def detection_probability(
             for arm, (gain_sq_cells, chi_cells) in enumerate(tables):
                 terms = (chi_cells[cell] @ weights).view(np.complex128) * gains
                 column = np.add(terms[..., 0], terms[..., 1], out=columns[arm])  # the two targets
-                if xi is not None:
-                    column += xi * np.sqrt(gain_sq_cells[cell].sum(axis=-1))
+                column += xi * np.sqrt(gain_sq_cells[cell].sum(axis=-1))
             del cell
             np.fft.ifft(columns, axis=-1, out=columns)
             columns *= np.sqrt(n / m)

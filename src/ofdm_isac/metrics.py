@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FrameDims, Scene, complex_normal, steering_vectors, target_cell
+from .channel import FrameDims, Scene, check_int, complex_normal, steering_vectors, target_cell
 from .constellation import ChiStats, ShapedConstellation, _cell_tables, _guide_search, chi_stats, moment_abs_pow
 from .constellation import draw_symbols  # noqa: F401 -- stays importable: perfbench/tracing.py wraps it
 from .filtering import FilterKind, dd_transform, point_chi, point_gain
@@ -82,15 +82,6 @@ def pedestal_power(stats: ChiStats, gain_var: float, noise_var: float) -> float:
     return gain_var * stats.var_chi + noise_var * stats.mean_gain_sq
 
 
-def dynamic_range(stats: ChiStats, dims: FrameDims, gain_var: float, noise_var: float) -> float:
-    """Peak-to-pedestal ratio of the expected DD profile.
-
-    It drops the +1 of the exact peak/pedestal ratio: the peak term
-    accumulates NM-fold, so DR >> 1 in any useful regime.
-    """
-    return _ratio(dims.size * gain_var * stats.mean_chi**2, pedestal_power(stats, gain_var, noise_var))
-
-
 def closed_form_metrics(
     c: ShapedConstellation,
     f: FilterKind,
@@ -106,7 +97,7 @@ def closed_form_metrics(
     denom = s.mean_chi_sq + (nm - 1) * s.mean_chi**2
     snr_out = snr_in * _ratio(denom, s.mean_gain_sq)
     islr = _ratio((nm - 1) * s.var_chi, denom)
-    dr = dynamic_range(s, dims, gain_var, noise_var)
+    dr = _ratio(nm * gain_var * s.mean_chi**2, pedestal_power(s, gain_var, noise_var))  # no +1: the peak grows NM-fold
     nmse = _ratio(nm**2, dr) + _ratio((s.mean_chi - 1.0) ** 2, s.mean_chi**2)
     return MetricsReport(mse, snr_out, islr, dr, nmse, "closed-form")
 
@@ -169,8 +160,6 @@ def far_region_mask(dims: FrameDims, scene: Scene) -> np.ndarray:
 
 
 def _batch_plan(trials: int, batch_size: int) -> list[tuple[int, int]]:
-    if trials < 1 or batch_size < 1:
-        raise ValueError(f"trials and batch_size must be >= 1, got {trials} and {batch_size}")
     return [(i, min(batch_size, trials - done)) for i, done in enumerate(range(0, trials, batch_size))]
 
 
@@ -204,10 +193,10 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
                 noise_shape: tuple[int, ...]):
     """Batch ``index``'s target gains, and its draw as ``(frames, u, z)`` blocks of frames whose complex
     array of ``dims`` fits ``block_bytes``, with the bits of drawing the whole batch's uniforms
-    ``(size, N, M)``, then each target's gains, then the noise ``(size, *noise_shape)`` CN(0, noise_var)
-    (``z`` None without noise). The frame kernel draws noise per resource element, ``dims.shape``;
-    detection one value per delay bin, ``(N,)``. The uniforms and gains do not depend on
-    ``noise_shape``. The uniforms come from a second generator on the batch's seed, which the first
+    ``(size, N, M)``, then each target's gains, then the noise ``(size, *noise_shape)`` CN(0, noise_var):
+    every block has its noise, zeros at ``noise_var`` 0. The frame kernel draws noise per resource
+    element, ``dims.shape``; detection one value per delay bin, ``(N,)``. The uniforms and gains do not
+    depend on ``noise_shape``. The uniforms come from a second generator on the batch's seed, which the first
     skips (``random`` takes one 64-bit output per float64). The stream puts every real part of the
     noise before its first imaginary part: those are batch-sized.
     """
@@ -215,14 +204,14 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
     uniforms, rng = np.random.default_rng(seq), np.random.default_rng(seq)
     rng.bit_generator.advance(size * dims.size)
     alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
-    real = rng.standard_normal((size, *noise_shape)) if scene.noise_var > 0 else None
+    real = rng.standard_normal((size, *noise_shape))
     block = max(1, block_bytes // (16 * dims.size))
 
     def blocks():  # binds no block array, so none outlives its block in this frame
         for lo in range(0, size, block):
             frames = slice(lo, min(lo + block, size))
             count = frames.stop - lo
-            yield frames, uniforms.random((count, *dims.shape)), None if real is None else complex_normal(
+            yield frames, uniforms.random((count, *dims.shape)), complex_normal(
                 rng, scene.noise_var, (count, *noise_shape), real[frames])
 
     return alphas, blocks()
@@ -264,8 +253,7 @@ def _frame_chain(dims: FrameDims, scene: Scene, reduce):
                 x = x_cells[cell]
                 y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
                 del x  # not needed by the reducers; freeing it keeps the block's peak memory down
-                if z is not None:
-                    y += z
+                y += z
                 for g_cells, chi_cells in tables:
                     g = g_cells[cell]
                     yield reduce(h, g, chi_cells[cell], y * g)
@@ -289,8 +277,9 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     raises, no thread starts another. Batches add up in plan order, and ``_max`` keys keep the
     maximum.
     """
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    threads = check_int("threads", threads, 1)
+    trials = check_int("trials", trials, 1)
+    seed = check_int("seed", seed, 0)
     for name, items in (("codebooks", codebooks), ("filters", filters)):
         if len(items) == 0:
             raise ValueError(f"{name} must not be empty")
@@ -407,15 +396,16 @@ def empirical_dd_profile(
 
 
 def _identity_sums(h, g, chi, hhat) -> dict:
-    """Per-frame residuals of the exact identities, from the chi FFT and the error FFT."""
+    """Per-frame residuals of the exact identities: the chi FFT and the error FFT against ``_moment_sums``."""
     sqrt_nm = math.sqrt(chi[0].size)
-    diff_energy = _energy(hhat - h)
+    moments = _moment_sums(h, g, chi, hhat)
+    diff_energy = moments["mse"]
     r_energy = _energy(dd_transform(chi))
-    r00 = chi.sum(axis=(1, 2)) / sqrt_nm
-    ident_rhs = ((chi - (r00 / sqrt_nm)[:, None, None]) ** 2).sum(axis=(1, 2))
+    mean_chi = moments["chi_total"] / sqrt_nm / sqrt_nm
+    ident_rhs = ((chi - mean_chi[:, None, None]) ** 2).sum(axis=(1, 2))
     return {
-        "islr_identity_max": np.abs(r_energy - r00**2 - ident_rhs) / r_energy,
-        "parseval_max": np.abs(r_energy - (chi**2).sum(axis=(1, 2))) / r_energy,
+        "islr_identity_max": np.abs(r_energy - moments["r00_sq"] - ident_rhs) / r_energy,
+        "parseval_max": np.abs(r_energy - moments["r_energy"]) / r_energy,
         "dd_unitarity_max": np.abs(diff_energy - _energy(dd_transform(hhat - h))) / np.maximum(diff_energy, 1e-300),
     }
 

@@ -142,6 +142,22 @@ class TestDetectionProbability:
         sigma = np.sqrt(pfa * (1 - pfa) / trials)
         assert abs(pd - pfa) < 3 * sigma
 
+    @pytest.mark.parametrize("doppler_bin, f, snr_db, off_column", [
+        (5.0, MF, 20.0, True), (5.0, RF, 4.0, True), (5.0, wiener(SNR), 4.0, True), (0.0, MF, 20.0, False),
+    ], ids=["off-column-mf-20db", "off-column-rf-4db", "off-column-wf-4db", "on-column-mf-20db"])
+    def test_false_alarms_off_the_strong_targets_column(self, doppler_bin, f, snr_db, off_column):
+        """With the weak target at 1e-30 power, hits are false alarms at its cell. Off the strong target's
+        Doppler column they come at the nominal rate. On it, where signaling makes the pedestal (MF at 20 dB),
+        chi is real, so the pedestal mirrors about the strong bin: cell 24's mirror, bin 40, lies in its
+        training window and raises the threshold, and the rate falls below nominal."""
+        pfa, trials = 1e-2, 10_000
+        scene = Scene((Target(1.0, 0.0, 0.0), Target(1e-30, 24.0, doppler_bin)), 10.0 ** (-snr_db / 10.0))
+        (pd,) = detection_probability(DIMS, scene, (make_uniform("qam", 64),), f, CfarConfig(2, 16, pfa), trials, 3)
+        if off_column:
+            assert abs(pd - pfa) < 4 * math.sqrt(pfa * (1 - pfa) / trials)
+        else:
+            assert pd < pfa
+
     def test_noise_free_rf_always_detects(self):
         scene = Scene((Target(1.0, 0.0, 0.0), Target(0.01, 9.0, 0.0)), 0.0)
         (pd,) = detection_probability(

@@ -130,7 +130,7 @@ def _whole_batch_draw(index, size, scene, seed):
     shape = (size, *DIMS.shape)
     u = rng.random(shape)
     alphas = [complex_normal(rng, t.gain_var, (size,)) for t in scene.targets]
-    return u, alphas, complex_normal(rng, scene.noise_var, shape) if scene.noise_var > 0 else None
+    return u, alphas, complex_normal(rng, scene.noise_var, shape)
 
 
 @pytest.mark.parametrize("batch", [(0, BATCH), (2, TRIALS % BATCH)], ids=["full-batch", "partial-batch"])
@@ -146,10 +146,7 @@ def test_streamed_draw_equals_whole_batch_draw(batch, block, n_targets, noise_va
     frames, u_blocks, z_blocks = zip(*blocks)
     assert [(f.start, f.stop) for f in frames] == [(lo, min(lo + block, size)) for lo in range(0, size, block)]
     assert np.concatenate(u_blocks).tobytes() == u.tobytes()
-    if z is None:
-        assert set(z_blocks) == {None}
-    else:
-        assert np.concatenate(z_blocks).tobytes() == z.tobytes()
+    assert np.concatenate(z_blocks).tobytes() == z.tobytes()  # zeros at noise_var 0
 
 
 @pytest.mark.parametrize("batch", [(0, BATCH), (2, TRIALS % BATCH)], ids=["full-batch", "partial-batch"])
@@ -258,6 +255,45 @@ def test_reduced_verify_report_pinned(tmp_path, threads):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3", "--threads", threads]) == 0
     digest = hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest()
     assert digest == PINNED_VERIFY_SHA256
+
+
+# Noise-free results, recorded where a scene without noise drew no noise at all: drawing it as zeros
+# must leave every bit. Numpy 2.4 on x86-64, as the verify digest above.
+PINNED_NOISE_FREE_PD = (0.93, 0.9333333333333333)
+PINNED_NOISE_FREE_PROFILE_SHA256 = "66872bda1dea1c568c1db144e64e9d982b6be92e19e99a705fcfa9b5937a85ec"
+PINNED_NOISE_FREE_RESIDUALS = [  # (islr_identity, mse_relation, dd_unitarity, parseval) for MF, RF and WF
+    (7.533656238527844e-16, 0.03329720143287483, 3.9853342615405698e-16, 6.344131569286605e-16),
+    (0.0, 1.0, 2.3583116782039247e-16, 0.0),
+    (1.0274180065625934e-15, 0.03147670652674261, 4.380109856976171e-16, 4.621756582780289e-16),
+]
+QUIET_DIMS = FrameDims(16, 16)
+QUIET_TARGET = Target(1.0, 3.4, 5.7)  # off the grid on both axes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_noise_free_detection_pinned(threads):
+    scene = Scene((Target(1, 0, 1), Target(10**-1.3, 6, 3)), 0.0)
+    books = (make_uniform("qam", 16), make_shaped("qam", 16, np.linspace(1, 2, 16)))
+    pds = detection_probability(FrameDims(64, 8), scene, books, MF, CfarConfig(2, 8, 1e-2), 300, 5, threads)
+    assert pds == PINNED_NOISE_FREE_PD
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="digest pinned under numpy 2.4")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_noise_free_wf_profile_pinned(threads):
+    profile = empirical_dd_profile(make_uniform("qam", 16), wiener(100.0), QUIET_DIMS, Scene((QUIET_TARGET,), 0.0),
+                                   300, 4, threads)
+    assert hashlib.sha256(profile.tobytes()).hexdigest() == PINNED_NOISE_FREE_PROFILE_SHA256
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="residuals pinned under numpy 2.4")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_noise_free_identity_residuals_pinned(threads):
+    scene = Scene((QUIET_TARGET, Target(0.5, 9.0, 2.0)), 0.0)
+    reports = identity_checks(make_uniform("qam", 16), (MF, RF, wiener(100.0)), QUIET_DIMS, scene, 300, 6, threads)
+    residuals = [(r.islr_identity_max_rel, r.mse_relation_rel, r.dd_unitarity_max_rel, r.parseval_max_rel)
+                 for r in reports]
+    assert residuals == PINNED_NOISE_FREE_RESIDUALS
 
 
 def _full_map_hits(cfar, weak_cell):

@@ -1,5 +1,6 @@
-"""Bad numbers fail loudly: nan in the library types, a thread count that is not an int >= 1 in the library or
-on the command line, or a negative seed on the command line."""
+"""Bad numbers fail loudly: nan in the library types, a thread count, trial count, seed or frame or window size
+that is not an int at or above its least value in the library, a thread count below one or a negative seed on the
+command line."""
 
 import math
 
@@ -90,19 +91,63 @@ DIMS16 = FrameDims(16, 16)
 SCENE = Scene((Target(1.0, 3.0, 2.0),), 0.5)
 
 
+MONTE_CARLO_RUNS = pytest.mark.parametrize("run", [
+    lambda trials=10, seed=0, threads=1: empirical_metrics(QAM16, MF, DIMS16, SCENE, trials, seed, threads),
+    lambda trials=10, seed=0, threads=1: empirical_dd_profile(QAM16, MF, DIMS16, SCENE, trials, seed, threads),
+    lambda trials=10, seed=0, threads=1: identity_checks(QAM16, (MF,), DIMS16, SCENE, trials, seed, threads),
+    lambda trials=10, seed=0, threads=1: detection_probability(DIMS16, default_tradeoff_scene(0.5), (QAM16,), MF,
+                                                               CfarConfig(1, 4), trials, seed, threads),
+], ids=["empirical_metrics", "empirical_dd_profile", "identity_checks", "detection_probability"])
+
+
 class TestThreadsArgument:
     @pytest.mark.parametrize("threads", [0, -3, 2.5, True], ids=["zero", "negative", "float", "bool"])
-    @pytest.mark.parametrize("run", [
-        lambda threads: empirical_metrics(QAM16, MF, DIMS16, SCENE, 10, 0, threads=threads),
-        lambda threads: empirical_dd_profile(QAM16, MF, DIMS16, SCENE, 10, 0, threads=threads),
-        lambda threads: identity_checks(QAM16, (MF,), DIMS16, SCENE, 10, 0, threads=threads),
-        lambda threads: detection_probability(DIMS16, default_tradeoff_scene(0.5), (QAM16,), MF, CfarConfig(1, 4),
-                                              10, 0, threads=threads),
-    ], ids=["empirical_metrics", "empirical_dd_profile", "identity_checks", "detection_probability"])
+    @MONTE_CARLO_RUNS
     def test_raises_before_the_tables_are_built(self, monkeypatch, run, threads):
         monkeypatch.setattr(metrics, "_cell_tables", lambda *a: pytest.fail("the cell tables were built"))
         with pytest.raises(ValueError, match="threads must be an int >= 1"):
-            run(threads)
+            run(threads=threads)
+
+
+class TestCountArguments:
+    """Trial counts, seeds and frame and window sizes are integers, not bools or fractions, at or above a least
+    value; numpy integers pass."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 0), ("trials", True), ("trials", 2.5), ("trials", 300.0),
+        ("seed", -1), ("seed", True), ("seed", 1.5),
+    ])
+    @MONTE_CARLO_RUNS
+    def test_raises_before_the_tables_are_built(self, monkeypatch, run, name, value):
+        monkeypatch.setattr(metrics, "_cell_tables", lambda *a: pytest.fail("the cell tables were built"))
+        least = {"trials": 1, "seed": 0}[name]
+        with pytest.raises(ValueError, match=f"{name} must be an int >= {least}"):
+            run(**{name: value})
+
+    @MONTE_CARLO_RUNS
+    def test_numpy_integers_pass(self, run):
+        run(trials=np.int64(3), seed=np.uint32(2), threads=np.int8(2))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FrameDims(16.5, 8), "n_subcarriers must be an int >= 2"),
+        (lambda: FrameDims(1, 8), "n_subcarriers must be an int >= 2"),
+        (lambda: FrameDims(16, True), "n_symbols must be an int >= 1"),
+        (lambda: FrameDims(16, 8.0), "n_symbols must be an int >= 1"),
+        (lambda: CfarConfig(2.5, 16), "guard_cells must be an int >= 0"),
+        (lambda: CfarConfig(-1, 16), "guard_cells must be an int >= 0"),
+        (lambda: CfarConfig(2, True), "train_cells must be an int >= 1"),
+        (lambda: CfarConfig(2, 0), "train_cells must be an int >= 1"),
+    ], ids=["dims-fractional-n", "dims-n-below-2", "dims-bool-m", "dims-float-m", "cfar-fractional-guard",
+            "cfar-negative-guard", "cfar-bool-train", "cfar-zero-train"])
+    def test_dataclasses_reject(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_dataclasses_store_numpy_integers_as_ints(self):
+        dims, cfar = FrameDims(np.int64(16), np.int32(16)), CfarConfig(np.int64(2), np.int16(16))
+        assert [type(v) for v in (dims.n_subcarriers, dims.n_symbols, cfar.guard_cells, cfar.train_cells)] == [int] * 4
+        # numpy's PCG64.advance, which skips a batch's uniforms, takes no numpy integer product of the frame size
+        assert empirical_dd_profile(QAM16, MF, dims, SCENE, 3, 0).shape == (16, 16)
 
 
 class TestSeedFlag:
