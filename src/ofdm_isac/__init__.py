@@ -14,7 +14,7 @@ from .constellation import (
     moment_abs_pow,
     save_codebook,
 )
-from .detection import CfarConfig, ca_cfar_1d, detection_probability
+from .detection import CfarConfig, cfar_thresholds, detection_probability
 from .filtering import MF, RF, FilterKind, FilterType, wiener
 from .metrics import (
     IdentityReport,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channel import complex_normal
+from .channel import check_int, complex_normal
 from .constellation import ShapedConstellation, draw_symbols
 
 _CHUNK = 20_000
@@ -145,9 +145,8 @@ def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000,
     Draws ``samples`` outputs y = h*x + n with x ~ p(x) from ``seed``, then
     averages -log2 sum_x p(y|h,x) p(x) and subtracts the Gaussian noise entropy.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
+    samples = check_int("samples", samples, 1)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     var = cfg.comm_noise_var
     h = complex(cfg.channel_gain)
     log_p = np.log(np.clip(c.probs, 1e-300, None))

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import check_int
 from .filtering import FilterKind, point_chi, point_gain
 
 SIMPLEX_TOL = 1e-12
@@ -142,22 +143,12 @@ def chi_stats(c: ShapedConstellation, f: FilterKind) -> ChiStats:
     return ChiStats(mean_chi, mean_chi_sq, var_chi, mean_gain_sq)
 
 
-def symbol_index(c: ShapedConstellation, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF point indices of uniforms ``u``: min(searchsorted(cumsum(p), u, 'right'), Q-1)."""
-    cut = _cdf_cuts(c)
-    return _guide_search(cut, _guide_table(cut), u)
-
-
-def _cdf_cuts(c: ShapedConstellation) -> np.ndarray:
-    """cumsum(p) with the last cut at inf: the clip to Q-1, as the last point takes every u past the others."""
-    return np.append(np.cumsum(c.probs)[:-1], np.inf)
-
-
 def _cell_tables(books) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Cells of [0, 1) cut at every codebook's CDF cuts, their guide table, and each codebook's point
-    index per cell: ``table[_guide_search(cuts, guide, u)]`` equals ``symbol_index(c, u)`` for every
-    codebook, from one search."""
-    book_cuts = [_cdf_cuts(c) for c in books]
+    index per cell: ``table[_guide_search(cuts, guide, u)]`` is the inverse-CDF index
+    min(searchsorted(cumsum(p), u, 'right'), Q-1) for every codebook, from one search."""
+    # a codebook's last cut is inf, not its sum: the clip to Q-1, as the last point takes every u past the others
+    book_cuts = [np.append(np.cumsum(c.probs)[:-1], np.inf) for c in books]
     cuts = np.unique(np.concatenate(book_cuts))
     lowest = np.concatenate(([-np.inf], cuts[:-1]))  # each cell's least u
     return cuts, _guide_table(cuts), [np.searchsorted(cut, lowest, side="right") for cut in book_cuts]
@@ -185,8 +176,9 @@ def _guide_search(cut: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 def draw_symbols(c: ShapedConstellation, rng: np.random.Generator, shape) -> np.ndarray:
-    """Point indices of ``shape`` fresh uniforms, mapped by ``symbol_index``."""
-    return symbol_index(c, rng.random(shape))
+    """Inverse-CDF point indices of ``shape`` fresh uniforms, by the chains' one cell search."""
+    cuts, guide, (table,) = _cell_tables((c,))
+    return table[_guide_search(cuts, guide, rng.random(shape))]
 
 
 def save_codebook(
@@ -215,8 +207,10 @@ def save_codebook(
 def load_codebook(path: str | Path) -> tuple[ShapedConstellation, dict]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"codebook must be a JSON object, got {type(data).__name__}")
     try:
-        c = make_shaped(data["family"], int(data["order"]), data["probs"])
+        c = make_shaped(data["family"], check_int("order", data["order"], 1), data["probs"])
     except KeyError as exc:
         raise ValueError(f"codebook missing field {exc}") from exc
     meta = {k: data.get(k) for k in ("snr_in", "filter", "c0", "provenance")}

@@ -55,7 +55,8 @@ def _check_window(n: int, cfg: CfarConfig) -> int:
 
 
 def cfar_thresholds(profiles: np.ndarray, cfg: CfarConfig) -> np.ndarray:
-    """Per-cell thresholds with circular windows; operates on the last axis."""
+    """Per-cell CA-CFAR thresholds with circular windows on the last axis: the detector's one rule is
+    ``profiles > cfar_thresholds(profiles, cfg)``."""
     profiles = np.asarray(profiles, dtype=np.float64)
     n = profiles.shape[-1]
     span = _check_window(n, cfg)
@@ -73,18 +74,6 @@ def cfar_thresholds(profiles: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     noise = runs[..., :n] + runs[..., right : right + n]
     noise /= 2 * cfg.train_cells
     return np.multiply(noise, cfar_threshold_factor(2 * cfg.train_cells, cfg.pfa), out=noise)
-
-
-def ca_cfar_1d(profile, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Detect cells whose power exceeds the local CA threshold.
-
-    Returns (detected indices, per-cell thresholds).
-    """
-    profile = np.asarray(profile, dtype=np.float64)
-    if profile.ndim != 1:
-        raise ValueError(f"profile must be 1-D, got shape {profile.shape}")
-    thresholds = cfar_thresholds(profile, cfg)
-    return np.flatnonzero(profile > thresholds), thresholds
 
 
 def detection_cell(dims: FrameDims, scene: Scene) -> tuple[int, int]:

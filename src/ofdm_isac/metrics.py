@@ -369,6 +369,7 @@ def empirical_metrics(
     nm = dims.size
     chain = _frame_chain(dims, scene, lambda *frame: {**_moment_sums(*frame), **_dd_power(*frame)})
     (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, chain)
+    trials, seed = int(trials), int(seed)  # the counts _run_batches checked, as the Python ints a report holds
     mse = sums["mse"] / trials
     mean_r00_sq = sums["r00_sq"] / trials
     mean_g_energy = sums["g_energy"] / trials
@@ -434,6 +435,7 @@ def identity_checks(
     set, and each report equals that of a call on that filter alone.
     """
     moments = _run_batches((c,), filters, dims, scene, trials, seed, threads, _frame_chain(dims, scene, _moment_sums))
+    trials, seed = int(trials), int(seed)  # the counts _run_batches checked, as the Python ints a report holds
     identities = _run_batches((c,), filters, dims, scene, min(trials, DEFAULT_BATCH), seed, threads,
                               _frame_chain(dims, scene, _identity_sums))
     reports = []

@@ -40,7 +40,7 @@ from .air import (  # noqa: F401
 )
 # bound as ``logsumexp``: perfbench/tracing.py wraps pcs.logsumexp as the posterior span
 from .air import row_logsumexp as logsumexp
-from .channel import FrameDims, complex_normal  # noqa: F401
+from .channel import FrameDims, check_int, complex_normal  # noqa: F401
 from .constellation import Family, make_shaped, make_uniform
 from .filtering import RF_MIN_MODULUS, FilterKind, FilterType, point_chi, point_gain
 from .metrics import closed_form_metrics
@@ -83,8 +83,7 @@ class PcsConfig:
             raise ValueError("solver requires noise_var > 0 (finite input SNR)")
         if not self.gain_var > 0:
             raise ValueError(f"gain_var must be > 0, got {self.gain_var}")
-        if self.max_outer_iters < 1:
-            raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        object.__setattr__(self, "max_outer_iters", check_int("max_outer_iters", self.max_outer_iters, 1))
         if math.isnan(self.c0):  # an infinite budget is clamped, with a warning, by the solve
             raise ValueError("c0 must be a number, got nan")
 
@@ -94,10 +93,8 @@ class PcsSolution:
     probs: np.ndarray
     air_bits: float
     sensing_mse: float
-    lambda1: float
-    lambda2: float
     outer_iters: int
-    trace_rows: list[tuple]  # (iter, objective, mse, power, lambda1, lambda2) per iteration
+    trace_rows: list[tuple]  # (iter, objective, mse, power, lambda1, lambda2) per iteration; the last row's are final
     c0_effective: float
     converged: bool
 
@@ -254,8 +251,8 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     ||p_next - p||^2 = sum_O (P_next(O) - P(O))^2 / |O| <= tol or after
     max_outer_iters. The returned distribution satisfies the simplex exactly,
     and the unit-power constraint and sensing_mse <= c0_effective (equality when
-    lambda1 > 0) to a relative 1e-13. The bank and the work table are freed
-    before the AIR quadrature runs.
+    the last trace row's lambda1 > 0) to a relative 1e-13. The bank and the work
+    table are freed before the AIR quadrature runs.
     """
     points = make_uniform(cfg.family, cfg.order).points
     snr_in = cfg.gain_var / cfg.noise_var
@@ -277,9 +274,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     work = np.empty_like(ll)  # ll + log p, overwritten by each posterior step
     mass = sizes / cfg.order
     rows: list[tuple] = []
-    l1 = l2 = 0.0
     converged = False
-    iters = 0
     for iters in range(1, cfg.max_outer_iters + 1):
         logp = np.log(np.clip(mass / sizes, P_FLOOR, None))[orbit_of]
         lse = logsumexp(np.add(ll, logp, out=work))
@@ -306,8 +301,6 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
         probs=p,
         air_bits=air_bits,
         sensing_mse=scale * float(mass @ fpen),
-        lambda1=l1,
-        lambda2=l2,
         outer_iters=iters,
         trace_rows=rows,
         c0_effective=c0_eff,

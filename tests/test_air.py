@@ -86,6 +86,15 @@ class TestAirEstimate:
         ratio = np.std(small) / np.std(large)
         assert 1.2 < ratio < 3.3  # ~2 expected for a 4x sample increase
 
+    @pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="bits pinned under numpy 2.4")
+    @pytest.mark.parametrize("c, noise_var, samples, seed, bits", [
+        (make_uniform("qam", 64), 0.02, 50_000, 3, 5.223756145756087),
+        (make_shaped("qam", 16, np.r_[np.zeros(3), np.linspace(0, 1, 13)]), 0.1, 30_000, 1, 2.569873745409919),
+    ], ids=["uniform-qam64", "shaped-qam16"])
+    def test_pinned(self, c, noise_var, samples, seed, bits):
+        """Bits taken when the draw had its own inverse-CDF search: the chains' cell search draws the same symbols."""
+        assert air_estimate(c, AirConfig(noise_var), samples=samples, seed=seed) == bits
+
 
 class TestAirQuadrature:
     def test_bpsk_matches_gauss_hermite(self):

@@ -21,7 +21,6 @@ from ofdm_isac.constellation import (
     make_uniform,
     moment_abs_pow,
     save_codebook,
-    symbol_index,
 )
 from ofdm_isac.filtering import MF, RF, wiener
 
@@ -290,10 +289,10 @@ class TestSymbolIndex:
     @example(weights=[1.0] * 49, seed=0, shape=(4, 64))  # cumsum ends just above 1
     @example(weights=[0.0, 1.0, 0.0, 0.0], seed=1, shape=(200,))  # zero-probability points at both ends
     def test_uniforms_then_index_is_the_draw(self, weights, seed, shape):
-        """A shared draw maps its uniforms to exactly the indices draw_symbols gives on that stream."""
+        """draw_symbols gives, in the requested shape, the definition's index of each uniform of its stream."""
         c = circle(weights)
-        got = symbol_index(c, np.random.default_rng(seed).random(shape))
-        want = draw_symbols(c, np.random.default_rng(seed), shape)
+        got = draw_symbols(c, np.random.default_rng(seed), shape)
+        want = searchsorted_draw(c, np.random.default_rng(seed).random(shape))
         assert got.shape == want.shape == shape
         np.testing.assert_array_equal(got, want)
 
@@ -325,7 +324,8 @@ class TestCellSearch:
     @example(laws=[[1.0] * 49], seed=0)  # cumsum ends just above 1
     @example(laws=[[0.0, 1.0, 1e-300, 0.0], [1.0, 1e-300, 0.0, 1.0], [0.0, 1.0, 1e-300, 0.0]], seed=1)
     def test_one_search_gives_each_laws_index(self, laws, seed):
-        """One guide-table search over every law's cuts, then a per-law cell table, equals symbol_index."""
+        """One guide-table search over every law's cuts, then a per-law cell table, gives each law's
+        inverse-CDF index min(searchsorted(cumsum(p), u, 'right'), Q-1)."""
         books = [circle(weights) for weights in laws]
         cut = np.concatenate([np.cumsum(c.probs) for c in books])
         u = np.concatenate([cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf), [0.0, 1.0 - 2.0**-53]])
@@ -333,4 +333,4 @@ class TestCellSearch:
         cuts, guide, tables = _cell_tables(books)
         cell = _guide_search(cuts, guide, u)
         for c, table in zip(books, tables):
-            np.testing.assert_array_equal(table[cell], symbol_index(c, u))
+            np.testing.assert_array_equal(table[cell], searchsorted_draw(c, u))

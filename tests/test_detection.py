@@ -15,7 +15,6 @@ from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_uniform
 from ofdm_isac.detection import (
     CfarConfig,
-    ca_cfar_1d,
     cfar_threshold_factor,
     cfar_thresholds,
     default_tradeoff_scene,
@@ -28,23 +27,29 @@ DIMS = FrameDims(64, 32)
 SNR = 10.0**0.4
 
 
+def detect(profile, cfg):
+    """The detector's rule: the cells whose power exceeds their CA-CFAR threshold, and the thresholds."""
+    thresholds = cfar_thresholds(profile, cfg)
+    return np.flatnonzero(profile > thresholds), thresholds
+
+
 class TestCaCfar:
     def test_all_zero_profile(self):
-        det, thr = ca_cfar_1d(np.zeros(128), CfarConfig(2, 8, 1e-3))
+        det, thr = detect(np.zeros(128), CfarConfig(2, 8, 1e-3))
         assert det.size == 0
 
     def test_single_spike_detected(self):
         rng = np.random.default_rng(0)
         profile = rng.exponential(1.0, 256)
         profile[100] = 1e6 * profile.mean()
-        det, _ = ca_cfar_1d(profile, CfarConfig(2, 8, 1e-3))
+        det, _ = detect(profile, CfarConfig(2, 8, 1e-3))
         assert 100 in det
 
     def test_false_alarm_calibration(self):
         rng = np.random.default_rng(1)
         profile = rng.exponential(1.0, 1_000_000)
         pfa = 1e-2
-        det, _ = ca_cfar_1d(profile, CfarConfig(2, 16, pfa))
+        det, _ = detect(profile, CfarConfig(2, 16, pfa))
         rate = det.size / profile.size
         assert pfa / 1.5 < rate < pfa * 1.5
 
@@ -52,8 +57,8 @@ class TestCaCfar:
         rng = np.random.default_rng(2)
         profile = rng.exponential(1.0, 512)
         cfg = CfarConfig(3, 10, 1e-2)
-        det1, thr1 = ca_cfar_1d(profile, cfg)
-        det2, thr2 = ca_cfar_1d(7.5 * profile, cfg)
+        det1, thr1 = detect(profile, cfg)
+        det2, thr2 = detect(7.5 * profile, cfg)
         np.testing.assert_allclose(thr2, 7.5 * thr1, rtol=1e-12)
         np.testing.assert_array_equal(det1, det2)
 
@@ -61,13 +66,13 @@ class TestCaCfar:
         rng = np.random.default_rng(3)
         profile = rng.exponential(1.0, 2048)
         profile[[50, 700]] = 40.0
-        loose, _ = ca_cfar_1d(profile, CfarConfig(2, 8, 1e-2))
-        tight, _ = ca_cfar_1d(profile, CfarConfig(2, 8, 1e-4))
+        loose, _ = detect(profile, CfarConfig(2, 8, 1e-2))
+        tight, _ = detect(profile, CfarConfig(2, 8, 1e-4))
         assert set(tight).issubset(set(loose))
 
     def test_profile_too_short(self):
         with pytest.raises(ValueError, match="must exceed"):
-            ca_cfar_1d(np.ones(36), CfarConfig(2, 16, 1e-3))
+            cfar_thresholds(np.ones(36), CfarConfig(2, 16, 1e-3))
 
     @pytest.mark.parametrize("guard, train", [(2, 16), (0, 1), (3, 5)])
     def test_thresholds_match_window_filters(self, guard, train):

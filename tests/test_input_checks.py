@@ -2,16 +2,18 @@
 that is not an int at or above its least value in the library, a thread count below one or a negative seed on the
 command line."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ofdm_isac import metrics
-from ofdm_isac.air import AirConfig
+from ofdm_isac.air import AirConfig, air_estimate
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.cli import main
-from ofdm_isac.constellation import make_uniform
+from ofdm_isac.constellation import load_codebook, make_uniform
 from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
 from ofdm_isac.filtering import MF, FilterKind, FilterType, wiener
 from ofdm_isac.metrics import empirical_dd_profile, empirical_metrics, identity_checks
@@ -148,6 +150,33 @@ class TestCountArguments:
         assert [type(v) for v in (dims.n_subcarriers, dims.n_symbols, cfar.guard_cells, cfar.train_cells)] == [int] * 4
         # numpy's PCG64.advance, which skips a batch's uniforms, takes no numpy integer product of the frame size
         assert empirical_dd_profile(QAM16, MF, dims, SCENE, 3, 0).shape == (16, 16)
+
+    def test_reports_hold_python_ints(self):
+        """Reports hold the counts as Python ints, so they serialize as JSON whatever integers the caller passed."""
+        reports = (empirical_metrics(QAM16, MF, DIMS16, SCENE, np.int64(3), np.int64(1)),
+                   *identity_checks(QAM16, (MF,), DIMS16, SCENE, np.int64(3), np.uint32(1)))
+        for report in reports:
+            assert (type(report.trials), type(report.seed)) == (int, int)
+            assert json.loads(json.dumps(dataclasses.asdict(report)))["trials"] == 3
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda path: _pcs_config(max_outer_iters=True), "max_outer_iters must be an int >= 1"),
+        (lambda path: _pcs_config(max_outer_iters=2.5), "max_outer_iters must be an int >= 1"),
+        (lambda path: load_codebook(_json_file(path, {"family": "qam", "order": 16.9, "probs": [1.0] * 16})),
+         "order must be an int >= 1"),
+        (lambda path: load_codebook(_json_file(path, ["qam", 16])), "codebook must be a JSON object"),
+        (lambda path: air_estimate(QAM16, AirConfig(0.1), samples=True), "samples must be an int >= 1"),
+        (lambda path: air_estimate(QAM16, AirConfig(0.1), samples=100, seed=True), "seed must be an int >= 0"),
+    ], ids=["pcs-bool-iters", "pcs-fractional-iters", "codebook-fractional-order", "codebook-list",
+            "air-bool-samples", "air-bool-seed"])
+    def test_library_counts_reject(self, tmp_path, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(tmp_path / "codebook.json")
+
+
+def _json_file(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
 
 
 class TestSeedFlag:

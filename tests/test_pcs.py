@@ -163,7 +163,7 @@ class TestSolver:
             sol = mba_solve(quick_cfg(filt, hi, family="psk", order=8))
             tv = 0.5 * float(np.abs(sol.probs - 1.0 / 8).sum())
             assert tv < 0.03
-            assert sol.lambda1 == 0.0
+            assert sol.trace_rows[-1][4] == 0.0
 
     @pytest.mark.parametrize(
         "filt, fraction, family, order",
@@ -192,14 +192,14 @@ class TestSolver:
         assert np.all(sol.probs >= 0)
         assert abs(float(sol.probs @ energy) - 1.0) <= 1e-12
         assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-12)
-        if sol.lambda1 > 0:
+        if sol.trace_rows[-1][4] > 0:
             assert abs(sol.sensing_mse / sol.c0_effective - 1.0) <= 1e-12
         # the update runs on the orbit masses P(O), with t + log|O| and each representative's features
         reps, sizes, orbit_of = symmetry_orbits(points, COMM.channel_gain)
         (t_orbit, fpen, energy_rep, budget_norm), (mass, l1, l2) = steps[-1]
         np.testing.assert_array_equal(fpen, penalty_f(points[reps], filt, SNR))
         np.testing.assert_array_equal(energy_rep, energy[reps])
-        assert (l1, l2) == (sol.lambda1, sol.lambda2)
+        assert (l1, l2) == sol.trace_rows[-1][4:6]
         np.testing.assert_array_equal(sol.probs, (mass / sizes)[orbit_of])
         # complementary slackness: l1 = 0 exactly when the power-only law meets the budget
         power_only = _softmax(t_orbit - _power_multiplier(t_orbit, energy_rep) * energy_rep)
@@ -214,11 +214,12 @@ class TestSolver:
         exact = mba_solve(cfg)
         monkeypatch.setattr(pcs, "penalty_f", lambda points, f, snr: snr * (np.abs(points) ** 4 - 1.0) + 1.0)
         unit_power = mba_solve(cfg)
-        assert exact.lambda1 > 0 and exact.outer_iters == unit_power.outer_iters
+        (l1, l2), (unit_l1, unit_l2) = exact.trace_rows[-1][4:6], unit_power.trace_rows[-1][4:6]
+        assert l1 > 0 and exact.outer_iters == unit_power.outer_iters
         np.testing.assert_allclose(exact.probs, unit_power.probs, rtol=0.0, atol=1e-15)
         assert abs(exact.air_bits - unit_power.air_bits) <= 1e-14
-        assert exact.lambda1 == pytest.approx(unit_power.lambda1, rel=1e-12)
-        assert exact.lambda2 == pytest.approx(unit_power.lambda2 - unit_power.lambda1 * (1.0 - 2.0 * SNR), abs=1e-12)
+        assert l1 == pytest.approx(unit_l1, rel=1e-12)
+        assert l2 == pytest.approx(unit_l2 - unit_l1 * (1.0 - 2.0 * SNR), abs=1e-12)
 
     def test_multiplier_step_at_the_alphabet_floor(self):
         """A budget just above the LP floor is met with equality; one below it raises with diagnostics."""
