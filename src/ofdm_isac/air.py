@@ -1,4 +1,4 @@
-"""Achievable information rate of a shaped alphabet over a per-subcarrier AWGN channel.
+"""Achievable information rate of a shaped alphabet over a per-subcarrier AWGN channel y = x + n.
 
 The output entropy has no closed form (Gaussian mixture), so the expectation of
 the log-sum-exp stabilized mixture likelihood is computed two ways:
@@ -15,7 +15,6 @@ the log-sum-exp stabilized mixture likelihood is computed two ways:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,16 +35,13 @@ LL_CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class AirConfig:
-    """The communication channel y = h x + n, n ~ CN(0, comm_noise_var), of the AIR."""
+    """The AIR's channel y = x + n, n ~ CN(0, comm_noise_var); y = h x + n' is comm_noise_var = var(n') / |h|^2."""
 
     comm_noise_var: float
-    channel_gain: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not self.comm_noise_var > 0:  # also rejects nan
-            raise ValueError(f"comm_noise_var must be > 0, got {self.comm_noise_var}")
-        if not cmath.isfinite(self.channel_gain):
-            raise ValueError(f"channel_gain must be finite, got {self.channel_gain}")
+        if not 0 < self.comm_noise_var < math.inf:  # also rejects nan
+            raise ValueError(f"comm_noise_var must be finite and > 0, got {self.comm_noise_var}")
 
 
 def row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -78,7 +74,7 @@ def row_logsumexp(a: np.ndarray) -> np.ndarray:
 def log_likelihood_table(y: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
     """-|y_i - c_k|^2 / var for outputs y (rows) and centers c (columns).
 
-    ln p(y|x) of CN(h x, var) up to its constant, with ``centers = h x``. The
+    ln p(y|x) of CN(x, var) up to its constant, with ``centers = x``. The
     rows are filled in chunks whose complex differences fit in
     ``LL_CHUNK_BYTES``, so no complex temporary of the table's size exists;
     each entry is computed alone, so the chunking does not change its bits.
@@ -106,28 +102,23 @@ def gauss_hermite_outputs(centers: np.ndarray, var: float, nodes: int) -> tuple[
     return (centers[:, None] + noise[None, :]).ravel(), node_w
 
 
-def symmetry_orbits(points: np.ndarray, gain: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of the alphabet under the maps of the square's group D4 that leave the channel y = h x + n alone.
+def symmetry_orbits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the alphabet under the maps of the square's group D4 that permute it.
 
-    A map is kept when it permutes ``points`` (to 1e-9 of the largest modulus)
-    and the Gauss-Hermite noise grid, which is D4-invariant, stays invariant
-    under the output map it induces: the rotations x -> j^k x always (y -> j^k y),
-    the reflections x -> j^k conj(x) only when h / conj(h) is a power of j, that
-    is when h is real, imaginary or on a diagonal (y -> j^k (h / conj(h)) conj(y)).
-    Every kept map preserves |x|, and every log-likelihood |y - h x'|^2 up to a
-    relabelling of x', so the AIR and the shaping problem's optimum are constant
-    on each orbit (Kschischang & Pasupathy, IEEE T-IT 1993).
+    Of the eight maps x -> j^k x and x -> j^k conj(x), those that permute
+    ``points`` (to 1e-9 of the largest modulus) are kept. Each leaves the
+    channel y = x + n and its D4-invariant Gauss-Hermite noise grid alone, under
+    the same map of y. Every kept map preserves |x|, and every log-likelihood
+    |y - x'|^2 up to a relabelling of x', so the AIR and the shaping problem's
+    optimum are constant on each orbit (Kschischang & Pasupathy, IEEE T-IT 1993).
 
     Returns ``reps``, the smallest point index of each orbit (ascending),
     ``sizes``, each orbit's point count, and ``orbit_of``, each point's orbit:
     ``points[reps[orbit_of[i]]]`` is the representative of point ``i``.
     """
     points = np.asarray(points, dtype=complex)
-    h = complex(gain)
-    maps = [points, 1j * points, -points, -1j * points]
-    if h.real * h.imag == 0.0 or abs(h.real) == abs(h.imag):
-        conj = points.conj()
-        maps += [conj, 1j * conj, -conj, -1j * conj]
+    conj = points.conj()
+    maps = [points, 1j * points, -points, -1j * points, conj, 1j * conj, -conj, -1j * conj]
     tol = 1e-9 * float(np.abs(points).max())
     lowest = np.arange(points.size)
     for image in maps:
@@ -142,24 +133,22 @@ def symmetry_orbits(points: np.ndarray, gain: complex) -> tuple[np.ndarray, np.n
 def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000, seed: int = 0) -> float:
     """Per-symbol mutual information in bits, clamped to [0, H(p)].
 
-    Draws ``samples`` outputs y = h*x + n with x ~ p(x) from ``seed``, then
-    averages -log2 sum_x p(y|h,x) p(x) and subtracts the Gaussian noise entropy.
+    Draws ``samples`` outputs y = x + n with x ~ p(x) from ``seed``, then
+    averages -log2 sum_x p(y|x) p(x) and subtracts the Gaussian noise entropy.
     """
     samples = check_int("samples", samples, 1)
     rng = np.random.default_rng(check_int("seed", seed, 0))
     var = cfg.comm_noise_var
-    h = complex(cfg.channel_gain)
     log_p = np.log(np.clip(c.probs, 1e-300, None))
-    centers = h * c.points
 
-    # E[ln sum_x p(x) exp(-|y - h x|^2 / var)] accumulated in chunks
+    # E[ln sum_x p(x) exp(-|y - x|^2 / var)] accumulated in chunks
     lse_total = 0.0
     remaining = samples
     while remaining > 0:
         size = min(_CHUNK, remaining)
         x = c.points[draw_symbols(c, rng, size)]
-        y = h * x + complex_normal(rng, var, size)
-        sq_dist = np.abs(y[:, None] - centers[None, :]) ** 2
+        y = x + complex_normal(rng, var, size)
+        sq_dist = np.abs(y[:, None] - c.points[None, :]) ** 2
         lse_total += float(logsumexp(log_p[None, :] - sq_dist / var, axis=1).sum())
         remaining -= size
 
@@ -171,7 +160,7 @@ def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000,
 def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     """Per-symbol mutual information in bits by Gauss-Hermite quadrature, clamped to [0, H(p)].
 
-    E[ln sum_x' p(x') exp(-|y - h x'|^2 / var)] with y = h x + n is summed over
+    E[ln sum_x' p(x') exp(-|y - x'|^2 / var)] with y = x + n is summed over
     the GH_NODES x GH_NODES ``gauss_hermite_outputs`` nodes of one representative
     x of each ``symmetry_orbits`` class O with P(O) = |O| p(x) > 0, weighted by
     P(O): the inner sum is the same at every point of an orbit. A law that is
@@ -179,16 +168,15 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     the sum over every point with p(x) > 0. Deterministic: it draws nothing.
     """
     var = cfg.comm_noise_var
-    h = complex(cfg.channel_gain)
-    reps, sizes, orbit_of = symmetry_orbits(c.points, h)
+    reps, sizes, orbit_of = symmetry_orbits(c.points)
     if not np.array_equal(c.probs, c.probs[reps][orbit_of]):
         reps, sizes = np.arange(c.order), np.ones(c.order)
     mass = sizes * c.probs[reps]
     reps, mass = reps[mass > 0], mass[mass > 0]
     keep = c.probs > 0
     log_p = np.log(c.probs[keep])
-    centers = h * c.points[keep]
-    y, node_w = gauss_hermite_outputs(h * c.points[reps], var, GH_NODES)
+    centers = c.points[keep]
+    y, node_w = gauss_hermite_outputs(c.points[reps], var, GH_NODES)
     row_w = (mass[:, None] * node_w[None, :]).ravel()
 
     mean_lse = 0.0

@@ -55,8 +55,8 @@ class Target:
     doppler_bin: float
 
     def __post_init__(self):
-        if not self.gain_var >= 0:  # also rejects nan
-            raise ValueError(f"gain_var must be >= 0, got {self.gain_var}")
+        if not 0 <= self.gain_var < math.inf:  # also rejects nan
+            raise ValueError(f"gain_var must be finite and >= 0, got {self.gain_var}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if not self.noise_var >= 0:  # also rejects nan
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
+        if not 0 <= self.noise_var < math.inf:  # also rejects nan
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
 
     @property
     def total_gain_var(self) -> float:

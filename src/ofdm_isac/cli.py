@@ -67,9 +67,9 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _count(value, least: int = 1) -> int:
-    if (n := _integer(value)) < least:
-        raise ValueError(f"must be >= {least}, got {n}")
+def _count(value) -> int:
+    if (n := _integer(value)) < 1:
+        raise ValueError(f"must be >= 1, got {n}")
     return n
 
 
@@ -148,9 +148,8 @@ def _codebook(v: dict) -> ShapedConstellation:
 
 def _problem(v: dict, c0: float) -> PcsConfig:
     """The shaping problem that the solver fields describe, at budget ``c0``."""
-    comm = AirConfig(v["comm.noise_var"], complex(v["comm.channel_gain_re"], v["comm.channel_gain_im"]))
-    return PcsConfig(v["family"], v["order"], v["filt"], v["dims"], v["gain_var"], v["noise_var"], comm, c0,
-                     tol=v["tol"], max_outer_iters=v["max_outer_iters"])
+    return PcsConfig(v["family"], v["order"], v["filt"], v["dims"], v["gain_var"], v["noise_var"],
+                     AirConfig(v["comm.noise_var"]), c0, tol=v["tol"], max_outer_iters=v["max_outer_iters"])
 
 
 def _defaults(obj) -> dict:
@@ -177,15 +176,12 @@ _LINK = {  # input SNR, target gain and the receive filter they set
     "noise_var": _Derived("gain_var", lambda v: _positive(v["gain_var"] / v["snr"])),
     "filt": _Derived("filter", lambda v: _filter_kind(v["filter"], v["snr"])),
 }
-_SEED = {"master_seed": (0, lambda seed: _count(seed, least=0))}
 _SOLVE = {
     **_ALPHABET,
     **_FRAME,
     **_LINK,
     "filter": ("wf", str),
     "comm.noise_var": (0.1, _positive),
-    "comm.channel_gain_re": (_defaults(AirConfig)["channel_gain"].real, _finite),
-    "comm.channel_gain_im": (_defaults(AirConfig)["channel_gain"].imag, _finite),
     "comm.mc_samples": _UNUSED,
     "bank_samples_per_point": _UNUSED,
     "tol": (_defaults(PcsConfig)["tol"], _positive),
@@ -201,7 +197,6 @@ _TABLES: dict[str, dict] = {
         **_FRAME,
         "snr_in_db": _LINK["snr_in_db"],
         "trials": (_VERIFY["trials"], _count),
-        **_SEED,
     },
     "dr-sweep": {
         **_ALPHABET,
@@ -224,7 +219,6 @@ _TABLES: dict[str, dict] = {
         # the target must lie inside every frame, checked before the first frame's Monte Carlo
         "target": _Derived("target", lambda v: [steering_vectors(dims, Target(
             v["gain_var"], v["target.delay_bin"], v["target.doppler_bin"])) for dims in v["dims_list"]]),
-        **_SEED,
     },
     "pcs": {**_SOLVE, "c0": (None, _finite), "c0_fraction": (1.0, _finite)},
     "tradeoff": {
@@ -240,7 +234,6 @@ _TABLES: dict[str, dict] = {
         "detection.cfar.pfa": (_defaults(CfarConfig)["pfa"], _finite),
         "cfar": _Derived("detection.cfar", _cfar),
         "scene": _Derived("detection.weak_delay_bin", _detection_scene),
-        **_SEED,
     },
     "codebook": {**_ALPHABET, "probs_file": (None, str), "codebook": _Derived("probs_file", _codebook)},
 }
@@ -353,7 +346,7 @@ def _db(x: float) -> float:
 
 def _cmd_verify(args, v: dict) -> int:
     checks = run_verification(dims=v["dims"], order=v["order"], snr_in_db=v["snr_in_db"], trials=v["trials"],
-                              seed=v["master_seed"], threads=args.threads)
+                              seed=args.seed, threads=args.threads)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: residual={check.residual:.3e} tol={check.tolerance:.1e}")
@@ -392,7 +385,7 @@ def _cmd_profiles(args, v: dict) -> int:
     c, f, trials = v["alphabet"], v["filt"], v["trials"]
     gain_var, noise_var = v["gain_var"], v["noise_var"]
     delay_bin, doppler_bin = v["target.delay_bin"], v["target.doppler_bin"]
-    seed = _derived_seeds(v["master_seed"])[0]
+    seed = _derived_seeds(args.seed)[0]
     for dims in v["dims_list"]:
         scene = Scene((Target(gain_var, delay_bin, doppler_bin),), noise_var)
         mean_map = empirical_dd_profile(c, f, dims, scene, trials, seed, threads=args.threads)
@@ -451,7 +444,7 @@ def _cmd_pcs(args, v: dict) -> int:
 def _cmd_tradeoff(args, v: dict) -> int:
     grid, cfar, det_trials = v["grid"], v["cfar"], v["detection.trials"]
     pcfg = _problem(v, grid[0])  # tradeoff_sweep sets each solve's own budget
-    det_seed = _derived_seeds(v["master_seed"])[3]
+    det_seed = _derived_seeds(args.seed)[3]
     sweep = tradeoff_sweep(pcfg, grid)
     solved = {i: sol for i, (_, sol) in enumerate(sweep) if not isinstance(sol, SolverError)}
     shaped = {i: make_shaped(pcfg.family, pcfg.order, sol.probs) for i, sol in solved.items()}
@@ -510,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in handlers.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="master seed override")
+        sp.add_argument("--seed", type=int, default=0, help="master seed (>= 0)")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="threads, the caller's included (>= 1)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -523,16 +516,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"argument --threads: must be an integer >= 1, got {args.threads}")
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         parser.error(f"argument --seed: must be an integer >= 0, got {args.seed}")
-    args.out.mkdir(parents=True, exist_ok=True)
     try:
         values = _resolve(args.command, _load_config(args.config))
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None and "master_seed" in values:
-        values["master_seed"] = args.seed
+    args.out.mkdir(parents=True, exist_ok=True)
     return args.func(args, values)
 
 

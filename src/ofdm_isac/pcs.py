@@ -5,7 +5,7 @@ invariant under the maps of ``air.symmetry_orbits``, so the optimum is constant
 on each orbit O of the alphabet and the solver works on the orbit masses
 P(O) = |O| p(x). It alternates the two Blahut-Arimoto updates on a fixed bank,
 the BANK_NODES x BANK_NODES Gauss-Hermite outputs around one representative x
-of each orbit (y is continuous; 1,000 rows for 64-QAM at a real channel gain):
+of each orbit (y is continuous; 1,000 rows for 64-QAM):
 
   1) posterior update  q(x|y) = p(x) p(y|x) / sum_x' p(x') p(y|x'), x' over every point
   2) Gibbs update      P(O) ~ |O| exp(E_{y|x}[log q(x|y)] - l1 f(x) - l2 |x|^2)
@@ -79,10 +79,10 @@ class PcsConfig:
         # each check is written so that nan fails it
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if not self.noise_var > 0:
-            raise ValueError("solver requires noise_var > 0 (finite input SNR)")
-        if not self.gain_var > 0:
-            raise ValueError(f"gain_var must be > 0, got {self.gain_var}")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and > 0, got {self.noise_var}")
+        if not 0 < self.gain_var < math.inf:
+            raise ValueError(f"gain_var must be finite and > 0, got {self.gain_var}")
         object.__setattr__(self, "max_outer_iters", check_int("max_outer_iters", self.max_outer_iters, 1))
         if math.isnan(self.c0):  # an infinite budget is clamped, with a warning, by the solve
             raise ValueError("c0 must be a number, got nan")
@@ -256,8 +256,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     """
     points = make_uniform(cfg.family, cfg.order).points
     snr_in = cfg.gain_var / cfg.noise_var
-    h = complex(cfg.comm.channel_gain)
-    reps, sizes, orbit_of = symmetry_orbits(points, h)
+    reps, sizes, orbit_of = symmetry_orbits(points)
     log_sizes = np.log(sizes)
     energy = np.abs(points[reps]) ** 2
     fpen = penalty_f(points[reps], cfg.filt, snr_in)
@@ -266,8 +265,8 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     budget_norm = c0_eff / scale
 
     var = cfg.comm.comm_noise_var
-    y, node_w = gauss_hermite_outputs(h * points[reps], var, BANK_NODES)
-    ll = log_likelihood_table(y, h * points, var)
+    y, node_w = gauss_hermite_outputs(points[reps], var, BANK_NODES)
+    ll = log_likelihood_table(y, points, var)
     own_idx = np.repeat(reps, node_w.size)
     own_ll = ll[np.arange(ll.shape[0]), own_idx]
 

@@ -195,7 +195,7 @@ class TestSolver:
         if sol.trace_rows[-1][4] > 0:
             assert abs(sol.sensing_mse / sol.c0_effective - 1.0) <= 1e-12
         # the update runs on the orbit masses P(O), with t + log|O| and each representative's features
-        reps, sizes, orbit_of = symmetry_orbits(points, COMM.channel_gain)
+        reps, sizes, orbit_of = symmetry_orbits(points)
         (t_orbit, fpen, energy_rep, budget_norm), (mass, l1, l2) = steps[-1]
         np.testing.assert_array_equal(fpen, penalty_f(points[reps], filt, SNR))
         np.testing.assert_array_equal(energy_rep, energy[reps])
