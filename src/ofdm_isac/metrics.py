@@ -239,24 +239,44 @@ def _simulate_batch(index: int, size: int, cuts: np.ndarray, guide: np.ndarray, 
 
 
 def _frame_chain(dims: FrameDims, scene: Scene, reduce):
-    """The chain ``X -> G -> Y = H o X + Z -> Hhat`` that ``reduce(h, g, chi, hhat)`` reads per arm, in
-    ``DEFAULT_BATCH``-frame batches and ``FRAME_BLOCK_BYTES`` blocks, with noise per resource element."""
+    """The chain ``X -> G -> Y = H o X + Z -> Hhat`` that ``reduce(h, g, hhat, sums, cell, chi_cells)`` reads per
+    arm, in ``DEFAULT_BATCH``-frame batches and ``FRAME_BLOCK_BYTES`` blocks, with noise per resource element.
+
+    The symbol-only terms come from counts: one ``bincount`` per block gives each frame's count of every
+    cell, and one matmul per codebook, on its table of each filter's |g|^2, chi and chi^2 per cell, gives
+    ``sums``, each arm's per-frame ``g_energy`` (sum|g|^2), ``chi_total`` (sum chi) and ``r_energy``
+    (sum chi^2). The matmul is a stack of vector-matrix products, one per frame and filter, each of the
+    same shape, so an arm's sums depend neither on the block size nor on the other filters. No chi is
+    gathered here: a reducer that needs chi per entry takes ``chi_cells[cell]``. ``hhat`` is the arm's
+    own array, which a reducer may overwrite."""
 
     def chain(books):
         steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
+        cells = books[0][0].size
+        tables = [np.stack([np.stack((g_cells.real**2 + g_cells.imag**2, chi_cells, chi_cells**2), axis=1)
+                            for g_cells, chi_cells in arms]) for _, arms in books]
 
         def step(alphas, cell, z):
-            h = np.zeros(cell.shape, dtype=np.complex128)
-            for alpha, s_q in zip(alphas, steering):
-                h += alpha[:, None, None] * s_q[None, :, :]
-            for x_cells, tables in books:
+            frames = len(cell)
+            if steering:
+                h = alphas[0][:, None, None] * steering[0]
+                for alpha, s_q in zip(alphas[1:], steering[1:]):
+                    h += alpha[:, None, None] * s_q
+            else:
+                h = np.zeros(cell.shape, dtype=np.complex128)
+            offsets = np.arange(0, frames * cells, cells)[:, None]  # frame i counts its cells in bins i*cells + cell
+            counts = np.bincount((cell.reshape(frames, -1) + offsets).ravel(), minlength=frames * cells)
+            counts = counts.reshape(frames, 1, 1, cells).astype(np.float64)
+            for (x_cells, arms), table in zip(books, tables):
+                terms = (counts @ table)[:, :, 0]
                 x = x_cells[cell]
                 y = h * x  # h * <temporary> would run in place as x * h, whose SIMD rounding differs
                 del x  # not needed by the reducers; freeing it keeps the block's peak memory down
                 y += z
-                for g_cells, chi_cells in tables:
+                for i, (g_cells, chi_cells) in enumerate(arms):
                     g = g_cells[cell]
-                    yield reduce(h, g, chi_cells[cell], y * g)
+                    sums = dict(zip(("g_energy", "chi_total", "r_energy"), terms[:, i].T))
+                    yield reduce(h, g, y * g, sums, cell, chi_cells)
 
         return DEFAULT_BATCH, FRAME_BLOCK_BYTES, dims.shape, step
 
@@ -325,27 +345,23 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     for parts in partials:  # fixed reduction order keeps outputs bit-identical
         for total, part in zip(totals, parts):
             for key, value in part.items():
-                if key.endswith("_max"):
-                    total[key] = max(total.get(key, 0.0), value)
+                if key.endswith("_max"):  # np.maximum, unlike max, keeps a NaN whichever side it is on
+                    total[key] = float(np.maximum(total.get(key, 0.0), value))
                 else:
                     total[key] = total.get(key, 0.0) + value
     return totals
 
 
-def _moment_sums(h, g, chi, hhat) -> dict:
-    """Per-frame moments of the chain, FFT-free: the CSI error energy, sum|g|^2, r(0,0)^2, the response
-    energy (as sum chi^2, by Parseval) and sum chi."""
-    chi_sum = chi.sum(axis=(1, 2))
-    return {
-        "mse": _energy(hhat - h),
-        "g_energy": _energy(g),
-        "r00_sq": (chi_sum / math.sqrt(chi[0].size)) ** 2,
-        "r_energy": (chi**2).sum(axis=(1, 2)),
-        "chi_total": chi_sum,
-    }
+def _moment_sums(h, g, hhat, sums, cell, chi_cells) -> dict:
+    """Per-frame moments of the chain, FFT-free: the CSI error energy, and from the counts' ``sums``, sum|g|^2,
+    r(0,0)^2, the response energy (as sum chi^2, by Parseval) and sum chi. It writes the error into ``hhat``."""
+    hhat -= h
+    error = hhat.view(np.float64)
+    np.square(error, out=error)
+    return {"mse": error.sum(axis=(1, 2)), **sums, "r00_sq": (sums["chi_total"] / math.sqrt(h[0].size)) ** 2}
 
 
-def _dd_power(h, g, chi, hhat) -> dict:
+def _dd_power(h, g, hhat, sums, cell, chi_cells) -> dict:
     """Per-frame DD power map |DD(Hhat)|^2, which folds into the mean map's running total."""
     return {"power": np.abs(dd_transform(hhat)) ** 2}
 
@@ -367,7 +383,8 @@ def empirical_metrics(
     peak = target_cell(dims, max(scene.targets, key=lambda t: t.gain_var))
     far = far_region_mask(dims, scene)  # raises on an empty far region before any batch is drawn
     nm = dims.size
-    chain = _frame_chain(dims, scene, lambda *frame: {**_moment_sums(*frame), **_dd_power(*frame)})
+    # the map first: _moment_sums overwrites hhat with the error
+    chain = _frame_chain(dims, scene, lambda *frame: {**_dd_power(*frame), **_moment_sums(*frame)})
     (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, chain)
     trials, seed = int(trials), int(seed)  # the counts _run_batches checked, as the Python ints a report holds
     mse = sums["mse"] / trials
@@ -396,18 +413,21 @@ def empirical_dd_profile(
     return sums["power"] / trials
 
 
-def _identity_sums(h, g, chi, hhat) -> dict:
-    """Per-frame residuals of the exact identities: the chi FFT and the error FFT against ``_moment_sums``."""
+def _identity_sums(h, g, hhat, sums, cell, chi_cells) -> dict:
+    """Per-frame residuals of the exact identities, on chi gathered per entry: the chi FFT against sum chi and
+    sum chi^2, and the error FFT against the error energy."""
+    chi = chi_cells[cell]
     sqrt_nm = math.sqrt(chi[0].size)
-    moments = _moment_sums(h, g, chi, hhat)
-    diff_energy = moments["mse"]
+    chi_sum = chi.sum(axis=(1, 2))
+    error = hhat - h
+    diff_energy = _energy(error)
     r_energy = _energy(dd_transform(chi))
-    mean_chi = moments["chi_total"] / sqrt_nm / sqrt_nm
+    mean_chi = chi_sum / sqrt_nm / sqrt_nm
     ident_rhs = ((chi - mean_chi[:, None, None]) ** 2).sum(axis=(1, 2))
     return {
-        "islr_identity_max": np.abs(r_energy - moments["r00_sq"] - ident_rhs) / r_energy,
-        "parseval_max": np.abs(r_energy - moments["r_energy"]) / r_energy,
-        "dd_unitarity_max": np.abs(diff_energy - _energy(dd_transform(hhat - h))) / np.maximum(diff_energy, 1e-300),
+        "islr_identity_max": np.abs(r_energy - (chi_sum / sqrt_nm) ** 2 - ident_rhs) / r_energy,
+        "parseval_max": np.abs(r_energy - (chi**2).sum(axis=(1, 2))) / r_energy,
+        "dd_unitarity_max": np.abs(diff_energy - _energy(dd_transform(error))) / np.maximum(diff_energy, 1e-300),
     }
 
 
@@ -428,11 +448,15 @@ def identity_checks(
     forms Hhat with ``point_gain``, so the check ties the closed-form chi to the
     simulated gain. Both sides come from the ``_moment_sums`` of all ``trials``
     frames, with E{sum (chi - 1)^2} = E{sum|r|^2} - 2 E{sum chi} + NM and sum|r|^2
-    taken as sum chi^2, so this statistical check needs no transform. The other
-    three hold frame by frame to rounding, so a fault shows on every frame: they
-    run their FFTs on the first ``min(trials, DEFAULT_BATCH)`` frames only, by a
-    second run whose batch 0 draws the same frames. The filters share one trial
-    set, and each report equals that of a call on that filter alone.
+    taken as sum chi^2, so this statistical check needs no transform: its sum|g|^2,
+    sum chi and sum chi^2 are read off the frames' cell counts, and only the CSI
+    error is formed entry by entry. The other three hold frame by frame to
+    rounding, so a fault shows on every frame: they run their FFTs on the first
+    ``min(trials, DEFAULT_BATCH)`` frames only, by a second run whose batch 0
+    draws the same frames, and ``_identity_sums``, the one reducer that gathers
+    chi per entry, forms every term they compare. The filters share one trial
+    set, and each report equals that of a call on that filter alone. A NaN
+    residual stays NaN in the report, so the check on it fails.
     """
     moments = _run_batches((c,), filters, dims, scene, trials, seed, threads, _frame_chain(dims, scene, _moment_sums))
     trials, seed = int(trials), int(seed)  # the counts _run_batches checked, as the Python ints a report holds

@@ -23,6 +23,7 @@ from ofdm_isac.metrics import (
     identity_checks,
     pedestal_power,
 )
+from ofdm_isac.verification import run_verification
 
 DIMS = FrameDims(64, 32)
 SNR_4DB = 10.0**0.4
@@ -299,7 +300,8 @@ class TestIdentityChecks:
         scene = scene_at(SNR_4DB)
         trials = 300
 
-        def fft_form(h, g, chi, hhat):
+        def fft_form(h, g, hhat, sums, cell, chi_cells):
+            chi = chi_cells[cell]
             nm = chi[0].size
             r00 = chi.sum(axis=(1, 2)) / math.sqrt(nm)
             r_energy = np.sum(np.abs(dd_transform(chi)) ** 2, axis=(1, 2))
@@ -315,6 +317,27 @@ class TestIdentityChecks:
             lhs = scene.total_gain_var * s["lhs"] / trials + scene.noise_var * s["g_energy"] / trials
             want = abs(lhs - s["mse"] / trials) / (s["mse"] / trials)
             assert rep.mse_relation_rel == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nan_identity_residual_fails_verify(self, monkeypatch, threads):
+        """A NaN identity residual on one frame is NaN in the report, and verify's check on it fails."""
+        identity_sums = metrics._identity_sums
+
+        def nan_parseval(*frame):
+            out = identity_sums(*frame)
+            out["parseval_max"][-1] = math.nan
+            return out
+
+        monkeypatch.setattr(metrics, "_identity_sums", nan_parseval)
+        dims = FrameDims(16, 16)
+        for rep in identity_checks(make_uniform("qam", 64), (MF, RF), dims, scene_at(SNR_4DB), 300, 1, threads):
+            assert math.isnan(rep.parseval_max_rel)
+            assert rep.dd_unitarity_max_rel < 1e-9
+        checks = {c.name: c for c in run_verification(dims, trials=300, seed=1, threads=threads)}
+        for tag in ("mf", "rf", "wf"):
+            assert math.isnan(checks[f"parseval_{tag}"].residual)
+            assert not checks[f"parseval_{tag}"].passed
+            assert checks[f"dd_unitarity_{tag}"].passed
 
     def test_filters_must_be_a_nonempty_sequence(self, monkeypatch):
         monkeypatch.setattr(metrics, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
@@ -370,12 +393,44 @@ class TestFrameKernel:
         assert len(seen) == len(books) * len(filters)
         for b, c in enumerate(books):
             x = c.points[np.minimum(np.searchsorted(np.cumsum(c.probs), u, side="right"), c.order - 1)]
-            for f, (h_k, g_k, chi_k, hhat_k) in zip(filters, seen[3 * b : 3 * b + 3]):
+            for f, (h_k, g_k, hhat_k, _, cell_k, chi_cells_k) in zip(filters, seen[3 * b : 3 * b + 3]):
                 g = point_gain(x, f)
                 assert np.array_equal(h_k, h)
                 assert np.array_equal(g_k, g)
-                assert np.array_equal(chi_k, point_chi(x, f))
+                assert np.array_equal(chi_cells_k[cell_k], point_chi(x, f))
                 assert np.array_equal(hhat_k, (h * x + z) * g)
+
+    @pytest.mark.parametrize("dims, trials", [(FrameDims(64, 32), 21), (FrameDims(16, 16), 100), (FrameDims(4, 1), 300)],
+                             ids=["64x32", "16x16", "4x1"])
+    def test_count_sums_match_per_entry_gathers(self, dims, trials):
+        """The step's symbol terms, read off per-frame cell counts, equal the per-entry definitions
+        sum|g|^2, sum chi and sum chi^2 to 1e-12 relative, frame by frame, on every arm.
+
+        Three codebooks on one alphabet share the cells, one with zero-probability points; the filters
+        include a WF at a wrong SNR. Each trial count ends on a short block (8 + 8 + 5 frames at 64x32,
+        64 + 36 at 16x16, a 256-frame batch then a 44-frame one at 4x1)."""
+        books = (make_uniform("qam", 16), make_shaped("qam", 16, np.arange(16) % 5),
+                 make_shaped("qam", 16, np.linspace(1.0, 3.0, 16)))
+        filters = (MF, RF, wiener(SNR_4DB), wiener(0.05))
+        scene = Scene((Target(1.0, 1.0, 0.0),), 0.3)
+        seen = []
+
+        def both(h, g, hhat, sums, cell, chi_cells):
+            chi = chi_cells[cell]
+            gathered = {"g_energy": (np.abs(g) ** 2).sum(axis=(1, 2)), "chi_total": chi.sum(axis=(1, 2)),
+                        "r_energy": (chi**2).sum(axis=(1, 2))}
+            seen.append((len(hhat), sums, gathered))
+            return {}
+
+        metrics._run_batches(books, filters, dims, scene, trials, 5, 1, metrics._frame_chain(dims, scene, both))
+        arms = len(books) * len(filters)  # the step calls the reducer on every arm of a block in turn
+        for arm in range(arms):
+            blocks = seen[arm::arms]
+            assert sum(size for size, _, _ in blocks) == trials
+            for _, sums, gathered in blocks:
+                assert sums.keys() == gathered.keys()
+                for key, want in gathered.items():
+                    np.testing.assert_allclose(sums[key], want, rtol=1e-12, atol=0.0, err_msg=key)
 
 
 class TestThreadPool:
@@ -467,6 +522,14 @@ class TestThreadPool:
         assert self._run(1, run) == [{"n": 16.0}]
         assert submitted == []
         assert set(counts) == {before} and threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("where", [0, 9])
+    def test_nan_maximum_survives_the_fold(self, threads, where):
+        """A NaN ``_max`` partial reads NaN in the total, whether it is the first batch or a later one."""
+        sums = self._run(threads, lambda index, size: [{"r_max": math.nan if index == where else 0.5, "n": 1.0}])
+        assert math.isnan(sums[0]["r_max"])
+        assert sums[0]["n"] == 16.0
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_batch_error_stops_the_plan(self, threads):
