@@ -331,9 +331,18 @@ def _write_table(path_base: Path, fmt: str, comments: list[str], columns: list[s
     return path
 
 
+def _json_value(value):
+    """``value`` with each non-finite float as the CSV spells it (``"nan"``, ``"inf"``, ``"-inf"``): JSON has no NaN."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_json_value(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

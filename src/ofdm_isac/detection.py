@@ -122,7 +122,7 @@ def detection_probability(
     batch runner, ``metrics._simulate_batch``, in ``DETECTION_BATCH``-frame batches and
     ``DETECTION_BLOCK_BYTES`` blocks: its one symbol search per block serves every codebook,
     which gathers its |g|^2 and chi from per-cell tables, and each codebook's hits come back
-    as per-frame booleans, joined and summed as every per-frame scalar is.
+    as one per-frame boolean array of ``trials`` values, whose mean is its P_d.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
     n, m = dims.shape
@@ -154,8 +154,8 @@ def detection_probability(
 
         return DETECTION_BATCH, DETECTION_BLOCK_BYTES, (n,), step
 
-    sums = _run_batches(codebooks, (f,), dims, scene, trials, seed, threads, chain)
-    return tuple(s["hits"] / trials for s in sums)
+    arms = _run_batches(codebooks, (f,), dims, scene, trials, seed, threads, chain)
+    return tuple(float(arm["hits"].mean()) for arm in arms)
 
 
 def default_tradeoff_scene(noise_var: float, weak_delay_bin: int = 5, weak_rel_power_db: float = -15.0):

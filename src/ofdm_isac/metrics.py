@@ -61,7 +61,8 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Identity residuals: ``_max`` fields over the first ``min(trials, DEFAULT_BATCH)`` frames, the rest over all."""
+    """Identity residuals: each ``_max`` field the largest per-frame residual over the first
+    ``min(trials, DEFAULT_BATCH)`` frames, and ``mse_relation_rel`` from the means over all ``trials`` frames."""
 
     islr_identity_max_rel: float
     mse_relation_rel: float
@@ -168,25 +169,17 @@ def _energy(a: np.ndarray) -> np.ndarray:
     return np.square(a.view(np.float64)).sum(axis=(1, 2))
 
 
-def _join_frames(parts: dict, key: str, block: np.ndarray) -> None:
-    """Take one block of ``key``'s per-frame values into ``parts``, in frame order. Maps fold into a
-    running total frame by frame: numpy sums a stack's leading axis in sequence from zero, so this
-    gives the stack's ``sum(axis=0)`` without holding the stack. Scalars wait for ``_batch_partial``."""
+def _join_frames(maps: dict, frames: dict, key: str, block: np.ndarray) -> None:
+    """Take one block of ``key``'s per-frame values, in frame order. A per-frame scalar's block (1-D) joins the
+    list ``frames[key]``. A map's block folds into the running total ``maps[key]`` frame by frame: numpy sums a
+    stack's leading axis in sequence from zero, so this gives the stack's ``sum(axis=0)`` without holding it."""
     if block.ndim == 1:
-        parts.setdefault(key, []).append(block)
-    else:
-        if key not in parts:
-            parts[key] = np.zeros(block.shape[1:], dtype=block.dtype)
-        for frame in block:
-            parts[key] += frame
-
-
-def _batch_partial(key: str, value):
-    """A folded map as it is; per-frame scalars joined and reduced once, as block sums would round apart."""
-    if isinstance(value, np.ndarray):
-        return value
-    frames = np.concatenate(value)
-    return float(frames.max() if key.endswith("_max") else frames.sum())
+        frames.setdefault(key, []).append(block)
+        return
+    if key not in maps:
+        maps[key] = np.zeros(block.shape[1:], dtype=block.dtype)
+    for frame in block:
+        maps[key] += frame
 
 
 def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int, block_bytes: int,
@@ -218,24 +211,24 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
 
 
 def _simulate_batch(index: int, size: int, cuts: np.ndarray, guide: np.ndarray, dims: FrameDims, scene: Scene,
-                    seed: int, chain) -> list[dict]:
+                    seed: int, chain) -> list[tuple[dict, dict]]:
     """The one batch runner: batch ``index`` of a built ``chain = (batch, block_bytes, noise_shape, step)``.
 
     It draws the batch by ``_draw_batch(..., block_bytes, noise_shape)``, maps each block's uniforms
     to cells by one ``_guide_search``, and calls ``step(alphas, cell, z)`` on the block's gains: the
-    step returns, per arm, a dict of per-frame arrays, which ``_join_frames`` takes in frame order
-    (maps fold into a running total; scalars are summed, or for ``_max`` keys maxed, once per batch),
-    so no result depends on the block size. Every arm sees the same draw.
+    step returns, per arm, a dict of per-frame arrays, which ``_join_frames`` takes in frame order. Per
+    arm it returns ``(maps, frames)``: each map's total over the batch, and each per-frame scalar as one
+    array of ``size`` values, joined once here. No result depends on the block size. Every arm sees the same draw.
     """
     _, block_bytes, noise_shape, step = chain
     alphas, blocks = _draw_batch(index, size, dims, scene, seed, block_bytes, noise_shape)
-    per_arm: dict[int, dict] = {}
+    per_arm: dict[int, tuple[dict, dict]] = {}
     for frames, u, z in blocks:  # the cells go to the step unbound here, so the step may free them
         for arm, values in enumerate(step([alpha[frames] for alpha in alphas], _guide_search(cuts, guide, u), z)):
-            parts = per_arm.setdefault(arm, {})
+            maps, scalars = per_arm.setdefault(arm, ({}, {}))
             for key, value in values.items():
-                _join_frames(parts, key, value)
-    return [{key: _batch_partial(key, value) for key, value in parts.items()} for parts in per_arm.values()]
+                _join_frames(maps, scalars, key, value)
+    return [(maps, {key: np.concatenate(v) for key, v in scalars.items()}) for maps, scalars in per_arm.values()]
 
 
 def _frame_chain(dims: FrameDims, scene: Scene, reduce):
@@ -248,7 +241,9 @@ def _frame_chain(dims: FrameDims, scene: Scene, reduce):
     (sum chi^2). The matmul is a stack of vector-matrix products, one per frame and filter, each of the
     same shape, so an arm's sums depend neither on the block size nor on the other filters. No chi is
     gathered here: a reducer that needs chi per entry takes ``chi_cells[cell]``. ``hhat`` is the arm's
-    own array, which a reducer may overwrite."""
+    own array, which a reducer may overwrite. A scene without targets is refused before any batch is drawn."""
+    if not scene.targets:
+        raise ValueError("scene must contain at least one target")
 
     def chain(books):
         steering = [np.outer(b, np.conj(cv)) for b, cv in (steering_vectors(dims, t) for t in scene.targets)]
@@ -258,12 +253,9 @@ def _frame_chain(dims: FrameDims, scene: Scene, reduce):
 
         def step(alphas, cell, z):
             frames = len(cell)
-            if steering:
-                h = alphas[0][:, None, None] * steering[0]
-                for alpha, s_q in zip(alphas[1:], steering[1:]):
-                    h += alpha[:, None, None] * s_q
-            else:
-                h = np.zeros(cell.shape, dtype=np.complex128)
+            h = alphas[0][:, None, None] * steering[0]
+            for alpha, s_q in zip(alphas[1:], steering[1:]):
+                h += alpha[:, None, None] * s_q
             offsets = np.arange(0, frames * cells, cells)[:, None]  # frame i counts its cells in bins i*cells + cell
             counts = np.bincount((cell.reshape(frames, -1) + offsets).ravel(), minlength=frames * cells)
             counts = counts.reshape(frames, 1, 1, cells).astype(np.float64)
@@ -285,7 +277,8 @@ def _frame_chain(dims: FrameDims, scene: Scene, reduce):
 
 def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[FilterKind], dims: FrameDims,
                  scene: Scene, trials: int, seed: int, threads: int, chain) -> list[dict]:
-    """One dict of partials per arm, codebooks x filters numbered codebook-major, over one shared trial set.
+    """Per arm, codebooks x filters numbered codebook-major, over one shared trial set: a dict of each map
+    summed over all frames and each per-frame scalar as one array of ``trials`` values in frame order.
 
     The codebooks must share one alphabet (the same points up to the unit-power
     scale). ``_cell_tables`` cuts [0, 1) once per call at every codebook's CDF cuts and
@@ -294,8 +287,8 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     batch plan and step, ``(batch, block_bytes, noise_shape, step)``, which ``_simulate_batch``
     runs. ``threads`` counts the calling thread: it runs batches beside
     ``min(threads, batches) - 1`` pool helpers, one batch per thread at a time; once a batch
-    raises, no thread starts another. Batches add up in plan order, and ``_max`` keys keep the
-    maximum.
+    raises, no thread starts another. Maps add up, and per-frame arrays join, in plan order:
+    no result depends on the thread count, and each caller reduces the values it reads.
     """
     threads = check_int("threads", threads, 1)
     trials = check_int("trials", trials, 1)
@@ -341,24 +334,19 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     for future in futures:
         future.result()
 
-    totals: list[dict] = [{} for _ in range(len(codebooks) * len(filters))]
-    for parts in partials:  # fixed reduction order keeps outputs bit-identical
-        for total, part in zip(totals, parts):
-            for key, value in part.items():
-                if key.endswith("_max"):  # np.maximum, unlike max, keeps a NaN whichever side it is on
-                    total[key] = float(np.maximum(total.get(key, 0.0), value))
-                else:
-                    total[key] = total.get(key, 0.0) + value
-    return totals
+    # each arm's batches in plan order, a fixed order that keeps outputs bit-identical: maps add up, frames join
+    return [{**{key: sum(maps[key] for maps, _ in batches) for key in batches[0][0]},
+             **{key: np.concatenate([frames[key] for _, frames in batches]) for key in batches[0][1]}}
+            for batches in zip(*partials)]
 
 
 def _moment_sums(h, g, hhat, sums, cell, chi_cells) -> dict:
     """Per-frame moments of the chain, FFT-free: the CSI error energy, and from the counts' ``sums``, sum|g|^2,
-    r(0,0)^2, the response energy (as sum chi^2, by Parseval) and sum chi. It writes the error into ``hhat``."""
+    the response energy (as sum chi^2, by Parseval) and sum chi. It writes the error into ``hhat``."""
     hhat -= h
     error = hhat.view(np.float64)
     np.square(error, out=error)
-    return {"mse": error.sum(axis=(1, 2)), **sums, "r00_sq": (sums["chi_total"] / math.sqrt(h[0].size)) ** 2}
+    return {"mse": error.sum(axis=(1, 2)), **sums}
 
 
 def _dd_power(h, g, hhat, sums, cell, chi_cells) -> dict:
@@ -378,23 +366,20 @@ def empirical_metrics(
     """Monte Carlo metrics over random symbols, target gains, and noise, from one frame-chain pass of
     ``_moment_sums`` and ``_dd_power``. DR is read off the mean DD map that ``empirical_dd_profile`` returns
     for the same arguments: its power at the strongest target's ``target_cell`` over its far-region mean."""
-    if not scene.targets:
-        raise ValueError("scene must contain at least one target")
+    # the map first: _moment_sums overwrites hhat with the error
+    chain = _frame_chain(dims, scene, lambda *frame: {**_dd_power(*frame), **_moment_sums(*frame)})
     peak = target_cell(dims, max(scene.targets, key=lambda t: t.gain_var))
     far = far_region_mask(dims, scene)  # raises on an empty far region before any batch is drawn
     nm = dims.size
-    # the map first: _moment_sums overwrites hhat with the error
-    chain = _frame_chain(dims, scene, lambda *frame: {**_dd_power(*frame), **_moment_sums(*frame)})
     (sums,) = _run_batches((c,), (f,), dims, scene, trials, seed, threads, chain)
     trials, seed = int(trials), int(seed)  # the counts _run_batches checked, as the Python ints a report holds
-    mse = sums["mse"] / trials
-    mean_r00_sq = sums["r00_sq"] / trials
-    mean_g_energy = sums["g_energy"] / trials
-    snr_out = _ratio(scene.total_gain_var * mean_r00_sq, scene.noise_var * mean_g_energy / nm)
-    islr = _ratio(sums["r_energy"] / trials - mean_r00_sq, mean_r00_sq)
+    mse = float(sums["mse"].mean())
+    mean_r00_sq = float(np.mean((sums["chi_total"] / math.sqrt(nm)) ** 2))
+    snr_out = _ratio(scene.total_gain_var * mean_r00_sq, scene.noise_var * float(sums["g_energy"].mean()) / nm)
+    islr = _ratio(float(sums["r_energy"].mean()) - mean_r00_sq, mean_r00_sq)
     power = sums["power"] / trials
     dr = _ratio(float(power[peak]), float(power[far].mean()))
-    mean_chi = sums["chi_total"] / (trials * nm)
+    mean_chi = float(sums["chi_total"].mean()) / nm
     nmse = _ratio(nm**2, dr) + _ratio((mean_chi - 1.0) ** 2, mean_chi**2)
     return MetricsReport(mse, snr_out, max(islr, 0.0), dr, nmse, "empirical", trials, seed)
 
@@ -414,20 +399,20 @@ def empirical_dd_profile(
 
 
 def _identity_sums(h, g, hhat, sums, cell, chi_cells) -> dict:
-    """Per-frame residuals of the exact identities, on chi gathered per entry: the chi FFT against sum chi and
-    sum chi^2, and the error FFT against the error energy."""
+    """Per-frame residuals of the exact identities, on chi gathered per entry: the chi FFT against the counts'
+    sum chi and sum chi^2, and the error FFT against the error energy."""
     chi = chi_cells[cell]
     sqrt_nm = math.sqrt(chi[0].size)
-    chi_sum = chi.sum(axis=(1, 2))
+    chi_sum = sums["chi_total"]
     error = hhat - h
     diff_energy = _energy(error)
     r_energy = _energy(dd_transform(chi))
     mean_chi = chi_sum / sqrt_nm / sqrt_nm
     ident_rhs = ((chi - mean_chi[:, None, None]) ** 2).sum(axis=(1, 2))
     return {
-        "islr_identity_max": np.abs(r_energy - (chi_sum / sqrt_nm) ** 2 - ident_rhs) / r_energy,
-        "parseval_max": np.abs(r_energy - (chi**2).sum(axis=(1, 2))) / r_energy,
-        "dd_unitarity_max": np.abs(diff_energy - _energy(dd_transform(error))) / np.maximum(diff_energy, 1e-300),
+        "islr_identity": np.abs(r_energy - (chi_sum / sqrt_nm) ** 2 - ident_rhs) / r_energy,
+        "parseval": np.abs(r_energy - sums["r_energy"]) / r_energy,
+        "dd_unitarity": np.abs(diff_energy - _energy(dd_transform(error))) / np.maximum(diff_energy, 1e-300),
     }
 
 
@@ -453,8 +438,9 @@ def identity_checks(
     error is formed entry by entry. The other three hold frame by frame to
     rounding, so a fault shows on every frame: they run their FFTs on the first
     ``min(trials, DEFAULT_BATCH)`` frames only, by a second run whose batch 0
-    draws the same frames, and ``_identity_sums``, the one reducer that gathers
-    chi per entry, forms every term they compare. The filters share one trial
+    draws the same frames. ``_identity_sums``, the one reducer that gathers chi
+    per entry, compares its FFT terms with the sum chi and sum chi^2 read off the
+    counts, so a fault in the count path shows here too. The filters share one trial
     set, and each report equals that of a call on that filter alone. A NaN
     residual stays NaN in the report, so the check on it fails.
     """
@@ -463,11 +449,12 @@ def identity_checks(
     identities = _run_batches((c,), filters, dims, scene, min(trials, DEFAULT_BATCH), seed, threads,
                               _frame_chain(dims, scene, _identity_sums))
     reports = []
-    for sums, maxima in zip(moments, identities):
-        chi_error = (sums["r_energy"] - 2.0 * sums["chi_total"]) / trials + dims.size
-        lhs = scene.total_gain_var * chi_error + scene.noise_var * sums["g_energy"] / trials
-        rhs = sums["mse"] / trials
-        mse_relation = _ratio(abs(lhs - rhs), rhs)
-        residuals = (maxima["islr_identity_max"], mse_relation, maxima["dd_unitarity_max"], maxima["parseval_max"])
-        reports.append(IdentityReport(*residuals, trials, seed))
+    for sums, frames in zip(moments, identities):
+        mean = {key: float(value.mean()) for key, value in sums.items()}
+        chi_error = mean["r_energy"] - 2.0 * mean["chi_total"] + dims.size
+        lhs = scene.total_gain_var * chi_error + scene.noise_var * mean["g_energy"]
+        mse_relation = _ratio(abs(lhs - mean["mse"]), mean["mse"])
+        # np.max, unlike max, keeps a NaN wherever it is, so the check on a NaN residual fails
+        islr, unitarity, parseval = (float(frames[key].max()) for key in ("islr_identity", "dd_unitarity", "parseval"))
+        reports.append(IdentityReport(islr, mse_relation, unitarity, parseval, trials, seed))
     return tuple(reports)

@@ -9,7 +9,8 @@ from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal, steering
 from ofdm_isac.constellation import make_shaped, make_uniform
 from ofdm_isac.filtering import MF, RF, dd_transform, point_chi, point_gain, wiener
 from ofdm_isac.detection import detection_cell
-from ofdm_isac.metrics import empirical_metrics, far_region_mask
+from ofdm_isac import metrics
+from ofdm_isac.metrics import empirical_dd_profile, empirical_metrics, far_region_mask, identity_checks
 
 QAM16 = make_uniform("qam", 16)
 
@@ -77,9 +78,16 @@ class TestBuildCsi:
         np.testing.assert_array_equal(h, np.broadcast_to(h[:, :1, :1], h.shape))
         assert np.all(h[:, 0, 0] != 0)
 
-    def test_empty_scene_rejected(self):
+    @pytest.mark.parametrize("run", [
+        lambda scene: empirical_metrics(QAM16, MF, FrameDims(4, 3), scene, 10, 0),
+        lambda scene: identity_checks(QAM16, (MF, RF), FrameDims(4, 3), scene, 10, 0),
+        lambda scene: empirical_dd_profile(QAM16, MF, FrameDims(4, 3), scene, 10, 0),
+    ], ids=["empirical_metrics", "identity_checks", "empirical_dd_profile"])
+    def test_empty_scene_rejected(self, monkeypatch, run):
+        """The frame chain's one target rule refuses a scene without targets before any batch is drawn."""
+        monkeypatch.setattr(metrics, "_draw_batch", lambda *a: pytest.fail("a batch was drawn"))
         with pytest.raises(ValueError, match="at least one target"):
-            empirical_metrics(QAM16, MF, FrameDims(4, 3), Scene((), 1.0), 10, 0)
+            run(Scene((), 1.0))
 
     def test_orthogonal_targets_frobenius(self, kernel_frames):
         # distinct integer bins give orthogonal DFT columns

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ofdm_isac import cli, pcs
+from ofdm_isac import cli, metrics, pcs
 from ofdm_isac.channel import FrameDims, Target, target_cell
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import load_codebook
@@ -385,6 +386,63 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_pass"] is True
         assert len(report["checks"]) >= 15
+
+
+def read_strict_json(path):
+    """The file parsed as strict JSON: a bare ``NaN``, ``Infinity`` or ``-Infinity`` token raises."""
+
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every JSON artifact is strict JSON: a non-finite float is written as the CSV spells it."""
+
+    def test_non_finite_floats_spelt_as_in_csv(self, tmp_path):
+        payload = {"meta": ["x"], "rows": [(1.5, math.nan), [math.inf, -math.inf, 2, "s", None]]}
+        cli._write_json(tmp_path / "a.json", payload)
+        assert read_strict_json(tmp_path / "a.json") == {
+            "meta": ["x"], "rows": [[1.5, "nan"], ["inf", "-inf", 2, "s", None]]}
+
+    def test_finite_payload_bytes_unchanged(self, tmp_path):
+        payload = {"meta": ["a", "b"], "rows": [(0.1, 2, "x"), [1e-300, -3.5, True, None]], "n": {"k": [1.0]}}
+        cli._write_json(tmp_path / "a.json", payload)
+        assert (tmp_path / "a.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_nan_residual_in_verify_report(self, tmp_path, monkeypatch):
+        identity_sums = metrics._identity_sums
+
+        def nan_parseval(*frame):
+            out = identity_sums(*frame)
+            out["parseval"][-1] = math.nan
+            return out
+
+        monkeypatch.setattr(metrics, "_identity_sums", nan_parseval)
+        cfg = write_cfg(tmp_path, "v.json", {"dims": {"N": 16, "M": 16}, "trials": 256})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        report = read_strict_json(tmp_path / "verify_report.json")
+        checks = {check["name"]: check for check in report["checks"]}
+        assert report["all_pass"] is False
+        for tag in ("mf", "rf", "wf"):
+            assert checks[f"parseval_{tag}"]["residual"] == "nan" and checks[f"parseval_{tag}"]["pass"] is False
+
+    def test_failed_solve_row_in_json_tradeoff(self, tmp_path, monkeypatch):
+        solve = pcs.mba_solve
+
+        def stuck_at_620(cfg):
+            if cfg.c0 == 620.0:
+                raise SolverError("multiplier Newton iteration did not converge", {"gap": [0.5]})
+            return solve(cfg)
+
+        monkeypatch.setattr(pcs, "mba_solve", stuck_at_620)
+        cfg = write_cfg(tmp_path, "t.json", {"order": 16, "comm": {"noise_var": 0.05},
+                                             "c0_grid": [650.0, 620.0], "detection": {"trials": 40}})
+        assert main(["tradeoff", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+        rows = read_strict_json(tmp_path / "tradeoff.json")["rows"]
+        assert rows[0][1:] == ["nan", "nan", "nan", "multiplier Newton iteration did not converge"]
+        assert isinstance(rows[1][1], float) and rows[1][4] == ""
 
 
 class TestUsageErrors:

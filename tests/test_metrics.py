@@ -314,9 +314,22 @@ class TestIdentityChecks:
         chain = metrics._frame_chain(DIMS, scene, fft_form)
         sums = metrics._run_batches((c,), filters, DIMS, scene, trials, 4, 1, chain)
         for rep, s in zip(identity_checks(c, filters, DIMS, scene, trials, seed=4), sums):
-            lhs = scene.total_gain_var * s["lhs"] / trials + scene.noise_var * s["g_energy"] / trials
-            want = abs(lhs - s["mse"] / trials) / (s["mse"] / trials)
+            assert all(s[key].shape == (trials,) for key in ("mse", "g_energy", "lhs"))
+            lhs = scene.total_gain_var * s["lhs"].mean() + scene.noise_var * s["g_energy"].mean()
+            want = abs(lhs - s["mse"].mean()) / s["mse"].mean()
             assert rep.mse_relation_rel == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_parseval_reads_the_count_sums(self, monkeypatch):
+        """Parseval compares the chi FFT with the sum chi^2 read off the cell counts, so a fault on the count
+        path shows in it: sum chi^2 scaled by 1 + 1e-8 reads a 1e-8 residual."""
+        identity_sums = metrics._identity_sums
+
+        def skewed(h, g, hhat, sums, cell, chi_cells):
+            return identity_sums(h, g, hhat, {**sums, "r_energy": sums["r_energy"] * (1 + 1e-8)}, cell, chi_cells)
+
+        monkeypatch.setattr(metrics, "_identity_sums", skewed)
+        for rep in identity_checks(make_uniform("qam", 16), (MF, RF), FrameDims(16, 16), scene_at(SNR_4DB), 64, 2):
+            assert rep.parseval_max_rel == pytest.approx(1e-8, rel=1e-6)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nan_identity_residual_fails_verify(self, monkeypatch, threads):
@@ -325,7 +338,7 @@ class TestIdentityChecks:
 
         def nan_parseval(*frame):
             out = identity_sums(*frame)
-            out["parseval_max"][-1] = math.nan
+            out["parseval"][-1] = math.nan
             return out
 
         monkeypatch.setattr(metrics, "_identity_sums", nan_parseval)
@@ -433,10 +446,43 @@ class TestFrameKernel:
                     np.testing.assert_allclose(sums[key], want, rtol=1e-12, atol=0.0, err_msg=key)
 
 
+class TestPerFrameContract:
+    """``_run_batches`` hands back each per-frame scalar as one array of ``trials`` values in frame order."""
+
+    def _run(self, trials, threads):
+        dims = FrameDims(16, 16)
+        scene = Scene((Target(1.0, 2.0, 3.0), Target(0.3, 9.0, 1.0)), 0.4)
+        chain = metrics._frame_chain(dims, scene, lambda *frame: {**metrics._dd_power(*frame),
+                                                                 **metrics._moment_sums(*frame)})
+        return metrics._run_batches((make_uniform("qam", 16),), (MF, wiener(SNR_4DB)), dims, scene, trials, 12,
+                                    threads, chain)
+
+    def test_per_frame_arrays(self):
+        assert 600 > 2 * metrics.DEFAULT_BATCH  # three batches, the last a partial one
+        longer, first = self._run(600, 1), self._run(metrics.DEFAULT_BATCH, 1)
+        for long_arm, first_arm in zip(longer, first):
+            assert long_arm.keys() == {"power", "mse", "g_energy", "chi_total", "r_energy"}
+            assert long_arm["power"].shape == (16, 16)
+            for key in ("mse", "g_energy", "chi_total", "r_energy"):
+                assert long_arm[key].shape == (600,) and first_arm[key].shape == (metrics.DEFAULT_BATCH,)
+                assert long_arm[key][: metrics.DEFAULT_BATCH].tobytes() == first_arm[key].tobytes(), key
+
+    def test_thread_count_invariant(self):
+        for one, three in zip(self._run(600, 1), self._run(600, 3)):
+            assert one.keys() == three.keys()
+            for key, value in one.items():
+                assert value.tobytes() == three[key].tobytes(), key
+
+
 class TestThreadPool:
     """``_run_batches`` runs batches on the calling thread beside at most ``threads - 1`` pool helpers."""
 
     SCENE = Scene((Target(1.0, 0.0, 0.0),), 0.1)
+
+    @staticmethod
+    def _frame(**values):
+        """One batch runner's result for a one-frame batch: one arm, no map, and each per-frame scalar."""
+        return [({}, {key: np.array([value]) for key, value in values.items()})]
 
     def _run(self, threads, run, trials=16):
         """``_run_batches`` on one-frame batches, with ``run(index, size)`` as the batch runner."""
@@ -468,9 +514,10 @@ class TestThreadPool:
 
         def run(index, size):
             idents.add(threading.get_ident())
-            return [{"n": float(index)}]
+            return self._frame(n=float(index))
 
-        assert self._run(1000, run) == [{"n": float(sum(range(16)))}]
+        (sums,) = self._run(1000, run)
+        assert np.array_equal(sums["n"], np.arange(16.0))
         assert asked == [15]
         assert idents == {threading.get_ident()}
 
@@ -480,19 +527,21 @@ class TestThreadPool:
         def run(index, size):
             idents.append(threading.get_ident())
             time.sleep(0.005)
-            return [{"n": 1.0}]
+            return self._frame(n=1.0)
 
-        assert self._run(3, run) == [{"n": 16.0}]
+        (sums,) = self._run(3, run)
+        assert np.array_equal(sums["n"], np.ones(16))
         assert len(idents) == 16
         assert threading.get_ident() in idents
 
     def test_each_batch_runs_once_under_contention(self):
-        """More threads than cores and a short switch interval: no batch is lost or run twice."""
+        """More threads than cores and a short switch interval: no batch is lost or run twice, and the
+        per-frame values join in plan order."""
         seen = []
 
         def run(index, size):
             seen.append(index)
-            return [{"n": float(index)}]
+            return self._frame(n=float(index))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -501,7 +550,7 @@ class TestThreadPool:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(seen) == list(range(400))
-        assert sums == [{"n": float(sum(range(400)))}]
+        assert len(sums) == 1 and np.array_equal(sums[0]["n"], np.arange(400.0))
 
     def test_one_thread_starts_no_helper(self, monkeypatch):
         """At ``threads=1`` the caller runs every batch through the same drain loop; the pool gets no submit."""
@@ -517,19 +566,22 @@ class TestThreadPool:
 
         def run(index, size):
             counts.append(threading.active_count())
-            return [{"n": 1.0}]
+            return self._frame(n=1.0)
 
-        assert self._run(1, run) == [{"n": 16.0}]
+        (sums,) = self._run(1, run)
+        assert np.array_equal(sums["n"], np.ones(16))
         assert submitted == []
         assert set(counts) == {before} and threading.active_count() == before
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("where", [0, 9])
-    def test_nan_maximum_survives_the_fold(self, threads, where):
-        """A NaN ``_max`` partial reads NaN in the total, whether it is the first batch or a later one."""
-        sums = self._run(threads, lambda index, size: [{"r_max": math.nan if index == where else 0.5, "n": 1.0}])
-        assert math.isnan(sums[0]["r_max"])
-        assert sums[0]["n"] == 16.0
+    def test_nan_frame_value_survives_the_join(self, threads, where):
+        """A NaN per-frame value keeps its frame's place in the joined array, whether it is in the first
+        batch or a later one, so the caller's ``max`` reads NaN."""
+        (sums,) = self._run(threads, lambda index, size: self._frame(r=math.nan if index == where else 0.5, n=1.0))
+        assert np.array_equal(np.isnan(sums["r"]), np.arange(16) == where)
+        assert math.isnan(sums["r"].max())
+        assert np.array_equal(sums["n"], np.ones(16))
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_batch_error_stops_the_plan(self, threads):
@@ -541,7 +593,7 @@ class TestThreadPool:
             if index == 0:
                 raise RuntimeError("batch 0 failed")
             time.sleep(0.02)
-            return [{"n": 1.0}]
+            return self._frame(n=1.0)
 
         with pytest.raises(RuntimeError, match="batch 0 failed"):
             self._run(threads, run)
@@ -552,7 +604,7 @@ class TestThreadPool:
         def run(index, size):
             if index == 5:
                 raise RuntimeError("batch 5 failed")
-            return [{"n": 1.0}]
+            return self._frame(n=1.0)
 
         with pytest.raises(RuntimeError, match="batch 5 failed"):
             self._run(threads, run)
