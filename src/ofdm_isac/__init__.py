@@ -1,7 +1,7 @@
 """OFDM ISAC signaling toolkit: sensing metrics under MF/RF/WF filtering and
 probabilistic constellation shaping of the sensing-communication trade-off."""
 
-from .air import AirConfig, air_estimate, air_quadrature
+from .air import air_estimate, air_quadrature
 from .channel import FrameDims, Scene, Target, steering_vectors
 from .constellation import (
     ChiStats,

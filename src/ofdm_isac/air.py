@@ -1,4 +1,5 @@
-"""Achievable information rate of a shaped alphabet over a per-subcarrier AWGN channel y = x + n.
+"""Achievable information rate of a shaped alphabet over a per-subcarrier AWGN channel y = x + n,
+n ~ CN(0, noise_var), given as a float: a channel y = h x + n' is noise_var = var(n') / |h|^2.
 
 The output entropy has no closed form (Gaussian mixture), so the expectation of
 the log-sum-exp stabilized mixture likelihood is computed two ways:
@@ -16,7 +17,6 @@ the log-sum-exp stabilized mixture likelihood is computed two ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,15 +33,11 @@ _GH_CHUNK_ROWS = 8192
 LL_CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class AirConfig:
-    """The AIR's channel y = x + n, n ~ CN(0, comm_noise_var); y = h x + n' is comm_noise_var = var(n') / |h|^2."""
-
-    comm_noise_var: float
-
-    def __post_init__(self):
-        if not 0 < self.comm_noise_var < math.inf:  # also rejects nan
-            raise ValueError(f"comm_noise_var must be finite and > 0, got {self.comm_noise_var}")
+def check_variance(name: str, value: float) -> float:
+    """``value``, unless it is not finite and > 0 (nan included): then a ValueError that names ``name``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -130,15 +126,15 @@ def symmetry_orbits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return reps, sizes, orbit_of
 
 
-def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000, seed: int = 0) -> float:
+def air_estimate(c: ShapedConstellation, noise_var: float, samples: int = 200_000, seed: int = 0) -> float:
     """Per-symbol mutual information in bits, clamped to [0, H(p)].
 
     Draws ``samples`` outputs y = x + n with x ~ p(x) from ``seed``, then
     averages -log2 sum_x p(y|x) p(x) and subtracts the Gaussian noise entropy.
     """
+    var = check_variance("noise_var", noise_var)
     samples = check_int("samples", samples, 1)
     rng = np.random.default_rng(check_int("seed", seed, 0))
-    var = cfg.comm_noise_var
     log_p = np.log(np.clip(c.probs, 1e-300, None))
 
     # E[ln sum_x p(x) exp(-|y - x|^2 / var)] accumulated in chunks
@@ -157,7 +153,7 @@ def air_estimate(c: ShapedConstellation, cfg: AirConfig, samples: int = 200_000,
     return min(max(bits, 0.0), c.entropy_bits())
 
 
-def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
+def air_quadrature(c: ShapedConstellation, noise_var: float) -> float:
     """Per-symbol mutual information in bits by Gauss-Hermite quadrature, clamped to [0, H(p)].
 
     E[ln sum_x' p(x') exp(-|y - x'|^2 / var)] with y = x + n is summed over
@@ -167,7 +163,7 @@ def air_quadrature(c: ShapedConstellation, cfg: AirConfig) -> float:
     not exactly constant on the orbits is summed over singleton classes, which is
     the sum over every point with p(x) > 0. Deterministic: it draws nothing.
     """
-    var = cfg.comm_noise_var
+    var = check_variance("noise_var", noise_var)
     reps, sizes, orbit_of = symmetry_orbits(c.points)
     if not np.array_equal(c.probs, c.probs[reps][orbit_of]):
         reps, sizes = np.arange(c.order), np.ones(c.order)

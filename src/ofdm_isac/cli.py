@@ -1,10 +1,10 @@
 """Reproducible experiment runner.
 
 Subcommands: verify | dr-sweep | profiles | pcs | tradeoff | codebook.
-Every command reads an optional JSON config, takes an explicit master seed
+Every command reads an optional JSON config, takes an explicit seed
 (never the wall clock), and writes CSV/JSON artifacts whose bytes depend only
 on (config, seed). CSV files start with '#' provenance lines naming units,
-provenance (closed-form vs empirical), trials, and seeds. A command's config
+provenance (closed-form vs empirical), trials, and the seed. A command's config
 fields, with their defaults and casts, are its table in ``_TABLES``; a field
 that is not in the table is an error.
 """
@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .air import GH_NODES, AirConfig
+from .air import GH_NODES
 from .channel import FrameDims, Scene, Target, steering_vectors, target_cell
 from .constellation import Family, ShapedConstellation, make_shaped, make_uniform, save_codebook
 from .detection import CfarConfig, cfar_thresholds, default_tradeoff_scene, detection_cell, detection_probability
@@ -149,7 +149,7 @@ def _codebook(v: dict) -> ShapedConstellation:
 def _problem(v: dict, c0: float) -> PcsConfig:
     """The shaping problem that the solver fields describe, at budget ``c0``."""
     return PcsConfig(v["family"], v["order"], v["filt"], v["dims"], v["gain_var"], v["noise_var"],
-                     AirConfig(v["comm.noise_var"]), c0, tol=v["tol"], max_outer_iters=v["max_outer_iters"])
+                     v["comm.noise_var"], c0, tol=v["tol"], max_outer_iters=v["max_outer_iters"])
 
 
 def _defaults(obj) -> dict:
@@ -312,10 +312,6 @@ def _resolve(command: str, cfg: dict) -> dict:
     return values
 
 
-def _derived_seeds(master: int, count: int = 8) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(master).generate_state(count)]
-
-
 def _write_table(path_base: Path, fmt: str, comments: list[str], columns: list[str], rows) -> Path:
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
@@ -394,14 +390,13 @@ def _cmd_profiles(args, v: dict) -> int:
     c, f, trials = v["alphabet"], v["filt"], v["trials"]
     gain_var, noise_var = v["gain_var"], v["noise_var"]
     delay_bin, doppler_bin = v["target.delay_bin"], v["target.doppler_bin"]
-    seed = _derived_seeds(args.seed)[0]
     for dims in v["dims_list"]:
         scene = Scene((Target(gain_var, delay_bin, doppler_bin),), noise_var)
-        mean_map = empirical_dd_profile(c, f, dims, scene, trials, seed, threads=args.threads)
+        mean_map = empirical_dd_profile(c, f, dims, scene, trials, args.seed, threads=args.threads)
         tk, tp = target_cell(dims, scene.targets[0])
         comments = [
             "units: *_norm_db in dB below the slice peak; *_power linear",
-            f"provenance: expected closed-form (dirichlet kernel); empirical trials={trials} seed={seed}",
+            f"provenance: expected closed-form (dirichlet kernel); empirical trials={trials} seed={args.seed}",
             f"constellation: uniform {c.order}-{c.family.value}; filter={f.kind.value}; snr_in_db={v['snr_in_db']}",
             f"dims: N={dims.n_subcarriers} M={dims.n_symbols}; target=({delay_bin},{doppler_bin})",
         ]
@@ -453,13 +448,12 @@ def _cmd_pcs(args, v: dict) -> int:
 def _cmd_tradeoff(args, v: dict) -> int:
     grid, cfar, det_trials = v["grid"], v["cfar"], v["detection.trials"]
     pcfg = _problem(v, grid[0])  # tradeoff_sweep sets each solve's own budget
-    det_seed = _derived_seeds(args.seed)[3]
     sweep = tradeoff_sweep(pcfg, grid)
     solved = {i: sol for i, (_, sol) in enumerate(sweep) if not isinstance(sol, SolverError)}
     shaped = {i: make_shaped(pcfg.family, pcfg.order, sol.probs) for i, sol in solved.items()}
     # one call, so every budget's pd comes from the same trial set
     pds = detection_probability(
-        pcfg.dims, v["scene"], list(shaped.values()), pcfg.filt, cfar, det_trials, det_seed, threads=args.threads
+        pcfg.dims, v["scene"], list(shaped.values()), pcfg.filt, cfar, det_trials, args.seed, threads=args.threads
     ) if shaped else ()
     pd_of = dict(zip(shaped, pds))
     rows, unconverged = [], sum(not sol.converged for sol in solved.values())
@@ -474,7 +468,7 @@ def _cmd_tradeoff(args, v: dict) -> int:
                       provenance=f"tradeoff point {i}: air_bits={sol.air_bits:.6f}")
     path = _write_table(args.out / "tradeoff", args.format, [
         "units: c0 and sensing_mse linear power; air_bits bits/symbol; pd probability",
-        f"provenance: empirical pd trials={det_trials} seed={det_seed}; "
+        f"provenance: empirical pd trials={det_trials} seed={args.seed}; "
         f"cfar guard={cfar.guard_cells} train={cfar.train_cells} pfa={cfar.pfa:g}",
         f"problem: {pcfg.order}-{pcfg.family.value} filter={pcfg.filt.kind.value} "
         f"snr_in={pcfg.gain_var / pcfg.noise_var:g}",
@@ -512,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in handlers.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=0, help="master seed (>= 0)")
+        sp.add_argument("--seed", type=int, default=0, help="seed of every Monte Carlo draw (>= 0)")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="threads, the caller's included (>= 1)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -21,7 +21,6 @@ from .constellation import ShapedConstellation, draw_symbols  # noqa: F401
 from .filtering import FilterKind, dd_transform, point_gain  # noqa: F401
 from .metrics import _run_batches
 
-DETECTION_BATCH = 128
 # the column chain's block of frames, as one complex array: 16 frames at 64x32. Each thread finishes a
 # block (columns, IFFT, CA-CFAR, hits) before drawing the next; the block is twice the frame kernel's, as
 # its per-block work is light and each block makes a few Python calls per codebook
@@ -100,7 +99,7 @@ def detection_probability(
 ) -> tuple[float, ...]:
     """Probability that the weaker of two targets is detected on its delay profile, one per codebook.
 
-    Each trial takes the frame kernel's draw of symbols and target gains and runs
+    Trial i takes the symbols and target gains of the frame kernel's frame i at the same seed and runs
     CA-CFAR over the delay profile at the weak target's Doppler bin p: column p of
     the DD map, |IFFT_N(hhat @ w_p)|^2 N/M with w_p[m] = e^{-j2 pi m p/M}.
     Neither hhat nor the map is formed: with h = sum_t alpha_t b_t c_t^H and chi = x g,
@@ -112,17 +111,17 @@ def detection_probability(
     (|w_p[m]| = 1), independently across n. The chain draws that law directly:
     xi[n] ~ CN(0, noise_var), one value per frame and delay bin, times
     sqrt(sum_m |g[n, m]|^2). So P_d has the law of CA-CFAR on the full map's
-    column, from N noise values per frame in place of N M; without noise the two
-    agree trial by trial.
+    column, from N noise values per frame in place of N M; without noise it equals,
+    trial by trial, CA-CFAR on the column of the frame kernel's DD map at the same seed.
 
     The codebooks, on one alphabet, share one trial set: every codebook sees the
     same uniforms, target gains and xi, so the P_d are common-random-number paired
     and differ only through the codebooks, never through the draw. Each entry equals
     that of a call on that codebook alone. The chain is a per-block step of the one
-    batch runner, ``metrics._simulate_batch``, in ``DETECTION_BATCH``-frame batches and
-    ``DETECTION_BLOCK_BYTES`` blocks: its one symbol search per block serves every codebook,
-    which gathers its |g|^2 and chi from per-cell tables, and each codebook's hits come back
-    as one per-frame boolean array of ``trials`` values, whose mean is its P_d.
+    batch runner, ``metrics._simulate_batch``, in ``DETECTION_BLOCK_BYTES`` blocks: its one symbol
+    search per block serves every codebook, which gathers its |g|^2 and chi from per-cell tables,
+    and each codebook's hits come back as one per-frame boolean array of ``trials`` values, whose
+    mean is its P_d.
     """
     weak_bin, doppler_bin = detection_cell(dims, scene)
     n, m = dims.shape
@@ -152,7 +151,7 @@ def detection_probability(
             del columns
             return [{"hits": hits} for hits in profiles[..., span] > cfar_thresholds(profiles, cfg)[..., span]]
 
-        return DETECTION_BATCH, DETECTION_BLOCK_BYTES, (n,), step
+        return DETECTION_BLOCK_BYTES, (n,), step
 
     arms = _run_batches(codebooks, (f,), dims, scene, trials, seed, threads, chain)
     return tuple(float(arm["hits"].mean()) for arm in arms)

@@ -10,7 +10,7 @@ P = gain_var*Var(chi) + noise_var*E|g|^2,
     NMSE    = N^2 M^2 / DR + (E{chi}-1)^2 / E^2{chi}
 
 Empirical counterparts average over random symbols, target gains and noise,
-with per-batch seeds derived from a master seed so results are reproducible
+each batch drawn from (seed, batch index) alone, so results are reproducible
 bit-for-bit and independent of the thread count. Empirical DR is read off the
 mean DD map: its power at the strongest target's cell over its far-region mean.
 """
@@ -191,7 +191,11 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
     element, ``dims.shape``; detection one value per delay bin, ``(N,)``. The uniforms and gains do not
     depend on ``noise_shape``. The uniforms come from a second generator on the batch's seed, which the first
     skips (``random`` takes one 64-bit output per float64). The stream puts every real part of the
-    noise before its first imaginary part: those are batch-sized.
+    noise before its first imaginary part: those are batch-sized. That array (4 MiB at 64x32) also sets
+    the blocks' speed: freeing it raises glibc's dynamic mmap and trim thresholds above a block's ~2.5 MiB
+    working set, so later blocks reuse heap pages. Drawing each block's noise whole instead took
+    ``identity_checks`` (10,000 trials, MF/RF/WF, 2-core Xeon) from 1.13-1.17 s to 1.65-1.70 s: a redesign
+    that drops the array must first reuse the step's buffers, as tuning glibc is no mend.
     """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     uniforms, rng = np.random.default_rng(seq), np.random.default_rng(seq)
@@ -212,7 +216,7 @@ def _draw_batch(index: int, size: int, dims: FrameDims, scene: Scene, seed: int,
 
 def _simulate_batch(index: int, size: int, cuts: np.ndarray, guide: np.ndarray, dims: FrameDims, scene: Scene,
                     seed: int, chain) -> list[tuple[dict, dict]]:
-    """The one batch runner: batch ``index`` of a built ``chain = (batch, block_bytes, noise_shape, step)``.
+    """The one batch runner: batch ``index`` of a built ``chain = (block_bytes, noise_shape, step)``.
 
     It draws the batch by ``_draw_batch(..., block_bytes, noise_shape)``, maps each block's uniforms
     to cells by one ``_guide_search``, and calls ``step(alphas, cell, z)`` on the block's gains: the
@@ -220,7 +224,7 @@ def _simulate_batch(index: int, size: int, cuts: np.ndarray, guide: np.ndarray, 
     arm it returns ``(maps, frames)``: each map's total over the batch, and each per-frame scalar as one
     array of ``size`` values, joined once here. No result depends on the block size. Every arm sees the same draw.
     """
-    _, block_bytes, noise_shape, step = chain
+    block_bytes, noise_shape, step = chain
     alphas, blocks = _draw_batch(index, size, dims, scene, seed, block_bytes, noise_shape)
     per_arm: dict[int, tuple[dict, dict]] = {}
     for frames, u, z in blocks:  # the cells go to the step unbound here, so the step may free them
@@ -270,7 +274,7 @@ def _frame_chain(dims: FrameDims, scene: Scene, reduce):
                     sums = dict(zip(("g_energy", "chi_total", "r_energy"), terms[:, i].T))
                     yield reduce(h, g, y * g, sums, cell, chi_cells)
 
-        return DEFAULT_BATCH, FRAME_BLOCK_BYTES, dims.shape, step
+        return FRAME_BLOCK_BYTES, dims.shape, step
 
     return chain
 
@@ -284,8 +288,9 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
     scale). ``_cell_tables`` cuts [0, 1) once per call at every codebook's CDF cuts and
     builds their guide table, and ``books`` holds, per codebook, its symbol per cell and, per
     filter, its g and chi per cell. ``chain(books)``, called once per call, declares the chain's
-    batch plan and step, ``(batch, block_bytes, noise_shape, step)``, which ``_simulate_batch``
-    runs. ``threads`` counts the calling thread: it runs batches beside
+    blocks and step, ``(block_bytes, noise_shape, step)``, which ``_simulate_batch`` runs on
+    every chain's one plan of ``DEFAULT_BATCH``-frame batches, the module value at the call.
+    ``threads`` counts the calling thread: it runs batches beside
     ``min(threads, batches) - 1`` pool helpers, one batch per thread at a time; once a batch
     raises, no thread starts another. Maps add up, and per-frame arrays join, in plan order:
     no result depends on the thread count, and each caller reduces the values it reads.
@@ -306,7 +311,7 @@ def _run_batches(codebooks: Sequence[ShapedConstellation], filters: Sequence[Fil
         tables = [(point_gain(c.points, f)[table], point_chi(c.points, f)[table]) for f in filters]
         books.append((c.points[table], tables))
     declared = chain(books)
-    plan = _batch_plan(trials, declared[0])
+    plan = _batch_plan(trials, DEFAULT_BATCH)
     simulate = _simulate_batch  # read once, so a patched kernel serves the whole call
 
     # the calling thread drains the plan beside the helpers; results land by plan index

@@ -36,7 +36,7 @@ from scipy.optimize import brentq  # noqa: F401
 # brentq, air_estimate and complex_normal are unused here but stay importable:
 # perfbench/tracing.py wraps pcs.brentq, pcs.air_estimate and pcs.complex_normal
 from .air import (  # noqa: F401
-    AirConfig, air_estimate, air_quadrature, gauss_hermite_outputs, log_likelihood_table, symmetry_orbits,
+    air_estimate, air_quadrature, check_variance, gauss_hermite_outputs, log_likelihood_table, symmetry_orbits,
 )
 # bound as ``logsumexp``: perfbench/tracing.py wraps pcs.logsumexp as the posterior span
 from .air import row_logsumexp as logsumexp
@@ -69,7 +69,7 @@ class PcsConfig:
     dims: FrameDims
     gain_var: float
     noise_var: float
-    comm: AirConfig
+    comm_noise_var: float  # the AIR's channel y = x + n, n ~ CN(0, comm_noise_var)
     c0: float
     tol: float = 1e-5
     max_outer_iters: int = 500
@@ -79,10 +79,8 @@ class PcsConfig:
         # each check is written so that nan fails it
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if not 0 < self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be finite and > 0, got {self.noise_var}")
-        if not 0 < self.gain_var < math.inf:
-            raise ValueError(f"gain_var must be finite and > 0, got {self.gain_var}")
+        for name in ("noise_var", "gain_var", "comm_noise_var"):
+            check_variance(name, getattr(self, name))
         object.__setattr__(self, "max_outer_iters", check_int("max_outer_iters", self.max_outer_iters, 1))
         if math.isnan(self.c0):  # an infinite budget is clamped, with a warning, by the solve
             raise ValueError("c0 must be a number, got nan")
@@ -264,7 +262,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     c0_eff = effective_budget(cfg)
     budget_norm = c0_eff / scale
 
-    var = cfg.comm.comm_noise_var
+    var = cfg.comm_noise_var
     y, node_w = gauss_hermite_outputs(points[reps], var, BANK_NODES)
     ll = log_likelihood_table(y, points, var)
     own_idx = np.repeat(reps, node_w.size)
@@ -295,7 +293,7 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     del ll, own_ll, work  # free the bank before the quadrature allocates its blocks
     p = (mass / sizes)[orbit_of]
     shaped = make_shaped(cfg.family, cfg.order, p)
-    air_bits = air_quadrature(shaped, cfg.comm)
+    air_bits = air_quadrature(shaped, cfg.comm_noise_var)
     return PcsSolution(
         probs=p,
         air_bits=air_bits,

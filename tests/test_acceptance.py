@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from ofdm_isac.air import AirConfig, air_estimate
+from ofdm_isac.air import air_estimate
 from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import chi_stats, make_shaped, make_uniform
@@ -35,7 +35,7 @@ DIMS = FrameDims(64, 32)
 SNR_4DB = 10.0**0.4
 NOISE_4DB = 1.0 / SNR_4DB
 SCENE_4DB = Scene((Target(1.0, 0.0, 0.0),), NOISE_4DB)
-COMM = AirConfig(comm_noise_var=0.02)
+COMM_NOISE_VAR = 0.02
 
 
 def check(criterion, ok, detail):
@@ -294,7 +294,7 @@ def test_criterion_08_mba_solver_properties():
             sols.append(
                 mba_solve(
                     PcsConfig(
-                        "qam", 64, f, DIMS, 1.0, NOISE_4DB, COMM, float(c0),
+                        "qam", 64, f, DIMS, 1.0, NOISE_4DB, COMM_NOISE_VAR, float(c0),
                     )
                 )
             )
@@ -307,7 +307,7 @@ def test_criterion_08_mba_solver_properties():
     mses = [s.sensing_mse for s in sols]
     air_mono = all(b >= a - 5e-3 for a, b in zip(airs, airs[1:]))
     mse_mono = all(b >= a - 1e-9 for a, b in zip(mses, mses[1:]))
-    oracle = ba_power_only(make_uniform("qam", 64).points, COMM.comm_noise_var, 200, bank_seed=5)
+    oracle = ba_power_only(make_uniform("qam", 64).points, COMM_NOISE_VAR, 200, bank_seed=5)
     tv = 0.5 * float(np.abs(sols[-1].probs - oracle).sum())
     ok = (
         simplex_res <= 1e-10
@@ -334,7 +334,7 @@ def _pcs_pedestal_gain_db(f):
     with pytest.warns(UserWarning, match="clamped"):
         sol = mba_solve(
             PcsConfig(
-                "qam", 64, f, DIMS, 1.0, NOISE_4DB, COMM, lo,
+                "qam", 64, f, DIMS, 1.0, NOISE_4DB, COMM_NOISE_VAR, lo,
             )
         )
     assert sol.converged, f"mba_solve stopped after {sol.outer_iters} iterations"
@@ -373,8 +373,8 @@ def test_criterion_09b_pcs_pedestal_gain_wf():
 
 
 def test_criterion_10_air_estimator():
-    ceiling = air_estimate(make_uniform("qam", 64), AirConfig(1e-6), samples=200_000, seed=0)
-    bpsk = air_estimate(make_uniform("psk", 2), AirConfig(2.0), samples=300_000, seed=0)
+    ceiling = air_estimate(make_uniform("qam", 64), 1e-6, samples=200_000, seed=0)
+    bpsk = air_estimate(make_uniform("psk", 2), 2.0, samples=300_000, seed=0)
     t, w = np.polynomial.hermite.hermgauss(127)
     y = 1.0 + math.sqrt(2.0) * t
     p_y = 0.5 * (np.exp(-((y - 1.0) ** 2) / 2) + np.exp(-((y + 1.0) ** 2) / 2)) / math.sqrt(2 * math.pi)

@@ -101,6 +101,22 @@ class TestProfiles:
             _, _, rows = read_csv(tmp_path / f"profile_{axis}_16x16.csv")
             assert [float(row[4]) for row in rows] == expected.tolist()
 
+    def test_empirical_columns_are_the_librarys_at_the_seed(self, tmp_path):
+        """``profiles --seed 5`` writes the slices of ``empirical_dd_profile(..., seed=5)`` and names seed 5."""
+        from ofdm_isac.channel import Scene
+        from ofdm_isac.constellation import make_uniform
+        from ofdm_isac.filtering import MF
+
+        cfg = write_cfg(tmp_path, "p.json", {"order": 16, "snr_in_db": 4.0, "trials": 40, "dims_list": [[16, 16]]})
+        assert main(["profiles", "--config", cfg, "--out", str(tmp_path), "--seed", "5"]) == 0
+        scene = Scene((Target(1.0, 0.0, 0.0),), 1.0 / 10.0**0.4)
+        mean_map = metrics.empirical_dd_profile(make_uniform("qam", 16), MF, FrameDims(16, 16), scene, 40, seed=5)
+        for axis, expected in (("delay", mean_map[:, 0]), ("doppler", mean_map[0, :])):
+            comments, _, rows = read_csv(tmp_path / f"profile_{axis}_16x16.csv")
+            assert any(c.rstrip().endswith("empirical trials=40 seed=5") for c in comments)
+            assert [float(row[4]) for row in rows] == expected.tolist()
+            assert [float(row[2]) for row in rows] == [cli._db(x / expected.max()) for x in expected]
+
 
 class TestPcsCommand:
     def test_codebook_and_trace(self, tmp_path):
@@ -290,7 +306,7 @@ class TestTradeoffCommand:
         for i, pd in enumerate(pds):
             c, _ = load_codebook(tmp_path / f"codebook_{i:02d}.json")
             (want,) = detection_probability(
-                FrameDims(64, 32), scene, (c,), wiener(snr), CfarConfig(2, 16, 1e-2), 600, cli._derived_seeds(6)[3]
+                FrameDims(64, 32), scene, (c,), wiener(snr), CfarConfig(2, 16, 1e-2), 600, 6
             )
             assert pd == want
         assert len(set(pds)) == len(pds)  # distinct, so a row given another row's pd would show

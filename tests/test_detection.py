@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ofdm_isac
-from ofdm_isac import detection, metrics
+from ofdm_isac import metrics
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_uniform
 from ofdm_isac.detection import (
@@ -213,13 +213,13 @@ class TestDetectionProbability:
     def test_threads_do_not_change_result(self):
         scene = default_tradeoff_scene(1.0 / SNR)
         c = (make_uniform("qam", 16),)
-        a = detection_probability(DIMS, scene, c, MF, CfarConfig(2, 8, 1e-3), 256, 7, threads=1)
-        b = detection_probability(DIMS, scene, c, MF, CfarConfig(2, 8, 1e-3), 256, 7, threads=4)
+        # four 256-frame batches, so that three pool helpers start beside the calling thread
+        a = detection_probability(DIMS, scene, c, MF, CfarConfig(2, 8, 1e-3), 1024, 7, threads=1)
+        b = detection_probability(DIMS, scene, c, MF, CfarConfig(2, 8, 1e-3), 1024, 7, threads=4)
         assert a == b
 
     def test_shaped_beats_uniform_on_pedestal_limited_scene(self):
         # weak target far enough that the strong peak stays out of the window
-        from ofdm_isac.air import AirConfig
         from ofdm_isac.constellation import make_shaped
         from ofdm_isac.pcs import PcsConfig, c0_bounds, mba_solve
 
@@ -233,7 +233,7 @@ class TestDetectionProbability:
             sol = mba_solve(
                 PcsConfig(
                     "qam", 64, f, DIMS, 1.0, noise,
-                    AirConfig(0.02), lo,
+                    0.02, lo,
                 )
             )
         shaped = make_shaped("qam", 64, sol.probs)
@@ -265,7 +265,7 @@ class TestSharedTrialSet:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_entry_equals_a_single_call(self, monkeypatch, threads):
-        monkeypatch.setattr(detection, "DETECTION_BATCH", 64)
+        monkeypatch.setattr(metrics, "DEFAULT_BATCH", 64)
         f = wiener(SNR)
         books = self.books()
         pds = detection_probability(DIMS, self.SCENE, books, f, self.CFAR, 300, 12, threads=threads)
@@ -278,7 +278,7 @@ class TestSharedTrialSet:
         assert pds[0] != pds[1]  # every codebook sees the same draw: the codebooks set the difference
 
     def test_cell_tables_built_once_per_call(self, monkeypatch):
-        monkeypatch.setattr(detection, "DETECTION_BATCH", 16)
+        monkeypatch.setattr(metrics, "DEFAULT_BATCH", 16)
         built = []
         cell_tables = metrics._cell_tables
         monkeypatch.setattr(metrics, "_cell_tables", lambda books: built.append(len(books)) or cell_tables(books))

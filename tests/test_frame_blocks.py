@@ -27,8 +27,7 @@ def _outputs(threads=1):
     c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
     filters = (MF, RF, wiener(SNR))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "DEFAULT_BATCH", BATCH)
-        mp.setattr(detection, "DETECTION_BATCH", BATCH)
+        mp.setattr(metrics, "DEFAULT_BATCH", BATCH)  # every chain's batches
         return (
             identity_checks(c, filters, DIMS, SCENE, TRIALS, 7, threads=threads),
             empirical_metrics(c, wiener(SNR), DIMS, SCENE, TRIALS, 8, threads=threads),
@@ -97,7 +96,7 @@ def test_kernel_calls_reducer_once_per_block(monkeypatch):
     assert np.array_equal(sums["n"], np.ones(23))
     assert np.array_equal(sums["index"], np.concatenate([np.arange(size, dtype=float) for size in sizes]))
 
-    monkeypatch.setattr(detection, "DETECTION_BATCH", BATCH)
+    monkeypatch.setattr(metrics, "DEFAULT_BATCH", BATCH)
     run_batches, steps = metrics._run_batches, []
     monkeypatch.setattr(detection, "_run_batches", lambda *args: run_batches(*args[:-1], _spied(args[-1], steps)))
     scene = default_tradeoff_scene(1.0 / SNR, weak_rel_power_db=-12.0)
@@ -205,9 +204,9 @@ def _within_binomial_sigmas(new, old, trials):
     return abs(new - old) <= 4 * math.sqrt(old * (1.0 - old) / trials)
 
 
-# Recorded when detection began drawing one noise value per delay bin (xi, the column's
-# CN(0, noise_var sum_m |g|^2) noise term): 64-QAM, WF at 4 dB, 64x32, 1024 trials.
-PINNED_PD = {5: 0.072265625, 2026: 0.07421875}
+# Recorded when detection moved onto the frame kernel's 256-frame batches, drawing one noise value per
+# delay bin (xi, the column's CN(0, noise_var sum_m |g|^2) noise term): 64-QAM, WF at 4 dB, 64x32, 1024 trials.
+PINNED_PD = {5: 0.091796875, 2026: 0.0703125}
 # The same, from the commit before: its noise term summed N M draws per frame. The old and new
 # streams estimate one P_d, so the pins may move by Monte Carlo error only.
 PINNED_PD_NM_NOISE = {5: 0.0712890625, 2026: 0.0751953125}
@@ -224,10 +223,10 @@ def test_detection_probability_pinned(seed, threads):
     assert _within_binomial_sigmas(pd, PINNED_PD_NM_NOISE[seed], 1024)
 
 
-# Recorded with the per-delay-bin noise draw: four 16-QAM codebooks (two with
-# zero-probability points), WF at 4 dB, targets at fractional Doppler bins, the
-# weak one read on Doppler column 6, 500 trials.
-PINNED_PD_COLUMN = (0.596, 0.614, 0.59, 0.606)
+# Recorded with the per-delay-bin noise draw on 256-frame batches: four 16-QAM codebooks (two with
+# zero-probability points), WF at 4 dB, targets at fractional Doppler bins, the weak one read on
+# Doppler column 6, 500 trials.
+PINNED_PD_COLUMN = (0.576, 0.574, 0.556, 0.578)
 # The same, from the commit whose detection formed hhat and projected it onto w_p, with N M noise draws.
 PINNED_PD_COLUMN_NM_NOISE = (0.584, 0.594, 0.576, 0.588)
 
@@ -265,8 +264,8 @@ def test_reduced_verify_report_pinned(tmp_path, threads):
 
 
 # Noise-free results, recorded where a scene without noise drew no noise at all: drawing it as zeros
-# must leave every bit. Numpy 2.4 on x86-64, as the verify digest above.
-PINNED_NOISE_FREE_PD = (0.93, 0.9333333333333333)
+# must leave every bit. Numpy 2.4 on x86-64, as the verify digest above; the detection pin on 256-frame batches.
+PINNED_NOISE_FREE_PD = (0.94, 0.9333333333333333)
 PINNED_NOISE_FREE_PROFILE_SHA256 = "66872bda1dea1c568c1db144e64e9d982b6be92e19e99a705fcfa9b5937a85ec"
 PINNED_NOISE_FREE_RESIDUALS = [  # (islr_identity, mse_relation, dd_unitarity, parseval) for MF, RF and WF
     (8.223874256482646e-16, 0.03329720143287376, 3.9853342615405698e-16, 6.62819716194123e-16),
@@ -315,10 +314,9 @@ def _full_map_hits(cfar, weak_cell):
 
 
 @pytest.mark.parametrize("doppler_bin", [0.0, 3.0, 29.0])
-def test_detection_column_matches_full_dd_map(monkeypatch, doppler_bin):
-    """Without noise, detection reads one DD-map column: its P_d equals that of CA-CFAR on the full map's
-    column, trial by trial."""
-    monkeypatch.setattr(metrics, "DEFAULT_BATCH", detection.DETECTION_BATCH)  # the same trials in the same batches
+def test_detection_column_matches_full_dd_map(doppler_bin):
+    """Without noise, detection reads one DD-map column: at one seed its P_d equals that of CA-CFAR on the
+    full map's column, trial by trial, as both chains draw their trials in the same batches."""
     scene = Scene((Target(1.0, 0.0, 1.0), Target(10**-1.3, 6.0, doppler_bin)), 0.0)
     c = make_shaped("qam", 16, np.arange(16) % 5 + 1.0)
     cfar = CfarConfig(2, 8, 1e-3)

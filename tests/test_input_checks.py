@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ofdm_isac import metrics
-from ofdm_isac.air import AirConfig, air_estimate
+from ofdm_isac.air import air_estimate, air_quadrature
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import load_codebook, make_uniform
@@ -24,7 +24,7 @@ NAN = float("nan")
 
 def _pcs_config(**overrides):
     kwargs = dict(family="qam", order=16, filt=MF, dims=FrameDims(8, 4), gain_var=1.0,
-                  noise_var=0.5, comm=AirConfig(0.1), c0=10.0)
+                  noise_var=0.5, comm_noise_var=0.1, c0=10.0)
     kwargs.update(overrides)
     return PcsConfig(**kwargs)
 
@@ -37,14 +37,17 @@ class TestLibraryRejectsNan:
             lambda: Scene((Target(1.0, 0.0, 0.0),), NAN),
             lambda: wiener(NAN),
             lambda: FilterKind(FilterType.WF, NAN),
-            lambda: AirConfig(NAN),
+            lambda: air_quadrature(QAM16, NAN),
+            lambda: air_estimate(QAM16, NAN, samples=10),
+            lambda: _pcs_config(comm_noise_var=NAN),
             lambda: _pcs_config(tol=NAN),
             lambda: _pcs_config(gain_var=NAN),
             lambda: _pcs_config(noise_var=NAN),
             lambda: _pcs_config(c0=NAN),
             lambda: penalty_f(np.ones(4), MF, NAN),
         ],
-        ids=["target-gain_var", "scene-noise_var", "wiener", "filterkind-wf", "air-comm_noise_var",
+        ids=["target-gain_var", "scene-noise_var", "wiener", "filterkind-wf", "air-noise_var",
+             "air-estimate-noise_var", "pcs-comm_noise_var",
              "pcs-tol", "pcs-gain_var", "pcs-noise_var", "pcs-c0", "penalty_f"],
     )
     def test_nan_raises(self, build):
@@ -61,10 +64,12 @@ class TestLibraryRejectsNan:
     @pytest.mark.parametrize("build, field", [
         (lambda: Target(math.inf, 0.0, 0.0), "gain_var"),
         (lambda: Scene((Target(1.0, 0.0, 0.0),), math.inf), "noise_var"),
-        (lambda: AirConfig(math.inf), "comm_noise_var"),
+        (lambda: air_quadrature(QAM16, math.inf), "noise_var"),
+        (lambda: _pcs_config(comm_noise_var=math.inf), "comm_noise_var"),
         (lambda: _pcs_config(gain_var=math.inf), "gain_var"),
         (lambda: _pcs_config(noise_var=math.inf), "noise_var"),
-    ], ids=["target-gain_var", "scene-noise_var", "air-comm_noise_var", "pcs-gain_var", "pcs-noise_var"])
+    ], ids=["target-gain_var", "scene-noise_var", "air-noise_var", "pcs-comm_noise_var", "pcs-gain_var",
+            "pcs-noise_var"])
     def test_infinite_variance_raises(self, build, field):
         """An infinite variance would run to nan (an all-nan DD map, a nan AIR or DR) instead of failing here."""
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -171,8 +176,8 @@ class TestCountArguments:
         (lambda path: load_codebook(_json_file(path, {"family": "qam", "order": 16.9, "probs": [1.0] * 16})),
          "order must be an int >= 1"),
         (lambda path: load_codebook(_json_file(path, ["qam", 16])), "codebook must be a JSON object"),
-        (lambda path: air_estimate(QAM16, AirConfig(0.1), samples=True), "samples must be an int >= 1"),
-        (lambda path: air_estimate(QAM16, AirConfig(0.1), samples=100, seed=True), "seed must be an int >= 0"),
+        (lambda path: air_estimate(QAM16, 0.1, samples=True), "samples must be an int >= 1"),
+        (lambda path: air_estimate(QAM16, 0.1, samples=100, seed=True), "seed must be an int >= 0"),
     ], ids=["pcs-bool-iters", "pcs-fractional-iters", "codebook-fractional-order", "codebook-list",
             "air-bool-samples", "air-bool-seed"])
     def test_library_counts_reject(self, tmp_path, build, message):

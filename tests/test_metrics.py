@@ -488,8 +488,9 @@ class TestThreadPool:
         """``_run_batches`` on one-frame batches, with ``run(index, size)`` as the batch runner."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_simulate_batch", lambda index, size, *rest: run(index, size))
+            mp.setattr(metrics, "DEFAULT_BATCH", 1)
             return metrics._run_batches((make_uniform("qam", 16),), (MF,), FrameDims(4, 4), self.SCENE, trials, 0,
-                                        threads, lambda books: (1, metrics.FRAME_BLOCK_BYTES, (4, 4), None))
+                                        threads, lambda books: (metrics.FRAME_BLOCK_BYTES, (4, 4), None))
 
     def test_helpers_capped_by_plan_without_starting_threads(self, monkeypatch):
         """--threads 1000 on a 16-batch plan asks for 15 helpers; the stand-in pool runs them inline."""

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from ofdm_isac import pcs
-from ofdm_isac.air import AirConfig, air_quadrature, symmetry_orbits
+from ofdm_isac.air import air_quadrature, symmetry_orbits
 from ofdm_isac.channel import FrameDims, complex_normal
 from ofdm_isac.constellation import make_shaped, make_uniform, moment_abs_pow
 from ofdm_isac.filtering import MF, RF, wiener
@@ -28,7 +28,7 @@ from ofdm_isac.pcs import (
 DIMS = FrameDims(64, 32)
 SNR = 10.0**0.4
 NOISE = 1.0 / SNR
-COMM = AirConfig(comm_noise_var=0.02)
+COMM_NOISE_VAR = 0.02
 
 
 def quick_cfg(filt, c0, **kw):
@@ -39,7 +39,7 @@ def quick_cfg(filt, c0, **kw):
         dims=DIMS,
         gain_var=1.0,
         noise_var=NOISE,
-        comm=COMM,
+        comm_noise_var=COMM_NOISE_VAR,
         c0=c0,
     )
     defaults.update(kw)
@@ -246,7 +246,7 @@ class TestSolver:
         _, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         sol = mba_solve(quick_cfg(f, hi, tol=1e-9, max_outer_iters=400))
         oracle = ba_power_only(
-            make_uniform("qam", 64).points, COMM.comm_noise_var, 200, bank_seed=5
+            make_uniform("qam", 64).points, COMM_NOISE_VAR, 200, bank_seed=5
         )
         tv = 0.5 * float(np.abs(sol.probs - oracle).sum())
         assert tv <= 0.05
@@ -256,7 +256,7 @@ class TestSolver:
         """Uniform 64-QAM meets the loosest budget, so the solved AIR may not fall below its AIR."""
         _, hi = c0_bounds(64, filt, DIMS, 1.0, NOISE)
         sol = mba_solve(quick_cfg(filt, hi))
-        assert sol.air_bits >= air_quadrature(make_uniform("qam", 64), COMM)
+        assert sol.air_bits >= air_quadrature(make_uniform("qam", 64), COMM_NOISE_VAR)
 
     def test_tight_rf_budget_concentrates_near_unit_modulus(self):
         f = RF
@@ -302,7 +302,7 @@ class TestSolver:
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         cfg = quick_cfg(f, lo + 0.5 * (hi - lo))
         sol = mba_solve(cfg)
-        assert sol.air_bits == air_quadrature(make_shaped("qam", 64, sol.probs), COMM)
+        assert sol.air_bits == air_quadrature(make_shaped("qam", 64, sol.probs), COMM_NOISE_VAR)
 
     def test_trace_rows_schema(self):
         f = MF

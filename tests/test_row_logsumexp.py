@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ofdm_isac import pcs
-from ofdm_isac.air import AirConfig, air_quadrature, row_logsumexp
+from ofdm_isac.air import air_quadrature, row_logsumexp
 from ofdm_isac.channel import FrameDims
 from ofdm_isac.constellation import make_shaped
 from ofdm_isac.filtering import RF, wiener
@@ -146,7 +146,7 @@ def _shaping_solve(filt, fraction):
     f = wiener(SNR) if filt == "wf" else RF
     dims = FrameDims(64, 32)
     lo, hi = c0_bounds(64, f, dims, 1.0, 1.0 / SNR)
-    cfg = PcsConfig("qam", 64, f, dims, 1.0, 1.0 / SNR, AirConfig(0.02), lo + fraction * (hi - lo))
+    cfg = PcsConfig("qam", 64, f, dims, 1.0, 1.0 / SNR, 0.02, lo + fraction * (hi - lo))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return mba_solve(cfg)
@@ -188,7 +188,7 @@ def test_shaping_solves_reach_full_alphabet_air(filt, fraction):
 @pytest.mark.parametrize("noise_var", sorted(PINNED_QUADRATURE))
 def test_air_quadrature_pinned(noise_var):
     c = make_shaped("qam", 64, np.arange(64) % 7 + 0.0)
-    assert air_quadrature(c, AirConfig(noise_var)) == PINNED_QUADRATURE[noise_var]
+    assert air_quadrature(c, noise_var) == PINNED_QUADRATURE[noise_var]
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ import pytest
 from ofdm_isac import pcs
 from ofdm_isac.air import (
     GH_NODES,
-    AirConfig,
     air_quadrature,
     gauss_hermite_outputs,
     log_likelihood_table,
@@ -57,7 +56,7 @@ def full_solve(cfg):
     fpen = penalty_f(points, cfg.filt, cfg.gain_var / cfg.noise_var)
     c0_eff = effective_budget(cfg)
     budget_norm = c0_eff / (cfg.dims.size * cfg.noise_var)
-    var = cfg.comm.comm_noise_var
+    var = cfg.comm_noise_var
     y, node_w = gauss_hermite_outputs(points, var, pcs.BANK_NODES)
     ll = log_likelihood_table(y, points, var)
     own_idx = np.repeat(np.arange(cfg.order), node_w.size)
@@ -128,7 +127,7 @@ def test_orbit_quadrature_matches_the_full_sum(family, order, gain):
     orbit_of = symmetry_orbits(gain * uniform.points)[2]
     for c in (uniform, make_shaped(family, order, 1.0 + orbit_of)):
         c = turned(c, gain)
-        assert air_quadrature(c, AirConfig(0.05)) == pytest.approx(full_quadrature(c, 0.05), rel=0.0, abs=1e-12)
+        assert air_quadrature(c, 0.05) == pytest.approx(full_quadrature(c, 0.05), rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("gain", [0.6 + 0.8j, 0.3 + 1.1j])
@@ -159,7 +158,7 @@ def test_orbit_solve_matches_the_full_alphabet_solve(family, order):
             continue
         f = FILTERS[filt]
         lo, hi = c0_bounds(order, f, DIMS, 1.0, 1.0 / SNR, family)
-        cfg = PcsConfig(family, order, f, DIMS, 1.0, 1.0 / SNR, AirConfig(var), lo + frac * (hi - lo))
+        cfg = PcsConfig(family, order, f, DIMS, 1.0, 1.0 / SNR, var, lo + frac * (hi - lo))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the tightest budgets are clamped to the alphabet's floor
             sol = mba_solve(cfg)

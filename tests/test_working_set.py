@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ofdm_isac.air import LL_CHUNK_BYTES, AirConfig, air_quadrature, log_likelihood_table
+from ofdm_isac.air import LL_CHUNK_BYTES, air_quadrature, log_likelihood_table
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_shaped, make_uniform
 from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
@@ -50,7 +50,7 @@ def test_wf_solve_peak_bounded():
     dims = FrameDims(64, 32)
     filt = wiener(snr)
     lo, hi = c0_bounds(64, filt, dims, 1.0, 1.0 / snr)
-    cfg = PcsConfig("qam", 64, filt, dims, 1.0, 1.0 / snr, AirConfig(0.02), lo + 0.5 * (hi - lo))
+    cfg = PcsConfig("qam", 64, filt, dims, 1.0, 1.0 / snr, 0.02, lo + 0.5 * (hi - lo))
     sol, peak = _traced_peak(mba_solve, cfg)
     assert sol.converged
     assert peak < 3.8 * MIB, f"peak {peak / MIB:.2f} MiB"
@@ -59,7 +59,7 @@ def test_wf_solve_peak_bounded():
 def test_quadrature_peak_bounded():
     """Uniform 64-QAM: 16.6 MiB with whole-block complex differences, 9.85 with chunks, 3.30 on the
     orbit representatives' 4,000 rows (one block) in place of 25,600."""
-    bits, peak = _traced_peak(air_quadrature, make_uniform("qam", 64), AirConfig(0.02))
+    bits, peak = _traced_peak(air_quadrature, make_uniform("qam", 64), 0.02)
     assert 5.0 < bits <= 6.0
     assert peak < 3.7 * MIB, f"peak {peak / MIB:.2f} MiB"
 
@@ -104,8 +104,10 @@ def test_detection_peak_bounded():
 
 
 def test_detection_peak_bounded_two_threads():
-    """The same on two 128-frame batches at 2 threads: 14.5 MiB with two pool workers each holding
-    its whole batch's columns, 7.3 with the caller and one helper each holding one block, 2.24-2.52
-    (20 runs; the threads' blocks overlap more or less) with one noise value per frame and delay bin."""
-    peak = _detection_peak(256, 2)
+    """The same on two batches at 2 threads: 14.5 MiB with two pool workers each holding its whole
+    batch's columns, 7.3 with the caller and one helper each holding one block, 2.24-2.52 (20 runs of
+    two 128-frame batches; the threads' blocks overlap more or less) with one noise value per frame
+    and delay bin. Two 256-frame batches, so that both threads run one: 2.52-2.55 MiB; a single
+    batch, on one thread, reads 1.41."""
+    peak = _detection_peak(512, 2)
     assert peak < 2.9 * MIB, f"peak {peak / MIB:.2f} MiB"
