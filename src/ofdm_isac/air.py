@@ -10,8 +10,8 @@ the log-sum-exp stabilized mixture likelihood is computed two ways:
   and its log-sum-exp is ``row_logsumexp``; the solver's posterior bank uses
   all three, at fewer nodes.
 - ``air_estimate``: Monte Carlo, its sample count and seed given as arguments,
-  kept as an independent check of the quadrature; it keeps
-  ``scipy.special.logsumexp``.
+  kept as an independent check of the quadrature: it draws y where the quadrature
+  takes nodes, through the same ``log_likelihood_table`` and ``row_logsumexp``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import check_int, complex_normal
 from .constellation import ShapedConstellation, draw_symbols
 
-_CHUNK = 20_000
+_CHUNK = 20_000  # air_estimate's draws per chunk; it fixes the stream that a seed gives
 GH_NODES = 20  # per real dimension; the product rule has GH_NODES**2 noise nodes
 # (point, node) rows per quadrature block. Fixed, not sized to memory: the AIR
 # sums one dot product per block, so its bits depend on where the blocks split.
@@ -44,11 +43,11 @@ def row_logsumexp(a: np.ndarray) -> np.ndarray:
     """Row-wise log(sum(exp(a))) of a 2-D float array, overwriting ``a``.
 
     The max-separated ``log1p`` form of Blanchard, Higham & Higham (IMA J.
-    Numer. Anal. 2021), step for step as ``scipy.special.logsumexp(a, axis=1)``
-    takes it, so the result has the same bits: with ``a_max`` the row maximum
-    and ``count`` the number of cells equal to it, ``s`` is the row sum of
-    ``exp(a - a_max)`` over the other cells, divided by ``count`` unless it is
-    0, and the result is ``log1p(s) + log(count) + a_max``.
+    Numer. Anal. 2021), taken step for step as the reference log-sum-exp of
+    ``tests/test_row_logsumexp.py`` takes it, so it has that reference's bits:
+    with ``a_max`` the row maximum and ``count`` the number of cells equal to
+    it, ``s`` is the row sum of ``exp(a - a_max)`` over the other cells, divided
+    by ``count`` unless it is 0, and the result is ``log1p(s) + log(count) + a_max``.
 
     For finite real input only: inf and nan rows are not handled. ``a`` is
     used as the work buffer and holds no useful values afterwards.
@@ -143,9 +142,9 @@ def air_estimate(c: ShapedConstellation, noise_var: float, samples: int = 200_00
     while remaining > 0:
         size = min(_CHUNK, remaining)
         x = c.points[draw_symbols(c, rng, size)]
-        y = x + complex_normal(rng, var, size)
-        sq_dist = np.abs(y[:, None] - c.points[None, :]) ** 2
-        lse_total += float(logsumexp(log_p[None, :] - sq_dist / var, axis=1).sum())
+        a = log_likelihood_table(x + complex_normal(rng, var, size), c.points, var)
+        a += log_p
+        lse_total += float(row_logsumexp(a).sum())
         remaining -= size
 
     mean_lse = lse_total / samples

@@ -428,9 +428,8 @@ def _cmd_pcs(args, v: dict) -> int:
         _write_json(path, {"error": str(exc), "diagnostics": exc.diagnostics})
         print(f"solver failed: {exc} (diagnostics in {path})", file=sys.stderr)
         return 1
-    shaped = make_shaped(pcfg.family, pcfg.order, sol.probs)
     codebook_path = args.out / "codebook.json"
-    save_codebook(codebook_path, shaped, snr_in=pcfg.gain_var / pcfg.noise_var, filter_kind=pcfg.filt.kind.value,
+    save_codebook(codebook_path, sol.codebook, snr_in=pcfg.gain_var / pcfg.noise_var, filter_kind=pcfg.filt.kind.value,
                   c0=sol.c0_effective, provenance=f"mba_solve iters={sol.outer_iters} converged={sol.converged} "
                   f"air_bits={sol.air_bits:.6f} sensing_mse={sol.sensing_mse:.6g} {_QUADRATURE_PROVENANCE}")
     trace_path = _write_table(args.out / "pcs_trace", args.format, [
@@ -450,12 +449,12 @@ def _cmd_tradeoff(args, v: dict) -> int:
     pcfg = _problem(v, grid[0])  # tradeoff_sweep sets each solve's own budget
     sweep = tradeoff_sweep(pcfg, grid)
     solved = {i: sol for i, (_, sol) in enumerate(sweep) if not isinstance(sol, SolverError)}
-    shaped = {i: make_shaped(pcfg.family, pcfg.order, sol.probs) for i, sol in solved.items()}
     # one call, so every budget's pd comes from the same trial set
     pds = detection_probability(
-        pcfg.dims, v["scene"], list(shaped.values()), pcfg.filt, cfar, det_trials, args.seed, threads=args.threads
-    ) if shaped else ()
-    pd_of = dict(zip(shaped, pds))
+        pcfg.dims, v["scene"], [sol.codebook for sol in solved.values()], pcfg.filt, cfar, det_trials, args.seed,
+        threads=args.threads,
+    ) if solved else ()
+    pd_of = dict(zip(solved, pds))
     rows, unconverged = [], sum(not sol.converged for sol in solved.values())
     for i, (c0, sol) in enumerate(sweep):
         if i not in solved:
@@ -463,7 +462,7 @@ def _cmd_tradeoff(args, v: dict) -> int:
             continue
         pd, status = pd_of[i], "" if sol.converged else f"not converged after {sol.outer_iters} iterations"
         rows.append((c0, sol.air_bits, sol.sensing_mse, pd, status))
-        save_codebook(args.out / f"codebook_{i:02d}.json", shaped[i], snr_in=pcfg.gain_var / pcfg.noise_var,
+        save_codebook(args.out / f"codebook_{i:02d}.json", sol.codebook, snr_in=pcfg.gain_var / pcfg.noise_var,
                       filter_kind=pcfg.filt.kind.value, c0=sol.c0_effective,
                       provenance=f"tradeoff point {i}: air_bits={sol.air_bits:.6f}")
     path = _write_table(args.out / "tradeoff", args.format, [

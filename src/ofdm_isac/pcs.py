@@ -41,7 +41,7 @@ from .air import (  # noqa: F401
 # bound as ``logsumexp``: perfbench/tracing.py wraps pcs.logsumexp as the posterior span
 from .air import row_logsumexp as logsumexp
 from .channel import FrameDims, check_int, complex_normal  # noqa: F401
-from .constellation import Family, make_shaped, make_uniform
+from .constellation import Family, ShapedConstellation, make_shaped, make_uniform
 from .filtering import RF_MIN_MODULUS, FilterKind, FilterType, point_chi, point_gain
 from .metrics import closed_form_metrics
 
@@ -88,7 +88,7 @@ class PcsConfig:
 
 @dataclass(frozen=True)
 class PcsSolution:
-    probs: np.ndarray
+    codebook: ShapedConstellation  # the solved law, renormalized: the one air_bits rates and the CLI writes
     air_bits: float
     sensing_mse: float
     outer_iters: int
@@ -247,10 +247,10 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
     constraints and the channel are invariant under its maps, so the optimum is
     constant on each orbit and p(x) = P(O) / |O|. Terminates when
     ||p_next - p||^2 = sum_O (P_next(O) - P(O))^2 / |O| <= tol or after
-    max_outer_iters. The returned distribution satisfies the simplex exactly,
-    and the unit-power constraint and sensing_mse <= c0_effective (equality when
-    the last trace row's lambda1 > 0) to a relative 1e-13. The bank and the work
-    table are freed before the AIR quadrature runs.
+    max_outer_iters. The returned ``codebook`` is ``make_shaped`` of that law, the
+    one ``air_bits`` rates and the CLI writes; sensing_mse <= c0_effective (equality
+    when the last trace row's lambda1 > 0) to a relative 1e-13. The bank and the
+    work table are freed before the AIR quadrature runs.
     """
     points = make_uniform(cfg.family, cfg.order).points
     snr_in = cfg.gain_var / cfg.noise_var
@@ -291,12 +291,10 @@ def mba_solve(cfg: PcsConfig) -> PcsSolution:
             break
 
     del ll, own_ll, work  # free the bank before the quadrature allocates its blocks
-    p = (mass / sizes)[orbit_of]
-    shaped = make_shaped(cfg.family, cfg.order, p)
-    air_bits = air_quadrature(shaped, cfg.comm_noise_var)
+    codebook = make_shaped(cfg.family, cfg.order, (mass / sizes)[orbit_of])
     return PcsSolution(
-        probs=p,
-        air_bits=air_bits,
+        codebook=codebook,
+        air_bits=air_quadrature(codebook, cfg.comm_noise_var),
         sensing_mse=scale * float(mass @ fpen),
         outer_iters=iters,
         trace_rows=rows,

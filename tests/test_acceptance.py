@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from ofdm_isac.air import air_estimate
 from ofdm_isac.channel import FrameDims, Scene, Target, complex_normal
 from ofdm_isac.cli import main
-from ofdm_isac.constellation import chi_stats, make_shaped, make_uniform
+from ofdm_isac.constellation import chi_stats, make_uniform
 from ofdm_isac.detection import CfarConfig, cfar_thresholds, detection_probability
 from ofdm_isac.filtering import MF, RF, wiener
 from ofdm_isac.metrics import (
@@ -298,8 +298,8 @@ def test_criterion_08_mba_solver_properties():
                     )
                 )
             )
-    power_res = max(abs(float(s.probs @ energy) - 1.0) for s in sols)
-    simplex_res = max(abs(float(s.probs.sum()) - 1.0) for s in sols)
+    power_res = max(abs(float(s.codebook.probs @ energy) - 1.0) for s in sols)
+    simplex_res = max(abs(float(s.codebook.probs.sum()) - 1.0) for s in sols)
     budget_ok = all(s.sensing_mse <= s.c0_effective * (1.0 + 1e-4) for s in sols)
     objectives = [[row[1] for row in s.trace_rows] for s in sols]
     trace_ok = all(np.diff(obj).min() >= -1e-3 for obj in objectives if len(obj) > 1)
@@ -308,7 +308,7 @@ def test_criterion_08_mba_solver_properties():
     air_mono = all(b >= a - 5e-3 for a, b in zip(airs, airs[1:]))
     mse_mono = all(b >= a - 1e-9 for a, b in zip(mses, mses[1:]))
     oracle = ba_power_only(make_uniform("qam", 64).points, COMM_NOISE_VAR, 200, bank_seed=5)
-    tv = 0.5 * float(np.abs(sols[-1].probs - oracle).sum())
+    tv = 0.5 * float(np.abs(sols[-1].codebook.probs - oracle).sum())
     ok = (
         simplex_res <= 1e-10
         and power_res <= 1e-6
@@ -338,9 +338,8 @@ def _pcs_pedestal_gain_db(f):
             )
         )
     assert sol.converged, f"mba_solve stopped after {sol.outer_iters} iterations"
-    shaped = make_shaped("qam", 64, sol.probs)
     ped_uniform = empirical_pedestal(make_uniform("qam", 64), f, trials=800, seed=23)
-    ped_shaped = empirical_pedestal(shaped, f, trials=800, seed=24)
+    ped_shaped = empirical_pedestal(sol.codebook, f, trials=800, seed=24)
     return 10 * math.log10(ped_uniform / ped_shaped)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ofdm_isac import cli, metrics, pcs
+from ofdm_isac.air import air_quadrature
 from ofdm_isac.channel import FrameDims, Target, target_cell
 from ofdm_isac.cli import main
 from ofdm_isac.constellation import load_codebook
@@ -174,6 +175,25 @@ class TestPcsCommand:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+
+    def test_written_codebook_is_the_solved_and_rated_law(self, tmp_path, monkeypatch):
+        """On the benchmark's WF solve at budget fraction 0.2, codebook.json holds, bit for bit, the
+        law the solution carries, and that law is the one its air_bits rates."""
+        solves = []
+
+        def recording(cfg):
+            solves.append(pcs.mba_solve(cfg))
+            return solves[-1]
+
+        monkeypatch.setattr(cli, "mba_solve", recording)
+        payload = {"family": "qam", "order": 64, "filter": "wf", "dims": {"N": 64, "M": 32}, "snr_in_db": 4.0,
+                   "comm": {"noise_var": 0.02}, "c0_fraction": 0.2}
+        cfg = write_cfg(tmp_path, "pcs.json", payload)
+        assert main(["pcs", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        (sol,) = solves
+        written, _ = load_codebook(tmp_path / "out" / "codebook.json")
+        assert written.probs.tobytes() == sol.codebook.probs.tobytes()
+        assert air_quadrature(sol.codebook, 0.02) == sol.air_bits
 
     def test_solver_error_writes_error_artifact_only(self, tmp_path, capsys, monkeypatch):
         def stuck(cfg):

@@ -220,7 +220,6 @@ class TestDetectionProbability:
 
     def test_shaped_beats_uniform_on_pedestal_limited_scene(self):
         # weak target far enough that the strong peak stays out of the window
-        from ofdm_isac.constellation import make_shaped
         from ofdm_isac.pcs import PcsConfig, c0_bounds, mba_solve
 
         f = wiener(SNR)
@@ -236,11 +235,10 @@ class TestDetectionProbability:
                     0.02, lo,
                 )
             )
-        shaped = make_shaped("qam", 64, sol.probs)
         scene = Scene((Target(1.0, 0.0, 0.0), Target(10 ** (-2.2), 20.0, 0.0)), noise)
         cfar = CfarConfig(2, 8, 1e-3)
         (pd_uniform,) = detection_probability(DIMS, scene, (make_uniform("qam", 64),), f, cfar, 1500, 9)
-        (pd_shaped,) = detection_probability(DIMS, scene, (shaped,), f, cfar, 1500, 9)
+        (pd_shaped,) = detection_probability(DIMS, scene, (sol.codebook,), f, cfar, 1500, 9)
         assert pd_shaped >= pd_uniform
 
 

@@ -161,7 +161,7 @@ class TestSolver:
         for filt in (MF, RF, wiener(SNR)):
             _, hi = c0_bounds(8, filt, DIMS, 1.0, NOISE, family="psk")
             sol = mba_solve(quick_cfg(filt, hi, family="psk", order=8))
-            tv = 0.5 * float(np.abs(sol.probs - 1.0 / 8).sum())
+            tv = 0.5 * float(np.abs(sol.codebook.probs - 1.0 / 8).sum())
             assert tv < 0.03
             assert sol.trace_rows[-1][4] == 0.0
 
@@ -188,9 +188,9 @@ class TestSolver:
             sol = mba_solve(quick_cfg(filt, c0, family=family, order=order))
         points = make_uniform(family, order).points
         energy = np.abs(points) ** 2
-        assert abs(float(sol.probs.sum()) - 1.0) < 1e-10
-        assert np.all(sol.probs >= 0)
-        assert abs(float(sol.probs @ energy) - 1.0) <= 1e-12
+        assert abs(float(sol.codebook.probs.sum()) - 1.0) < 1e-10
+        assert np.all(sol.codebook.probs >= 0)
+        assert abs(float(sol.codebook.probs @ energy) - 1.0) <= 1e-12
         assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-12)
         if sol.trace_rows[-1][4] > 0:
             assert abs(sol.sensing_mse / sol.c0_effective - 1.0) <= 1e-12
@@ -200,7 +200,7 @@ class TestSolver:
         np.testing.assert_array_equal(fpen, penalty_f(points[reps], filt, SNR))
         np.testing.assert_array_equal(energy_rep, energy[reps])
         assert (l1, l2) == sol.trace_rows[-1][4:6]
-        np.testing.assert_array_equal(sol.probs, (mass / sizes)[orbit_of])
+        np.testing.assert_array_equal(sol.codebook.probs, make_shaped(family, order, (mass / sizes)[orbit_of]).probs)
         # complementary slackness: l1 = 0 exactly when the power-only law meets the budget
         power_only = _softmax(t_orbit - _power_multiplier(t_orbit, energy_rep) * energy_rep)
         assert (l1 == 0.0) == (float(power_only @ fpen) <= budget_norm * (1.0 + 1e-12))
@@ -216,7 +216,7 @@ class TestSolver:
         unit_power = mba_solve(cfg)
         (l1, l2), (unit_l1, unit_l2) = exact.trace_rows[-1][4:6], unit_power.trace_rows[-1][4:6]
         assert l1 > 0 and exact.outer_iters == unit_power.outer_iters
-        np.testing.assert_allclose(exact.probs, unit_power.probs, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(exact.codebook.probs, unit_power.codebook.probs, rtol=0.0, atol=1e-15)
         assert abs(exact.air_bits - unit_power.air_bits) <= 1e-14
         assert l1 == pytest.approx(unit_l1, rel=1e-12)
         assert l2 == pytest.approx(unit_l2 - unit_l1 * (1.0 - 2.0 * SNR), abs=1e-12)
@@ -248,7 +248,7 @@ class TestSolver:
         oracle = ba_power_only(
             make_uniform("qam", 64).points, COMM_NOISE_VAR, 200, bank_seed=5
         )
-        tv = 0.5 * float(np.abs(sol.probs - oracle).sum())
+        tv = 0.5 * float(np.abs(sol.codebook.probs - oracle).sum())
         assert tv <= 0.05
 
     @pytest.mark.parametrize("filt", [wiener(SNR), RF], ids=["wf", "rf"])
@@ -263,11 +263,10 @@ class TestSolver:
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         with pytest.warns(UserWarning, match="clamped"):
             sol = mba_solve(quick_cfg(f, lo + 0.01 * (hi - lo)))
-        shaped = make_shaped("qam", 64, sol.probs)
-        assert moment_abs_pow(shaped, -2.0) <= 1.05
+        assert moment_abs_pow(sol.codebook, -2.0) <= 1.05
         energy = np.abs(make_uniform("qam", 64).points) ** 2
         near_ring = np.abs(energy - 1.0) < 0.25
-        assert float(sol.probs[near_ring].sum()) > 0.95
+        assert float(sol.codebook.probs[near_ring].sum()) > 0.95
 
     def test_budget_above_ceiling_clamped(self):
         f = RF
@@ -293,7 +292,7 @@ class TestSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = mba_solve(quick_cfg(filt, lo + 0.5 * (hi - lo)))
-        law_mse = closed_form_metrics(make_shaped("qam", 64, sol.probs), filt, DIMS, 1.0, NOISE).mse
+        law_mse = closed_form_metrics(sol.codebook, filt, DIMS, 1.0, NOISE).mse
         assert sol.sensing_mse == pytest.approx(law_mse, rel=1e-12)
         assert sol.sensing_mse <= sol.c0_effective * (1.0 + 1e-12)
 
@@ -302,7 +301,7 @@ class TestSolver:
         lo, hi = c0_bounds(64, f, DIMS, 1.0, NOISE)
         cfg = quick_cfg(f, lo + 0.5 * (hi - lo))
         sol = mba_solve(cfg)
-        assert sol.air_bits == air_quadrature(make_shaped("qam", 64, sol.probs), COMM_NOISE_VAR)
+        assert sol.air_bits == air_quadrature(sol.codebook, COMM_NOISE_VAR)
 
     def test_trace_rows_schema(self):
         f = MF

@@ -86,14 +86,14 @@ def test_solver_posterior_runs_the_kernel():
 # symmetry orbits, and the penalty snr (chi - 1)^2 + |g|^2. To re-record, run
 # this file as a script (PYTHONPATH=src python tests/test_row_logsumexp.py) and
 # paste the dict it prints.
-# Per (filter, budget fraction): sha256 of the probs bytes, air_bits,
-# sha256 of repr(trace_rows), outer_iters.
+# Per (filter, budget fraction): sha256 of the codebook's probs bytes (the probs
+# that `pcs` writes), air_bits, sha256 of repr(trace_rows), outer_iters.
 PINNED_SOLVES = {
-    ("wf", 0.2): ("d1e85a509fc382103aa391cf451c5121d328dc4e300a80dfb8df1513968263a8", 4.691743194847451,
+    ("wf", 0.2): ("2f15ca6cb420e6b484e07bf1c3f632508cafc64ddf8fe482ccf786fc941c5c3e", 4.691743194847451,
                   "26a239e1e8fcd30b86f4a810bb8c95c10359bf33ece764087169a7a53f20aaed", 3),
-    ("wf", 0.5): ("8bb785cc3c966721861e6b7c74400f7079416bef089b49e351163db92e91ac93", 5.073030879091986,
+    ("wf", 0.5): ("fb1f01bc97e73053dcb6214174a71e3cc0f33dc461a86e21ee017b222e38395c", 5.073030879091986,
                   "0cbfae5367208d257d124ab1796db754733469f1bfaff25fae94878386f0915a", 2),
-    ("wf", 0.8): ("8d3c2cd690ecb64e5ad64f213a8ef80fd956d0e7b152d548a9aab5bc80a4dfe2", 5.2000301131604445,
+    ("wf", 0.8): ("a5bd3cb6ca582308d3e2f436598e8be0f9988b28ffbde8338e15a636479d4866", 5.2000301131604445,
                   "0e57874b65f732962111c45ef5915bc4a255a950b13e6656b46ade91e168bc1e", 2),
     ("rf", 0.2): ("1fc74161547862a630a0b3cf65fb3424c9034ba9683f6c225837ea68853474b3", 5.048466049086006,
                   "b7b8128633be0db74fb03f96a4c389054a98f5febdff9d7171c6847cfafb9b32", 2),
@@ -153,7 +153,7 @@ def _shaping_solve(filt, fraction):
 
 
 def _pins(sol):
-    return (hashlib.sha256(sol.probs.tobytes()).hexdigest(), sol.air_bits,
+    return (hashlib.sha256(sol.codebook.probs.tobytes()).hexdigest(), sol.air_bits,
             hashlib.sha256(repr(sol.trace_rows).encode()).hexdigest(), sol.outer_iters)
 
 

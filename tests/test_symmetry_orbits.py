@@ -166,4 +166,4 @@ def test_orbit_solve_matches_the_full_alphabet_solve(family, order):
         case = (filt, frac, var)
         assert (sol.outer_iters, sol.converged) == (iters, converged), case
         assert abs(sol.air_bits - air_bits) <= 1e-12, case
-        assert np.max(np.abs(sol.probs - probs)) <= 1e-15, case
+        assert np.max(np.abs(sol.codebook.probs - probs)) <= 1e-15, case

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ofdm_isac.air import LL_CHUNK_BYTES, air_quadrature, log_likelihood_table
+from ofdm_isac.air import LL_CHUNK_BYTES, air_estimate, air_quadrature, log_likelihood_table
 from ofdm_isac.channel import FrameDims, Scene, Target
 from ofdm_isac.constellation import make_shaped, make_uniform
 from ofdm_isac.detection import CfarConfig, default_tradeoff_scene, detection_probability
@@ -62,6 +62,14 @@ def test_quadrature_peak_bounded():
     bits, peak = _traced_peak(air_quadrature, make_uniform("qam", 64), 0.02)
     assert 5.0 < bits <= 6.0
     assert peak < 3.7 * MIB, f"peak {peak / MIB:.2f} MiB"
+
+
+def test_estimate_peak_bounded():
+    """Uniform 64-QAM, 200,000 samples in 20,000-sample chunks: 70.8 MiB with scipy's log-sum-exp over
+    a whole-chunk |y - c|^2 expression, 21.4 through ``log_likelihood_table`` and ``row_logsumexp``."""
+    bits, peak = _traced_peak(air_estimate, make_uniform("qam", 64), 0.1, 200_000, 0)
+    assert 3.0 < bits <= 6.0
+    assert peak < 24 * MIB, f"peak {peak / MIB:.2f} MiB"
 
 
 SNR = 10.0**0.4
